@@ -10,12 +10,11 @@ from .errors import (CoincidentArguments, ConditioningWarning, DetNotOne,
                      WronskianViolation)
 from .mat2 import Mat2, Vec2, inverse_unimodular, multiply, operator_norm
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
-                     CustomModel, PeriodicModel, PolyPair, SpectrumSlice,
-                     TableModel, eval_poly_sequence, gauss_quadrature,
-                     scaled_zeros)
+                     CustomModel, PeriodicModel, SpectrumSlice, TableModel,
+                     gauss_quadrature, poly_table, scaled_zeros)
 from .transfer import (DiscreteHSequence, QTrajectory, TransferState,
-                       h_sequence, one_step, q_trajectory_direct,
-                       q_trajectory_recursive, transfer_product)
+                       h_sequence, one_step, q_snapshots,
+                       q_trajectory_direct, transfer_product)
 from .cdkernel import (KernelGrid, kernel_cd, kernel_det_q, kernel_sum,
                        scaled_grid, sine_compare, sine_kernel)
 from .canonical import (CanonicalSolution, CanonicalSystem,
@@ -23,12 +22,11 @@ from .canonical import (CanonicalSolution, CanonicalSystem,
                         PiecewiseConstantHamiltonian, RSSequence,
                         discrete_to_jacobi, hb_kernel, hermite_biehler,
                         kernel_from_solutions, kernel_integral_form,
-                        rs_from_model, solve_constant, solve_ode)
+                        constant_solution_batch, rs_from_model, solve_ode)
 from .limits import (BulkPointData, DiagnosticsReport, EquivalenceReport,
                      cesaro_limit, check_equivalence, diagnostics,
                      piecewise_estimate)
-from .models import (AlternatingVClosedForms, alternating_model,
-                     free_bulk_data, free_model, lambda_pm,
+from .models import (alternating_model, free_bulk_data, free_model, lambda_pm,
                      limit_coefficient, limit_kernel_candidate, make_model,
                      modified_sine_kernel, qhat_closed)
 

@@ -18,7 +18,6 @@ and steps never straddle a breakpoint.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -220,31 +219,12 @@ class CanonicalSolution:
         return np.array([q.m11, q.m21], dtype=complex)
 
 
-def solve_constant(h, z, t: float) -> Mat2:
-    """Closed-form solution exp(z t J^{-1} H) of a constant-coefficient system.
+def constant_solution_batch(h, zs, ts) -> np.ndarray:
+    """Closed-form solutions exp(z t J^{-1} H) of a constant-coefficient system.
 
     J^{-1} H is trace free with determinant det H >= 0, so by Cayley-Hamilton
     exp(c J^{-1} H) = cos(w c) Id + sin(w c)/w J^{-1} H with w = sqrt(det H).
-    """
-    arr = _check_psd(_as_matrix(h), SOLVE_CONSTANT_PSD_TOL)
-    h11, h12, h22 = arr[0, 0], arr[0, 1], arr[1, 1]
-    det = h11 * h22 - h12 * h12
-    w = math.sqrt(max(det, 0.0))
-    c = complex(z) * t
-    if w == 0.0:
-        cos_part, sin_part = 1.0 + 0.0j, c
-    else:
-        cos_part = cmath.cos(w * c)
-        sin_part = cmath.sin(w * c) / w
-    # J^{-1} H = ((h12, h22), (-h11, -h12))
-    return Mat2(cos_part + sin_part * h12, sin_part * h22,
-                -sin_part * h11, cos_part - sin_part * h12)
-
-
-def constant_solution_batch(h, zs, ts) -> np.ndarray:
-    """Vectorized ``solve_constant`` over spectral values and times.
-
-    Returns shape (len(ts), len(zs), 2, 2).
+    Returns shape (len(ts), len(zs), 2, 2) over spectral values zs and times ts.
     """
     arr = _check_psd(_as_matrix(h), SOLVE_CONSTANT_PSD_TOL)
     h11, h12, h22 = arr[0, 0], arr[0, 1], arr[1, 1]
@@ -258,6 +238,7 @@ def constant_solution_batch(h, zs, ts) -> np.ndarray:
     else:
         cos_part = np.cos(w * c)
         sin_part = np.sin(w * c) / w
+    # J^{-1} H = ((h12, h22), (-h11, -h12))
     out = np.empty(c.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = cos_part + sin_part * h12
     out[..., 0, 1] = sin_part * h22

@@ -20,43 +20,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentArguments
-from .jacobi import CoefficientModel, eval_poly_sequence, poly_table
+from .jacobi import CoefficientModel, poly_table
 from .transfer import QTrajectory, q_trajectory_direct
 
 COINCIDENT_REL_TOL = 1e-13
 
 
 def _check_distinct(x, y):
-    if abs(x - y) < COINCIDENT_REL_TOL * max(1.0, abs(x), abs(y)):
+    close = np.abs(x - y) < COINCIDENT_REL_TOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    if np.any(close):
+        i = int(np.argmax(close))
+        xb, yb = np.broadcast_arrays(x, y)
         raise CoincidentArguments(
-            f"arguments {x} and {y} coincide to working precision; "
+            f"arguments {xb.flat[i]} and {yb.flat[i]} coincide to working precision; "
             "use the sum form on the diagonal")
 
 
+def _poly_values(model: CoefficientModel, up_to: int, x, y, n_ctx):
+    """p_0..p_up_to at x and at y from one recurrence, on a last axis of length up_to + 1."""
+    x, y = np.asarray(x), np.asarray(y)
+    P, _ = poly_table(model, np.concatenate([x.ravel(), y.ravel()]), up_to, n_ctx)
+    return (P[:, :x.size].T.reshape(x.shape + (up_to + 1,)),
+            P[:, x.size:].T.reshape(y.shape + (up_to + 1,)))
+
+
 def kernel_sum(model: CoefficientModel, n: int, x, y,
-               n_ctx: int | None = None) -> complex:
-    """K_n(x, y) as the orthonormal-polynomial sum; safe on the diagonal."""
+               n_ctx: int | None = None):
+    """K_n(x, y) as the orthonormal-polynomial sum; safe on the diagonal.
+
+    x and y broadcast against each other; scalar arguments give a scalar.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n_ctx is None:
         n_ctx = n
-    pairs_x = eval_poly_sequence(model, x, n - 1, n_ctx)
-    pairs_y = pairs_x if y == x else eval_poly_sequence(model, y, n - 1, n_ctx)
-    return sum(px.p * py.p for px, py in zip(pairs_x, pairs_y))
+    px, py = _poly_values(model, n - 1, x, y, n_ctx)
+    return np.sum(px * py, axis=-1)[()]
 
 
 def kernel_cd(model: CoefficientModel, n: int, x, y,
-              n_ctx: int | None = None) -> complex:
-    """K_n(x, y) by the Christoffel-Darboux quotient; x and y must be distinct."""
+              n_ctx: int | None = None):
+    """K_n(x, y) by the Christoffel-Darboux quotient; x and y must be distinct.
+
+    x and y broadcast against each other; scalar arguments give a scalar.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n_ctx is None:
         n_ctx = n
+    x, y = np.asarray(x), np.asarray(y)
     _check_distinct(x, y)
-    px = eval_poly_sequence(model, x, n, n_ctx)
-    py = eval_poly_sequence(model, y, n, n_ctx)
+    px, py = _poly_values(model, n, x, y, n_ctx)
     a_n, _ = model.coeff(n, n_ctx)
-    return a_n * (px[n].p * py[n - 1].p - py[n].p * px[n - 1].p) / (x - y)
+    return (a_n * (px[..., n] * py[..., n - 1] - py[..., n] * px[..., n - 1]) / (x - y))[()]
 
 
 def kernel_det_q(qa: QTrajectory, qb: QTrajectory, a, b) -> complex:

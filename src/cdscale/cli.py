@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, canonical, cdkernel, jacobi, limits, models, transfer
 from . import errors
-from .errors import InvalidCoefficient
-from .mat2 import inverse_unimodular, operator_norm
+from .errors import IndexOutOfRange, InvalidCoefficient
+from .mat2 import inverse_unimodular, operator_norm, operator_norm_array
 
 DEFAULTS = {
     "out": ".",
     "tol": 0.02,
-    "threads": 0,
     "x0": 0.0,
     "grid": "-5:5:51",
     "t_grid": "0:1:101",
@@ -35,6 +34,10 @@ DEFAULTS = {
     "max_step": 1e-3,
     "n_list": "500,1000,2000,4000",
 }
+
+
+# Options whose value must be positive.
+POSITIVE = {"n", "window", "bins"}
 
 
 class UsageError(Exception):
@@ -64,14 +67,16 @@ class Options:
 
     def get(self, name, cast=str, default=None):
         v = self.args.get(name)
-        if v is not None:
-            return v
-        if name in self.cfg:
-            raw = self.cfg[name]
-            return cast(raw)
-        if default is not None:
-            return default
-        return DEFAULTS.get(name)
+        if v is None and name in self.cfg:
+            try:
+                v = cast(self.cfg[name])
+            except ValueError:
+                raise UsageError(f"bad config value {name}={self.cfg[name]!r}") from None
+        if v is None:
+            v = default if default is not None else DEFAULTS.get(name)
+        if name in POSITIVE and v is not None and not v > 0:
+            raise UsageError(f"--{name} must be positive, got {v!r}")
+        return v
 
     def require(self, name, cast=str):
         v = self.get(name, cast)
@@ -86,9 +91,16 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise UsageError(f"bad grid spec {spec!r}; expected min:max:steps") from None
-    if steps < 1 or (steps > 1 and hi <= lo):
+    if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or (steps > 1 and hi <= lo):
         raise UsageError(f"bad grid spec {spec!r}")
     return np.linspace(lo, hi, steps)
+
+
+def _parse_t_grid(spec: str) -> np.ndarray:
+    ts = _parse_grid(spec)
+    if ts[0] < 0.0 or ts[-1] > 1.0:
+        raise UsageError(f"t grid {spec!r} must lie in [0, 1]")
+    return ts
 
 
 def _parse_complex(spec: str) -> complex:
@@ -166,24 +178,8 @@ def cmd_kernel(opt: Options) -> int:
     a_vals = _parse_grid(opt.get("grid"))
     b_vals = _parse_grid(opt.get("bgrid")) if opt.get("bgrid") else a_vals
     tol = opt.get("tol", float)
-    threads = opt.get("threads", int)
-
-    def compute_grid():
-        return cdkernel.scaled_grid(model, n, x0, a_vals, b_vals)
-
-    def compute_ref():
-        return _reference_values(opt, model, a_vals, b_vals)
-
-    if threads and opt.get("reference"):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fg = pool.submit(compute_grid)
-            fr = pool.submit(compute_ref)
-            grid = fg.result()
-            ref_name, ref_vals = fr.result()
-    else:
-        grid = compute_grid()
-        ref_name, ref_vals = compute_ref()
-
+    grid = cdkernel.scaled_grid(model, n, x0, a_vals, b_vals)
+    ref_name, ref_vals = _reference_values(opt, model, a_vals, b_vals)
     out = _out_dir(opt)
     grid.to_csv(os.path.join(out, "kernel.csv"))
     sup_error = None
@@ -296,12 +292,12 @@ def _suite_transfer(opt: Options, checks: CheckList):
 
     seq = transfer.h_sequence(model, x0, n, n)
     tgrid = np.linspace(0.0, 1.0, 11)
-    worst = 0.0
-    for a in (2.0 + 0.0j, -3.0 + 1.0j):
-        qd = transfer.q_trajectory_direct(model, n, x0, a, tgrid)
-        qr = transfer.q_trajectory_recursive(seq, n, a, tgrid)
-        for (_, m1), (_, m2) in zip(qd.samples, qr.samples):
-            worst = max(worst, operator_norm(m1 - m2))
+    offsets = (2.0 + 0.0j, -3.0 + 1.0j)
+    recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
+    direct = np.stack([[m.to_array() for _, m in
+                        transfer.q_trajectory_direct(model, n, x0, a, tgrid).samples]
+                       for a in offsets], axis=1)
+    worst = float(np.max(operator_norm_array(direct - recursive)))
     checks.add("q_direct_vs_recursive", worst, 1e-8)
 
     conj_worst = 0.0
@@ -320,30 +316,27 @@ def _suite_kernel(opt: Options, checks: CheckList):
     n = opt.require("n", int)
     x0 = opt.get("x0", float)
     rng = np.random.default_rng(opt.get("seed", int))
-    worst_cd = 0.0
-    worst_det = 0.0
-    for _ in range(20):
-        a, b = rng.uniform(-5, 5, 2) + 1j * rng.uniform(-1, 1, 2)
-        x, y = x0 + a / n, x0 + b / n
-        ks = cdkernel.kernel_sum(model, n, x, y, n)
-        kc = cdkernel.kernel_cd(model, n, x, y, n)
-        worst_cd = max(worst_cd, abs(ks - kc) / max(1.0, abs(ks)))
-        qa = transfer.q_trajectory_direct(model, n, x0, a, [1.0])
-        qb = transfer.q_trajectory_direct(model, n, x0, b, [1.0])
-        kd = cdkernel.kernel_det_q(qa, qb, a, b)
-        worst_det = max(worst_det, abs(ks / n - kd) / max(1.0, abs(ks / n)))
-    checks.add("sum_vs_cd", worst_cd, 1e-8)
-    checks.add("sum_vs_det", worst_det, 1e-8)
+    a, b = np.array([rng.uniform(-5, 5, 2) + 1j * rng.uniform(-1, 1, 2)
+                     for _ in range(20)]).T
+    ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n, n)
+    kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n, n)
+    kd = np.empty_like(ks)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        qa = transfer.q_trajectory_direct(model, n, x0, ai, [1.0])
+        qb = transfer.q_trajectory_direct(model, n, x0, bi, [1.0])
+        kd[i] = cdkernel.kernel_det_q(qa, qb, ai, bi)
+    checks.add("sum_vs_cd", float(np.max(np.abs(ks - kc) / np.maximum(1.0, np.abs(ks)))), 1e-8)
+    checks.add("sum_vs_det",
+               float(np.max(np.abs(ks / n - kd) / np.maximum(1.0, np.abs(ks / n)))), 1e-8)
 
     nk = min(n, 40)
     nodes, weights = jacobi.gauss_quadrature(model, 4 * nk, 4 * nk)
     worst_rep = 0.0
     for _ in range(3):
         x, y = x0 + rng.uniform(-0.5, 0.5, 2)
-        kxz = np.array([cdkernel.kernel_sum(model, nk, x, float(z), nk) for z in nodes])
-        kzy = np.array([cdkernel.kernel_sum(model, nk, float(z), y, nk) for z in nodes])
-        integral = float(np.dot(weights, kxz * kzy))
-        direct = float(np.real(cdkernel.kernel_sum(model, nk, x, y, nk)))
+        kxz, kyz = cdkernel.kernel_sum(model, nk, np.array([[x], [y]]), nodes, nk)
+        integral = float(np.dot(weights, kxz * kyz))
+        direct = float(cdkernel.kernel_sum(model, nk, x, y, nk))
         worst_rep = max(worst_rep, abs(integral - direct) / max(1.0, abs(direct)))
     checks.add("reproducing_property", worst_rep, 1e-8)
 
@@ -421,7 +414,7 @@ def _suite_appendix(opt: Options, checks: CheckList):
         worst_b = max(worst_b, float(np.max(np.abs(rec.b_list - b))))
         x = rng.uniform(-0.5, 0.5)
         ps = canonical.polys_from_rs(rs, x)
-        truth = np.array([pp.p for pp in jacobi.eval_poly_sequence(model, float(x), n)])
+        truth = jacobi.poly_table(model, np.array([x]), n)[0][:, 0]
         worst_p = max(worst_p, float(np.max(np.abs(ps - truth))))
     checks.add("wronskian_identity", worst_wr, 1e-10)
     checks.add("b_recovery", worst_b, 1e-9)
@@ -432,38 +425,26 @@ def _suite_thm25(opt: Options, checks: CheckList):
     model = _model_from(opt) if opt.get("model") else models.free_model()
     x0 = opt.get("x0", float)
     tol = opt.get("tol", float)
-    n_list = [int(s) for s in opt.get("n_list").split(",")]
+    try:
+        n_list = [int(s) for s in opt.get("n_list").split(",")]
+    except ValueError:
+        raise UsageError(f"bad --n-list {opt.get('n_list')!r}") from None
+    if min(n_list) < 1:
+        raise UsageError("--n-list entries must be positive")
     rho = opt.get("rho", float)
     w = opt.get("w", float)
     if rho is None or w is None:
         bpd = models.free_bulk_data(x0)
     else:
         bpd = limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f", float, 0.0))
-    a_grid = _parse_grid(opt.get("grid"))
-    t_grid = _parse_grid(opt.get("t_grid"))
-    threads = opt.get("threads", int)
-
-    def one(n):
-        grid = cdkernel.scaled_grid(model, n, x0, a_grid, a_grid)
-        ks = cdkernel.sine_compare(grid, bpd.rho, bpd.w)
-        fs = limits.flow_deviation(model, n, x0, bpd.hamiltonian(), a_grid, t_grid)
-        return ks, fs
-
-    if threads:
-        with ThreadPoolExecutor(max_workers=min(threads, len(n_list))) as pool:
-            stats = list(pool.map(one, n_list))
-    else:
-        stats = [one(n) for n in n_list]
-    kernel_stat = [s[0] for s in stats]
-    flow_stat = [s[1] for s in stats]
-    checks.add("kernel_stat_final", kernel_stat[-1], tol)
-    checks.add("kernel_stat_decreasing", 0.0, 1.0,
-               ok=all(b < a for a, b in zip(kernel_stat, kernel_stat[1:])))
-    checks.add("flow_stat_final", flow_stat[-1], tol)
-    checks.add("flow_stat_decreasing", 0.0, 1.0,
-               ok=all(b < a for a, b in zip(flow_stat, flow_stat[1:])))
-    checks.checks[-1]["flow_stat"] = flow_stat
-    checks.checks[-2]["kernel_stat"] = kernel_stat
+    report = limits.check_equivalence(model, n_list, x0, bpd, _parse_grid(opt.get("grid")),
+                                      _parse_t_grid(opt.get("t_grid")))
+    checks.add("kernel_stat_final", report.kernel_stat[-1], tol)
+    checks.add("kernel_stat_decreasing", 0.0, 1.0, ok=report.kernel_decreasing)
+    checks.add("flow_stat_final", report.flow_stat[-1], tol)
+    checks.add("flow_stat_decreasing", 0.0, 1.0, ok=report.flow_decreasing)
+    checks.checks[-1]["flow_stat"] = report.flow_stat
+    checks.checks[-2]["kernel_stat"] = report.kernel_stat
 
 
 SUITES = {
@@ -501,7 +482,7 @@ def cmd_canonical_solve(opt: Options) -> int:
         with open(kind) as fh:
             system = canonical.system_from_dict(json.load(fh))
     z = _parse_complex(opt.require("z"))
-    t_grid = _parse_grid(opt.get("t_grid"))
+    t_grid = _parse_t_grid(opt.get("t_grid"))
     sol = canonical.solve_ode(system, z, t_grid, max_step=opt.get("max_step", float))
     out = _out_dir(opt)
     with open(os.path.join(out, "solution.csv"), "w", newline="") as fh:
@@ -521,7 +502,6 @@ def cmd_canonical_solve(opt: Options) -> int:
 def _add_common(p):
     p.add_argument("--out", help="output directory (env CDSCALE_OUT overrides)")
     p.add_argument("--tol", type=float, help="tolerance for pass/fail comparisons")
-    p.add_argument("--threads", type=int, help="worker threads; 0 = sequential reference mode")
     p.add_argument("--config", help="key=value config file (flags take precedence)")
 
 
@@ -627,7 +607,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidCoefficient, FileNotFoundError) as exc:
+    except (InvalidCoefficient, IndexOutOfRange, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, errors.CoincidentArguments, errors.NotPSD,

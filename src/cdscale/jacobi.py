@@ -32,15 +32,6 @@ EIG_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PolyPair:
-    """Values (p_ell(x), q_ell(x)) of the first/second kind polynomials."""
-
-    p: complex
-    q: complex
-    ell: int
-
-
-@dataclass(frozen=True)
 class SpectrumSlice:
     """Scaled eigenvalues n·(lambda - x0) of the n x n truncation inside a window."""
 
@@ -244,38 +235,16 @@ class CustomModel(CoefficientModel):
         return {"kind": "custom", "description": self.description}
 
 
-def eval_poly_sequence(model: CoefficientModel, x, up_to: int,
-                       n: int | None = None) -> list[PolyPair]:
-    """Evaluate (p_ell(x), q_ell(x)) for ell = 0..up_to at a single point.
+def poly_table(model: CoefficientModel, xs, up_to: int,
+               n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence at many points: P[ell, i] = p_ell(xs[i]), Q likewise.
 
-    Real x produces exactly real values. Complex x is supported; the
-    polynomials are entire, so no restriction on the argument applies.
+    Shapes are (up_to + 1, len(xs)). The dtype follows xs: real points give
+    exactly real values. Complex points are supported; the polynomials are
+    entire, so no restriction on the argument applies.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    real = not isinstance(x, complex)
-    xv = float(x) if real else complex(x)
-    out = [PolyPair(1.0 if real else 1.0 + 0.0j, 0.0 if real else 0.0j, 0)]
-    p_prev2, p_prev1 = (0.0, 1.0)
-    q_prev2, q_prev1 = (-1.0, 0.0)  # q_{-1} = -1/a_0 with a_0 = 1
-    a_prev = 1.0
-    for ell in range(1, up_to + 1):
-        a_ell, b_ell = model.coeff(ell, n)
-        p = ((xv - b_ell) * p_prev1 - a_prev * p_prev2) / a_ell
-        q = ((xv - b_ell) * q_prev1 - a_prev * q_prev2) / a_ell
-        out.append(PolyPair(p, q, ell))
-        p_prev2, p_prev1 = p_prev1, p
-        q_prev2, q_prev1 = q_prev1, q
-        a_prev = a_ell
-    return out
-
-
-def poly_table(model: CoefficientModel, xs, up_to: int,
-               n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized recurrence: P[ell, i] = p_ell(xs[i]), Q likewise.
-
-    Shapes are (up_to + 1, len(xs)). The dtype follows xs (real in, real out).
-    """
     xs = np.atleast_1d(np.asarray(xs))
     dtype = complex if np.iscomplexobj(xs) else float
     xs = xs.astype(dtype)
@@ -297,14 +266,14 @@ def poly_table(model: CoefficientModel, xs, up_to: int,
     a_prev = 1.0
     for ell in range(1, up_to + 1):
         shift = xs - b[ell - 1]
-        inv = 1.0 / a[ell - 1]
-        p = (shift * p_prev1 - a_prev * p_prev2) * inv
-        q = (shift * q_prev1 - a_prev * q_prev2) * inv
+        a_ell = a[ell - 1]
+        p = (shift * p_prev1 - a_prev * p_prev2) / a_ell
+        q = (shift * q_prev1 - a_prev * q_prev2) / a_ell
         P[ell] = p
         Q[ell] = q
         p_prev2, p_prev1 = p_prev1, p
         q_prev2, q_prev1 = q_prev1, q
-        a_prev = a[ell - 1]
+        a_prev = a_ell
     return P, Q
 
 

@@ -47,7 +47,7 @@ class BulkPointData:
     part of the boundary Stieltjes transform. The second-kind density obeys
     wtilde = w / (pi^2 w^2 + reF^2), and the implied constant Hamiltonian
 
-        H = ((rho/w, -reF rho/w), (-reF rho/w, rho/wtilde))
+        H = ((rho/w, reF rho/w), (reF rho/w, rho/wtilde))
 
     always has det H = (pi rho)^2.
     """
@@ -77,7 +77,7 @@ class BulkPointData:
         return cls(x0=x0, w=w, rho=rho, reF=reF, wtilde=wtilde)
 
     def hamiltonian(self) -> Mat2:
-        off = -self.reF * self.rho / self.w
+        off = self.reF * self.rho / self.w
         return Mat2(self.rho / self.w, off, off, self.rho / self.wtilde)
 
     def to_dict(self) -> dict:

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .canonical import CoshSinhHamiltonian
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      PeriodicModel, TableModel)
 from .limits import BulkPointData
@@ -240,39 +239,6 @@ def limit_kernel_candidate(v: float, a, b) -> tuple[complex, complex]:
                          "use modified_sine_kernel for the diagonal")
     raw = raw_limit_formula(v, a_c, b_c)
     return raw, raw / (a_c - b_c)
-
-
-class AlternatingVClosedForms:
-    """Bundle of every closed form attached to one coupling V >= 0."""
-
-    def __init__(self, v: float):
-        if v < 0:
-            raise ValueError("V must be nonnegative")
-        self.v = float(v)
-
-    def model(self) -> AlternatingSignModel:
-        return alternating_model(self.v)
-
-    def lambda_pm(self, n: int) -> tuple[float, float]:
-        return lambda_pm(self.v, n)
-
-    def u_matrix(self, n: int) -> Mat2:
-        return u_matrix(self.v, n)
-
-    def two_step_factor(self, n: int) -> Mat2:
-        return two_step_factor(self.v, n)
-
-    def qhat(self, n: int, ell: int) -> Mat2:
-        return qhat_closed(self.v, n, ell)
-
-    def limit_coefficient(self, s: float) -> Mat2:
-        return limit_coefficient(self.v, s)
-
-    def hamiltonian(self) -> CoshSinhHamiltonian:
-        return CoshSinhHamiltonian(self.v)
-
-    def kernel(self, a, b):
-        return modified_sine_kernel(self.v, a, b)
 
 
 MODEL_NAMES = ("free", "alternating-v", "periodic", "table")

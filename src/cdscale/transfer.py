@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning
-from .jacobi import CoefficientModel, eval_poly_sequence, poly_table
+from .jacobi import CoefficientModel, poly_table
 from .mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
 
 # Above this accumulated norm product the direct path has lost too many digits.
@@ -134,12 +134,11 @@ def transfer_product(model: CoefficientModel, ell: int, x,
 def transfer_from_polys(model: CoefficientModel, ell: int, x,
                         n: int | None = None) -> Mat2:
     """Column form of the transfer matrix, from the polynomial recurrence."""
-    pairs = eval_poly_sequence(model, x, ell, n)
+    P, Q = poly_table(model, np.array([x]), ell, n)
     if ell == 0:
         return IDENTITY
     a_ell, _ = model.coeff(ell, n)
-    top, prev = pairs[ell], pairs[ell - 1]
-    return Mat2(top.p, -top.q, a_ell * prev.p, -a_ell * prev.q)
+    return Mat2(P[ell, 0], -Q[ell, 0], a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0])
 
 
 def h_sequence(model: CoefficientModel, x0: float, up_to: int,
@@ -194,43 +193,13 @@ def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a,
     return QTrajectory(n=n, a=a, x0=x0, samples=tuple(samples))
 
 
-def q_trajectory_recursive(h_seq: DiscreteHSequence, n: int, a,
-                           t_grid) -> QTrajectory:
-    """Q at each requested t from the one-step recursion of the difference equation.
-
-    Iterates Q_{ell+1} = (Id + (a/n) J^{-1} H_ell) Q_ell from the identity;
-    J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)). Needs H_0..H_{max[tn]-1}.
-    """
-    ells = _snapshot_indices(n, t_grid)
-    max_ell = max(ells) if ells else 0
-    if max_ell > len(h_seq):
-        raise ValueError(f"h sequence of length {len(h_seq)} does not cover index {max_ell - 1}")
-    z = a / n
-    q11, q12, q21, q22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    ps, qs = h_seq.ps, h_seq.qs
-    by_ell = {}
-    if 0 in ells:
-        by_ell[0] = IDENTITY
-    for ell in range(max_ell):
-        p, q = ps[ell], qs[ell]
-        b11, b12, b21, b22 = -p * q, q * q, -p * p, p * q
-        r11 = q11 + z * (b11 * q11 + b12 * q21)
-        r12 = q12 + z * (b11 * q12 + b12 * q22)
-        r21 = q21 + z * (b21 * q11 + b22 * q21)
-        r22 = q22 + z * (b21 * q12 + b22 * q22)
-        q11, q12, q21, q22 = r11, r12, r21, r22
-        if (ell + 1) in ells and (ell + 1) not in by_ell:
-            by_ell[ell + 1] = Mat2(q11, q12, q21, q22)
-    samples = [(float(t), by_ell[ell]) for t, ell in zip(t_grid, ells)]
-    return QTrajectory(n=n, a=a, x0=h_seq.x0, samples=tuple(samples))
-
-
 def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
                 t_values) -> np.ndarray:
-    """Batched recursion: array of Q_{[tn]}(x0 + a/n) over a grid of (t, a).
+    """Q at each requested (t, a) from the one-step recursion of the difference equation.
 
-    Returns shape (len(t_values), len(a_values), 2, 2). Identical arithmetic
-    to ``q_trajectory_recursive``, vectorized over the spectral offsets.
+    Iterates Q_{ell+1} = (Id + (a/n) J^{-1} H_ell) Q_ell from the identity, for
+    all spectral offsets at once; J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
+    Needs H_0..H_{max[tn]-1}. Returns shape (len(t_values), len(a_values), 2, 2).
     """
     ells = _snapshot_indices(n, sorted(t_values))
     order = np.argsort(np.asarray(t_values))

@@ -10,9 +10,9 @@ import time
 import numpy as np
 
 from cdscale.canonical import (ConstantHamiltonian, CoshSinhHamiltonian,
-                               discrete_to_jacobi, hb_kernel, kernel_from_solutions,
-                               kernel_grid, kernel_integral_form, rs_from_model,
-                               solve_constant, solve_ode)
+                               constant_solution_batch, discrete_to_jacobi,
+                               hb_kernel, kernel_from_solutions, kernel_grid,
+                               kernel_integral_form, rs_from_model, solve_ode)
 from cdscale.cdkernel import (kernel_cd, kernel_det_q, kernel_sum, scaled_grid,
                               sine_compare, sine_kernel)
 from cdscale.jacobi import (ConstantModel, TableModel, poly_table, scaled_zeros)
@@ -22,8 +22,8 @@ from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             lambda_pm, modified_sine_kernel, qhat_closed,
                             raw_limit_formula)
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
-                              q_trajectory_direct, q_trajectory_recursive,
-                              transfer_from_polys, transfer_product)
+                              q_trajectory_direct, transfer_from_polys,
+                              transfer_product)
 
 FREE = ConstantModel(1.0, 0.0)
 RHO0 = 1.0 / (2.0 * math.pi)
@@ -100,9 +100,9 @@ def test_criterion_1_exact_identity_suite():
         seq = h_sequence(model, 0.0, 1000)
         a = complex(rng.uniform(-4, 4), rng.uniform(-1, 1))
         qd = q_trajectory_direct(model, 1000, 0.0, a, tgrid)
-        qr = q_trajectory_recursive(seq, 1000, a, tgrid)
-        for (_, m1), (_, m2) in zip(qd.samples, qr.samples):
-            q_worst = max(q_worst, operator_norm(m1 - m2))
+        qr = q_snapshots(seq, 1000, [a], tgrid)[:, 0]
+        for (_, m1), m2 in zip(qd.samples, qr):
+            q_worst = max(q_worst, operator_norm(m1 - Mat2.from_array(m2)))
     report(1, "q_direct_vs_recursive", q_worst, 1e-8)
 
     # one-step conjugation identity, exact to rounding
@@ -150,8 +150,8 @@ def test_criterion_3_flow_convergence_free():
             np.abs(diff[..., 0, 0]) ** 2 + np.abs(diff[..., 0, 1]) ** 2
             + np.abs(diff[..., 1, 0]) ** 2 + np.abs(diff[..., 1, 1]) ** 2))))
         # rotation reference cross-checked against the generic constant solver
-        spot = solve_constant(h, complex(GRID51[7]), t_grid[13])
-        np.testing.assert_allclose(spot.to_array(), reference[13, 7], atol=1e-12)
+        spot = constant_solution_batch(h, [complex(GRID51[7])], [t_grid[13]])[0, 0]
+        np.testing.assert_allclose(spot, reference[13, 7], atol=1e-12)
     report(3, "sup_deviation_n4000", devs[-1], 0.02)
     report(3, "decreasing_in_n", 0.0, 1.0,
            ok=all(b < a for a, b in zip(devs, devs[1:])))
@@ -243,7 +243,7 @@ def test_criterion_6_canonical_kernel_identities():
     report(6, "bulk_hamiltonian_sine_kernel", worst, 1e-8)
     report(6, "det_h_pi_rho_squared", det_worst, 1e-10)
 
-    ref = solve_constant(np.eye(2) / 2, 10.0, 1.0)
+    ref = Mat2.from_array(constant_solution_batch(np.eye(2) / 2, [10.0], [1.0])[0, 0])
     sysc = ConstantHamiltonian(np.eye(2) / 2)
     e1 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=1e-3).final - ref)
     e2 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=5e-4).final - ref)

@@ -7,13 +7,14 @@ import pytest
 from cdscale.canonical import (CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
-                               discrete_to_jacobi, hb_kernel, hermite_biehler,
+                               constant_solution_batch, discrete_to_jacobi,
+                               hb_kernel, hermite_biehler,
                                kernel_from_solutions, kernel_grid,
                                kernel_integral_form, polys_from_rs,
-                               rs_from_model, solve_constant, solve_ode,
-                               solve_ode_batch, system_from_dict)
+                               rs_from_model, solve_ode, solve_ode_batch,
+                               system_from_dict)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
-from cdscale.jacobi import ConstantModel, TableModel, eval_poly_sequence
+from cdscale.jacobi import ConstantModel, TableModel, poly_table
 from cdscale.mat2 import Mat2, operator_norm
 
 FREE = ConstantModel(1.0, 0.0)
@@ -40,34 +41,37 @@ def built_in_systems():
 
 
 def test_solve_constant_rotation():
-    for a in (0.5, 1.0, -2.3):
-        for t in (0.25, 1.0):
-            q = solve_constant(HALF_ID, a, t)
+    zs, ts = (0.5, 1.0, -2.3), (0.25, 1.0)
+    qs = constant_solution_batch(HALF_ID, zs, ts)
+    for j, a in enumerate(zs):
+        for i, t in enumerate(ts):
             c, s = math.cos(a * t / 2), math.sin(a * t / 2)
-            assert operator_norm(q - Mat2(c, s, -s, c)) <= 1e-14
+            assert operator_norm(Mat2.from_array(qs[i, j]) - Mat2(c, s, -s, c)) <= 1e-14
 
 
 def test_solve_constant_zero_spectral_value():
-    q = solve_constant(np.array([[0.7, 0.2], [0.2, 0.9]]), 0.0, 1.0)
-    assert operator_norm(q - Mat2.identity()) == 0.0
+    q = constant_solution_batch(np.array([[0.7, 0.2], [0.2, 0.9]]), [0.0], [1.0])[0, 0]
+    assert operator_norm(Mat2.from_array(q) - Mat2.identity()) == 0.0
 
 
 def test_solve_constant_rank_one_generator():
     h = np.array([[1.0, 0.0], [0.0, 0.0]])
-    q = solve_constant(h, 2.0, 1.0)  # det H = 0: linear flow Id + z t J^{-1} H
-    assert operator_norm(q - Mat2(1.0, 0.0, -2.0, 1.0)) <= 1e-15
+    q = constant_solution_batch(h, [2.0], [1.0])[0, 0]  # det H = 0: Id + z t J^{-1} H
+    assert operator_norm(Mat2.from_array(q) - Mat2(1.0, 0.0, -2.0, 1.0)) <= 1e-15
 
 
 def test_solve_constant_rejects_indefinite():
     with pytest.raises(NotPSD):
-        solve_constant(np.array([[1.0, 0.0], [0.0, -1e-6]]), 1.0, 1.0)
+        constant_solution_batch(np.array([[1.0, 0.0], [0.0, -1e-6]]), [1.0], [1.0])
 
 
 def test_solve_ode_matches_closed_form():
     sysc = ConstantHamiltonian(HALF_ID)
-    sol = solve_ode(sysc, 1.0, [0.0, 0.5, 1.0])
-    for t, q in sol.samples:
-        assert operator_norm(q - solve_constant(HALF_ID, 1.0, t)) <= 1e-10
+    ts = [0.0, 0.5, 1.0]
+    sol = solve_ode(sysc, 1.0, ts)
+    ref = constant_solution_batch(HALF_ID, [1.0], ts)
+    for i, (_, q) in enumerate(sol.samples):
+        assert operator_norm(q - Mat2.from_array(ref[i, 0])) <= 1e-10
 
 
 def test_solve_ode_zero_is_identity():
@@ -85,7 +89,7 @@ def test_solve_ode_unimodular():
 
 
 def test_rk4_fourth_order_convergence():
-    ref = solve_constant(HALF_ID, 10.0, 1.0)
+    ref = Mat2.from_array(constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0])
     sysc = ConstantHamiltonian(HALF_ID)
     e1 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=1e-3).final - ref)
     e2 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=5e-4).final - ref)
@@ -265,7 +269,7 @@ def test_polys_from_rs_reconstruction():
     rs = rs_from_model(model, n)
     for x in (0.0, 0.31, -0.77, 0.2 + 0.1j):
         got = polys_from_rs(rs, x)
-        ref = np.array([p.p for p in eval_poly_sequence(model, x, n)])
+        ref = poly_table(model, [x], n)[0][:, 0]
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
 

@@ -58,6 +58,23 @@ def test_kernel_cd_equals_sum_random():
         assert abs(ks - kc) <= IDENTITY_RTOL * max(1.0, abs(ks))
 
 
+def test_kernel_forms_broadcast_like_scalar_calls():
+    model = bulk_model(39)
+    n = 60
+    x = np.array([[0.1], [-0.4 + 0.2j]])
+    y = np.array([0.3, -0.2, 0.55 - 0.1j])
+    ks = kernel_sum(model, n, x, y)
+    kc = kernel_cd(model, n, x, y)
+    assert ks.shape == kc.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(ks[i, j], kernel_sum(model, n, x[i, 0], y[j]),
+                                       rtol=1e-13)
+            np.testing.assert_allclose(kc[i, j], kernel_cd(model, n, x[i, 0], y[j]),
+                                       rtol=1e-13)
+    assert np.ndim(kernel_sum(model, n, 0.1, 0.3)) == 0
+
+
 def test_kernel_cd_refuses_coincident():
     with pytest.raises(CoincidentArguments):
         kernel_cd(FREE, 5, 0.3, 0.3)

@@ -134,15 +134,6 @@ def test_byte_identical_reruns(tmp_path):
     assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
 
-def test_threads_mode_identical_output(tmp_path):
-    d1, d2 = tmp_path / "seq", tmp_path / "par"
-    args = ["kernel", "--model", "alternating-v", "--v", "1", "--n", "400",
-            "--grid", "-3:3:13", "--reference", "canonical"]
-    assert main(args + ["--threads", "0", "--out", str(d1)]) == 0
-    assert main(args + ["--threads", "2", "--out", str(d2)]) == 0
-    assert (d1 / "kernel.csv").read_bytes() == (d2 / "kernel.csv").read_bytes()
-
-
 def test_env_var_overrides_out_flag(tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"
@@ -201,3 +192,29 @@ def test_table_model_via_cli(tmp_path):
     missing = tmp_path / "missing.csv"
     assert main(["kernel", "--model", "table", "--table", str(missing),
                  "--n", "10", "--grid", "0:1:2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "free", "--n", "0"],
+    ["kernel", "--model", "free", "--n", "-5"],
+    ["zeros", "--model", "free", "--n", "100", "--window", "-1"],
+    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--t-grid", "0:2:5"],
+    ["kernel", "--model", "table", "--table", "{table}", "--n", "10", "--grid", "0:1:2"],
+    ["diagnostics", "--model", "free", "--n", "0"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "nan:1:3"],
+    ["kernel", "--model", "free", "--n", "10", "--threads", "2"],
+])
+def test_usage_errors_exit_2(tmp_path, argv):
+    table = tmp_path / "short.csv"
+    table.write_text("j,a,b\n0,1.0,0.0\n1,1.0,0.0\n")
+    argv = [arg.format(table=table) for arg in argv] + ["--out", str(tmp_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags itself
+        code = exc.code
+    assert code == 2
+
+
+def test_thm25_off_center_passes(tmp_path):
+    assert main(["verify", "thm25", "--x0", "0.3", "--n-list", "500,1000,2000",
+                 "--grid", "-5:5:21", "--out", str(tmp_path)]) == 0

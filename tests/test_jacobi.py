@@ -6,8 +6,8 @@ import pytest
 from cdscale.errors import IndexOutOfRange, InvalidCoefficient
 from cdscale.jacobi import (AlternatingSignModel, ConstantModel, CustomModel,
                             PeriodicModel, TableModel, all_scaled_zeros,
-                            eval_poly_sequence, gauss_quadrature, poly_table,
-                            scaled_zeros, sturm_count, truncated_tridiagonal)
+                            gauss_quadrature, poly_table, scaled_zeros,
+                            sturm_count, truncated_tridiagonal)
 
 FREE = ConstantModel(1.0, 0.0)
 
@@ -22,35 +22,36 @@ def decaying_model(seed, strength=0.3, size=4000):
 
 
 def test_free_poly_pattern_at_zero():
-    pairs = eval_poly_sequence(FREE, 0.0, 4)
-    assert [p.p for p in pairs] == [1.0, 0.0, -1.0, 0.0, 1.0]
-    assert [p.q for p in pairs] == [0.0, 1.0, 0.0, -1.0, 0.0]
+    P, Q = poly_table(FREE, [0.0], 4)
+    assert P[:, 0].tolist() == [1.0, 0.0, -1.0, 0.0, 1.0]
+    assert Q[:, 0].tolist() == [0.0, 1.0, 0.0, -1.0, 0.0]
 
 
 def test_initial_data_any_model():
     model = PeriodicModel([1.5, 0.7], [0.3, -0.4])
-    first = eval_poly_sequence(model, 0.123, 0)[0]
-    assert (first.p, first.q, first.ell) == (1.0, 0.0, 0)
+    P, Q = poly_table(model, [0.123], 0)
+    assert P.shape == Q.shape == (1, 1)
+    assert (P[0, 0], Q[0, 0]) == (1.0, 0.0)
 
 
 def test_free_degree_one_values():
     for x in (0.0, 0.5, -1.3, 2.0 + 0.5j):
-        pair = eval_poly_sequence(FREE, x, 1)[1]
-        assert pair.p == x
-        assert pair.q == 1.0
+        P, Q = poly_table(FREE, [x], 1)
+        assert P[1, 0] == x
+        assert Q[1, 0] == 1.0
 
 
 def test_q_initialization_general_a1():
     model = ConstantModel(2.5, 0.0)
-    pair = eval_poly_sequence(model, 0.9, 1)[1]
-    assert pair.q == 1.0 / 2.5
-    assert pair.p == 0.9 / 2.5
+    P, Q = poly_table(model, [0.9], 1)
+    assert Q[1, 0] == 1.0 / 2.5
+    assert P[1, 0] == 0.9 / 2.5
 
 
 def test_real_input_gives_exactly_real_values():
     model = PeriodicModel([1.1, 0.9], [0.2, -0.1])
-    pairs = eval_poly_sequence(model, 0.37, 50)
-    assert all(isinstance(p.p, float) and isinstance(p.q, float) for p in pairs)
+    P, Q = poly_table(model, [0.37], 50)
+    assert P.dtype == Q.dtype == np.float64
 
 
 def test_recurrence_invalid_coefficient():
@@ -60,17 +61,7 @@ def test_recurrence_invalid_coefficient():
         ConstantModel(1.0, math.inf)
     bad = CustomModel(lambda j: (1.0 if j < 3 else -1.0, 0.0), "bad tail")
     with pytest.raises(InvalidCoefficient):
-        eval_poly_sequence(bad, 0.0, 5)
-
-
-def test_poly_table_matches_scalar_path():
-    model = PeriodicModel([1.2, 0.8, 1.0], [0.1, -0.2, 0.05])
-    xs = np.array([0.0, 0.31, -0.77])
-    P, Q = poly_table(model, xs, 40)
-    for i, x in enumerate(xs):
-        pairs = eval_poly_sequence(model, float(x), 40)
-        np.testing.assert_allclose(P[:, i], [p.p for p in pairs], rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(Q[:, i], [p.q for p in pairs], rtol=1e-14, atol=1e-14)
+        poly_table(bad, [0.0], 5)
 
 
 def test_alternating_model_signs_and_context():

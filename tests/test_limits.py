@@ -181,3 +181,11 @@ def test_report_serialization(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,kernel_stat,flow_stat"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("x0", [0.3, -1.0])
+def test_free_cesaro_mean_matches_bulk_hamiltonian(x0):
+    n = 16000
+    mean = cesaro_limit(h_sequence(free_model(), x0, n, n), n)
+    h = free_bulk_data(x0).hamiltonian()
+    assert operator_norm(mean - h) <= 1e-3

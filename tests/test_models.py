@@ -7,8 +7,7 @@ from cdscale.canonical import CoshSinhHamiltonian, kernel_grid
 from cdscale.cdkernel import scaled_grid
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, PeriodicModel
 from cdscale.mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
-from cdscale.models import (AlternatingVClosedForms,
-                            alternating_coefficient_deviation,
+from cdscale.models import (alternating_coefficient_deviation,
                             alternating_coefficient_matrices,
                             alternating_model, free_bulk_data, free_model,
                             lambda_pm, limit_coefficient,
@@ -175,15 +174,6 @@ def test_cross_pipeline_alternating_vs_canonical():
     grid = scaled_grid(alternating_model(v), n, 0.0, vals, vals)
     canon = kernel_grid(CoshSinhHamiltonian(v), vals, vals)
     assert float(np.max(np.abs(grid.values - canon))) <= 0.02
-
-
-def test_closed_forms_bundle():
-    forms = AlternatingVClosedForms(1.5)
-    assert isinstance(forms.model(), AlternatingSignModel)
-    assert forms.hamiltonian().v == 1.5
-    assert forms.lambda_pm(100) == lambda_pm(1.5, 100)
-    assert abs(forms.kernel(0.0, 0.0)
-               - modified_sine_kernel(1.5, 0.0, 0.0)) == 0.0
 
 
 def test_free_bulk_data_general_point():

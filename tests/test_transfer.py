@@ -7,8 +7,8 @@ from cdscale.errors import ConditioningWarning
 from cdscale.jacobi import ConstantModel, PeriodicModel, TableModel
 from cdscale.mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
-                              q_trajectory_direct, q_trajectory_recursive,
-                              transfer_from_polys, transfer_product)
+                              q_trajectory_direct, transfer_from_polys,
+                              transfer_product)
 
 FREE = ConstantModel(1.0, 0.0)
 COLUMN_RTOL = 1e-9
@@ -120,7 +120,7 @@ def test_q_single_step_closed_form():
     # one step of the difference equation from H_0 = ((1,0),(0,0))
     a = 0.8 + 0.3j
     direct = q_trajectory_direct(FREE, 1, 0.0, a, [1.0]).at(1.0)
-    recursive = q_trajectory_recursive(h_sequence(FREE, 0.0, 1), 1, a, [1.0]).at(1.0)
+    recursive = Mat2.from_array(q_snapshots(h_sequence(FREE, 0.0, 1), 1, [a], [1.0])[0, 0])
     expect = Mat2(1.0, 0.0, -a, 1.0)
     assert max_entry(direct - expect) <= 1e-12
     assert max_entry(recursive - expect) <= 1e-12
@@ -135,16 +135,16 @@ def test_q_direct_equals_recursive():
         for _ in range(2):
             a = complex(rng.uniform(-4, 4), rng.uniform(-1, 1))
             qd = q_trajectory_direct(model, n, 0.0, a, tgrid)
-            qr = q_trajectory_recursive(seq, n, a, tgrid)
-            for (_, m1), (_, m2) in zip(qd.samples, qr.samples):
-                assert operator_norm(m1 - m2) <= Q_AGREE_ATOL
+            qr = q_snapshots(seq, n, [a], tgrid)[:, 0]
+            for (_, m1), m2 in zip(qd.samples, qr):
+                assert operator_norm(m1 - Mat2.from_array(m2)) <= Q_AGREE_ATOL
 
 
 def test_q_det_one_along_trajectory():
     seq = h_sequence(FREE, 0.0, 1000)
-    traj = q_trajectory_recursive(seq, 1000, 3.0 - 0.5j, np.linspace(0, 1, 11))
-    for _, q in traj.samples:
-        assert abs(q.det() - 1.0) <= 1e-8
+    qs = q_snapshots(seq, 1000, [3.0 - 0.5j], np.linspace(0, 1, 11))[:, 0]
+    for q in qs:
+        assert abs(Mat2.from_array(q).det() - 1.0) <= 1e-8
 
 
 def test_one_step_conjugation_identity():
@@ -165,23 +165,11 @@ def test_rotation_limit_free_model():
     n = 4000
     seq = h_sequence(FREE, 0.0, n)
     a = 1.0
-    traj = q_trajectory_recursive(seq, n, a, [0.25, 0.5, 1.0])
-    for t, q in traj.samples:
+    ts = [0.25, 0.5, 1.0]
+    qs = q_snapshots(seq, n, [a], ts)[:, 0]
+    for t, q in zip(ts, qs):
         c, s = np.cos(a * t / 2), np.sin(a * t / 2)
-        assert operator_norm(q - Mat2(c, s, -s, c)) <= 1e-2
-
-
-def test_q_snapshots_matches_scalar_recursion():
-    model = PeriodicModel([1.0, 1.05], [0.2, 0.2])
-    n = 300
-    seq = h_sequence(model, 0.0, n)
-    a_vals = np.array([0.5, -2.0 + 0.4j, 3.3])
-    t_vals = [0.0, 0.37, 1.0]
-    batch = q_snapshots(seq, n, a_vals, t_vals)
-    for j, a in enumerate(a_vals):
-        traj = q_trajectory_recursive(seq, n, complex(a), t_vals)
-        for i, (_, q) in enumerate(traj.samples):
-            np.testing.assert_allclose(batch[i, j], q.to_array(), atol=1e-12)
+        assert operator_norm(Mat2.from_array(q) - Mat2(c, s, -s, c)) <= 1e-2
 
 
 def test_direct_mode_warns_off_bulk():
