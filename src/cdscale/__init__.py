@@ -8,21 +8,21 @@ that limit with sine-kernel asymptotics of the Christoffel-Darboux kernel.
 from .errors import (CoincidentArguments, ConditioningWarning, DetNotOne,
                      IndexOutOfRange, InvalidCoefficient, NotPSD,
                      WronskianViolation)
-from .mat2 import Mat2, Vec2, inverse_unimodular, multiply, operator_norm
+from .mat2 import Mat2, inverse_unimodular, multiply, operator_norm
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      CustomModel, PeriodicModel, SpectrumSlice, TableModel,
                      gauss_quadrature, poly_table, scaled_zeros)
-from .transfer import (DiscreteHSequence, QTrajectory, TransferState,
-                       h_sequence, one_step, q_snapshots,
-                       q_trajectory_direct, transfer_product)
+from .transfer import (DiscreteHSequence, h_sequence, one_step, q_snapshots,
+                       q_trajectory_direct, transfer_matrices,
+                       transfer_product)
 from .cdkernel import (KernelGrid, kernel_cd, kernel_det_q, kernel_sum,
                        scaled_grid, sine_compare, sine_kernel)
-from .canonical import (CanonicalSolution, CanonicalSystem,
-                        ConstantHamiltonian, CoshSinhHamiltonian,
-                        PiecewiseConstantHamiltonian, RSSequence,
+from .canonical import (CanonicalSystem, ConstantHamiltonian,
+                        CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
+                        RSSequence, constant_solution_batch,
                         discrete_to_jacobi, hb_kernel, hermite_biehler,
-                        kernel_from_solutions, kernel_integral_form,
-                        constant_solution_batch, rs_from_model, solve_ode)
+                        kernel_grid, kernel_integral_form, rs_from_model,
+                        solve_ode_batch)
 from .limits import (BulkPointData, DiagnosticsReport, EquivalenceReport,
                      cesaro_limit, check_equivalence, diagnostics,
                      piecewise_estimate)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentArguments, NotPSD, WronskianViolation
+from .cdkernel import _check_distinct
+from .errors import NotPSD, WronskianViolation
 from .jacobi import TableModel, poly_table
 from .mat2 import Mat2, symmetric_eig_bounds
 
@@ -31,7 +32,6 @@ PSD_SAMPLE_TOL = 1e-12
 SOLVE_CONSTANT_PSD_TOL = 1e-10
 WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
-COINCIDENT_REL_TOL = 1e-13
 CONFLUENT_FD_STEP = 1e-5
 
 
@@ -194,31 +194,6 @@ def system_from_dict(d: dict) -> CanonicalSystem:
     raise ValueError(f"unknown canonical system kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CanonicalSolution:
-    """Matrix solution samples (t, Q(t)) with Q(0) = Id, for one spectral value z."""
-
-    system: CanonicalSystem
-    z: complex
-    samples: tuple
-    max_step: float
-
-    def at(self, t: float) -> Mat2:
-        for s, q in self.samples:
-            if s == t:
-                return q
-        raise KeyError(f"t = {t} not among sampled times")
-
-    @property
-    def final(self) -> Mat2:
-        return self.samples[-1][1]
-
-    def u(self, t: float) -> np.ndarray:
-        """First column (the solution with u(0) = (1, 0)^t)."""
-        q = self.at(t)
-        return np.array([q.m11, q.m21], dtype=complex)
-
-
 def constant_solution_batch(h, zs, ts) -> np.ndarray:
     """Closed-form solutions exp(z t J^{-1} H) of a constant-coefficient system.
 
@@ -304,14 +279,6 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     return np.stack([results[t] for t in ts]) if ts else np.empty((0, nz, 2, 2), complex)
 
 
-def solve_ode(system: CanonicalSystem, z, t_grid,
-              max_step: float = DEFAULT_MAX_STEP) -> CanonicalSolution:
-    """Solve one canonical system at a single spectral value z."""
-    qs = solve_ode_batch(system, [complex(z)], t_grid, max_step)
-    samples = tuple((float(t), Mat2.from_array(qs[i, 0])) for i, t in enumerate(t_grid))
-    return CanonicalSolution(system=system, z=complex(z), samples=samples, max_step=max_step)
-
-
 def _u_final_batch(system, zs, max_step) -> np.ndarray:
     qs = solve_ode_batch(system, zs, [1.0], max_step)
     return qs[0, :, :, 0]  # first columns, shape (nz, 2)
@@ -328,30 +295,6 @@ def _diagonal_kernel_batch(system, zs, max_step,
               - _u_final_batch(system, zs - 0.5 * fd_step, max_step)) / fd_step
     du = (4.0 * d_half - d_full) / 3.0
     return du[:, 0] * u0[:, 1] - u0[:, 0] * du[:, 1]
-
-
-def kernel_from_solutions(sol_a: CanonicalSolution, sol_b: CanonicalSolution,
-                          a=None, b=None) -> complex:
-    """Reproducing kernel value from two solutions sampled at t = 1.
-
-    Off the diagonal this is det(u(1, a), u(1, b)) / (a - b). Exactly equal
-    arguments are handled by the confluent limit -det(u, du/dz) through the
-    z-derivative of the solution (finite differences with Richardson
-    extrapolation); nearly-equal-but-distinct arguments are refused since the
-    quotient would be catastrophically cancelled.
-    """
-    a = sol_a.z if a is None else complex(a)
-    b = sol_b.z if b is None else complex(b)
-    if sol_a.system is not sol_b.system:
-        raise ValueError("solutions must come from the same canonical system")
-    if a == b:
-        return complex(_diagonal_kernel_batch(sol_a.system, [a], sol_a.max_step)[0])
-    if abs(a - b) < COINCIDENT_REL_TOL * max(1.0, abs(a), abs(b)):
-        raise CoincidentArguments(
-            f"arguments {a} and {b} coincide to working precision")
-    ua = sol_a.u(1.0)
-    ub = sol_b.u(1.0)
-    return (ua[0] * ub[1] - ub[0] * ua[1]) / (a - b)
 
 
 def kernel_integral_form(system: CanonicalSystem, a, b,
@@ -386,9 +329,19 @@ def kernel_integral_form(system: CanonicalSystem, a, b,
 
 def kernel_grid(system: CanonicalSystem, a_values, b_values,
                 max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
-    """Kernel values on a product grid, diagonal cells by the confluent limit."""
+    """Kernel values on a product grid, diagonal cells by the confluent limit.
+
+    Off the diagonal this is det(u(1, a), u(1, b)) / (a - b). Exactly equal
+    arguments take the confluent limit -det(u, du/dz) through the
+    z-derivative of the solution (finite differences with Richardson
+    extrapolation); nearly-equal-but-distinct arguments raise
+    CoincidentArguments, since the quotient would be catastrophically
+    cancelled.
+    """
     a_arr = np.atleast_1d(np.asarray(a_values, dtype=complex))
     b_arr = np.atleast_1d(np.asarray(b_values, dtype=complex))
+    for a in a_arr:
+        _check_distinct(a, b_arr[b_arr != a])
     ua = _u_final_batch(system, a_arr, max_step)
     ub = _u_final_batch(system, b_arr, max_step)
     det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]
@@ -420,8 +373,7 @@ def hb_kernel(system: CanonicalSystem, a, b,
     """
     a = complex(a)
     b = complex(b)
-    if abs(a - b) < COINCIDENT_REL_TOL * max(1.0, abs(a), abs(b)):
-        raise CoincidentArguments(f"arguments {a} and {b} coincide to working precision")
+    _check_distinct(a, b)
     e_abar = hermite_biehler(system, np.conj(a), max_step)
     e_a = hermite_biehler(system, a, max_step)
     e_b = hermite_biehler(system, b, max_step)

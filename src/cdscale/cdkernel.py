@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CoincidentArguments
 from .jacobi import CoefficientModel, poly_table
-from .transfer import QTrajectory, q_trajectory_direct
+from .transfer import q_trajectory_direct
 
 COINCIDENT_REL_TOL = 1e-13
 
@@ -32,8 +32,7 @@ def _check_distinct(x, y):
         i = int(np.argmax(close))
         xb, yb = np.broadcast_arrays(x, y)
         raise CoincidentArguments(
-            f"arguments {xb.flat[i]} and {yb.flat[i]} coincide to working precision; "
-            "use the sum form on the diagonal")
+            f"arguments {xb.flat[i]} and {yb.flat[i]} coincide to working precision")
 
 
 def _poly_values(model: CoefficientModel, up_to: int, x, y, n_ctx):
@@ -75,19 +74,18 @@ def kernel_cd(model: CoefficientModel, n: int, x, y,
     return (a_n * (px[..., n] * py[..., n - 1] - py[..., n] * px[..., n - 1]) / (x - y))[()]
 
 
-def kernel_det_q(qa: QTrajectory, qb: QTrajectory, a, b) -> complex:
+def kernel_det_q(qa, qb, a, b):
     """Scaled kernel K_n(x0 + a/n, x0 + b/n) / n from conjugated transfer matrices.
 
-    Uses the final (t = 1) samples of two trajectories over the same model,
-    order, and base point: det(Q_n(a) e1, Q_n(b) e1) / (a - b).
+    qa and qb hold Q_n(x0 + a/n) and Q_n(x0 + b/n) over the same model, order
+    and base point, shape (..., 2, 2); the value is det(Q_n(a) e1, Q_n(b) e1)
+    / (a - b). Everything broadcasts over pairs; scalar offsets give a scalar.
     """
+    a, b = np.asarray(a), np.asarray(b)
     _check_distinct(a, b)
-    if qa.n != qb.n or qa.x0 != qb.x0:
-        raise ValueError("trajectories must share the same order and base point")
-    ua = qa.at(1.0)
-    ub = qb.at(1.0)
-    det = ua.m11 * ub.m21 - ub.m11 * ua.m21
-    return det / (a - b)
+    qa, qb = np.asarray(qa), np.asarray(qb)
+    det = qa[..., 0, 0] * qb[..., 1, 0] - qb[..., 0, 0] * qa[..., 1, 0]
+    return (det / (a - b))[()]
 
 
 def sine_kernel(a, b, rho: float, w: float):
@@ -169,20 +167,20 @@ def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values,
     Pa, _ = poly_table(model, x0 + a_arr / n, n - 1, n_ctx)
     Pb, _ = poly_table(model, x0 + b_arr / n, n - 1, n_ctx)
     values = (Pa.T @ Pb) / n
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError(f"kernel grid at x0 = {x0}, n = {n} overflows off the bulk")
     grid = KernelGrid(x0=float(x0), n=n, a_values=a_arr, b_values=b_arr, values=values)
-    if verify:
-        pair = _first_separated_pair(a_arr, b_arr)
-        if pair is not None:
-            i, j = pair
-            a, b = complex(a_arr[i]), complex(b_arr[j])
-            qa = q_trajectory_direct(model, n, x0, a, [1.0])
-            qb = q_trajectory_direct(model, n, x0, b, [1.0])
-            ref = kernel_det_q(qa, qb, a, b)
-            got = complex(values[i, j])
-            if abs(got - ref) > 1e-6 * max(1.0, abs(ref)):
-                raise ArithmeticError(
-                    f"kernel grid cell ({a}, {b}) = {got} disagrees with the "
-                    f"determinant form {ref}")
+    pair = _first_separated_pair(a_arr, b_arr) if verify else None
+    if pair is not None:
+        i, j = pair
+        a, b = complex(a_arr[i]), complex(b_arr[j])
+        qa, qb = q_trajectory_direct(model, n, x0, [a, b], [1.0])[0]
+        ref = complex(kernel_det_q(qa, qb, a, b))
+        got = complex(values[i, j])
+        if abs(got - ref) > 1e-6 * max(1.0, abs(ref)):
+            raise ArithmeticError(
+                f"kernel grid cell ({a}, {b}) = {got} disagrees with the "
+                f"determinant form {ref}")
     return grid
 
 

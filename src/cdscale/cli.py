@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, canonical, cdkernel, jacobi, limits, models, transfer
 from . import errors
 from .errors import IndexOutOfRange, InvalidCoefficient
-from .mat2 import inverse_unimodular, operator_norm, operator_norm_array
+from .mat2 import Mat2, inverse_unimodular, operator_norm, operator_norm_array
 
 DEFAULTS = {
     "out": ".",
@@ -64,6 +64,9 @@ class Options:
     def __init__(self, args):
         self.args = vars(args)
         self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        max_step = self.get("max_step", float)  # checked before any command starts work
+        if not 0 < max_step <= canonical.DEFAULT_MAX_STEP:
+            raise UsageError(f"--max-step {max_step!r} is outside (0, {canonical.DEFAULT_MAX_STEP:g}]")
 
     def get(self, name, cast=str, default=None):
         v = self.args.get(name)
@@ -220,9 +223,12 @@ def cmd_diagnostics(opt: Options) -> int:
     out = _out_dir(opt)
     payload = report.to_dict()
     payload["piecewise_estimate"] = est.to_dict()
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ArithmeticError(f"diagnostics at x0 = {x0}, n = {n} overflow off the bulk") from None
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"avg_norm={report.avg_norm!r} max_over_n={report.max_over_n!r} "
           f"matrix_conv={report.matrix_conv!r}")
     _write_manifest(out, {"command": "diagnostics", "model": model.describe(),
@@ -276,27 +282,20 @@ def _suite_transfer(opt: Options, checks: CheckList):
     x = x0 + 0.7 / n + 0.3j / n
     P, Q = jacobi.poly_table(model, np.array([complex(x)]), n, n)
     a_arr, _ = model.coeff_arrays(n, n)
-    T = transfer.transfer_product(model, 0, x, n).T
-    det_worst = 0.0
-    col_worst = 0.0
-    for ell in range(1, n + 1):
-        T = transfer.one_step(model, ell, x, n) @ T
-        det_worst = max(det_worst, abs(T.det() - 1.0))
-        a_ell = a_arr[ell - 1]
-        ref = np.array([[P[ell, 0], -Q[ell, 0]],
-                        [a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0]]])
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        col_worst = max(col_worst, float(np.max(np.abs(T.to_array() - ref))) / scale)
-    checks.add("det_transfer", det_worst, 1e-8)
-    checks.add("column_form", col_worst, 1e-9)
+    T = transfer.transfer_matrices(model, [x], range(1, n + 1), n)[:, 0]
+    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    checks.add("det_transfer", float(np.max(np.abs(det - 1.0))), 1e-8)
+    ref = np.empty_like(T)
+    ref[:, 0, 0], ref[:, 0, 1] = P[1:, 0], -Q[1:, 0]
+    ref[:, 1, 0], ref[:, 1, 1] = a_arr * P[:-1, 0], -a_arr * Q[:-1, 0]
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
+    checks.add("column_form", float(np.max(np.max(np.abs(T - ref), axis=(1, 2)) / scale)), 1e-9)
 
     seq = transfer.h_sequence(model, x0, n, n)
     tgrid = np.linspace(0.0, 1.0, 11)
     offsets = (2.0 + 0.0j, -3.0 + 1.0j)
     recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
-    direct = np.stack([[m.to_array() for _, m in
-                        transfer.q_trajectory_direct(model, n, x0, a, tgrid).samples]
-                       for a in offsets], axis=1)
+    direct = transfer.q_trajectory_direct(model, n, x0, offsets, tgrid)
     worst = float(np.max(operator_norm_array(direct - recursive)))
     checks.add("q_direct_vs_recursive", worst, 1e-8)
 
@@ -320,11 +319,8 @@ def _suite_kernel(opt: Options, checks: CheckList):
                      for _ in range(20)]).T
     ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n, n)
     kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n, n)
-    kd = np.empty_like(ks)
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        qa = transfer.q_trajectory_direct(model, n, x0, ai, [1.0])
-        qb = transfer.q_trajectory_direct(model, n, x0, bi, [1.0])
-        kd[i] = cdkernel.kernel_det_q(qa, qb, ai, bi)
+    q = transfer.q_trajectory_direct(model, n, x0, np.concatenate([a, b]), [1.0])[0]
+    kd = cdkernel.kernel_det_q(q[:len(a)], q[len(a):], a, b)
     checks.add("sum_vs_cd", float(np.max(np.abs(ks - kc) / np.maximum(1.0, np.abs(ks)))), 1e-8)
     checks.add("sum_vs_det",
                float(np.max(np.abs(ks / n - kd) / np.maximum(1.0, np.abs(ks / n)))), 1e-8)
@@ -350,11 +346,12 @@ def _suite_section5(opt: Options, checks: CheckList):
 
     free = models.free_model()
     alt = models.alternating_model(v)
+    ells = range(0, min(n, 500) + 1)
+    t0 = transfer.transfer_matrices(free, [0.0], ells)[:, 0]
+    tn = transfer.transfer_matrices(alt, [0.0], ells, n)[:, 0]
     worst = 0.0
-    for ell in range(0, min(n, 500) + 1):
-        t0 = transfer.transfer_product(free, ell, 0.0).T
-        tn = transfer.transfer_product(alt, ell, 0.0, n).T
-        prod = inverse_unimodular(t0) @ tn
+    for ell in ells:
+        prod = inverse_unimodular(Mat2.from_array(t0[ell])) @ Mat2.from_array(tn[ell])
         worst = max(worst, operator_norm(prod - models.qhat_closed(v, n, ell)))
     checks.add("qhat_closed_vs_product", worst, 1e-9)
 
@@ -433,10 +430,13 @@ def _suite_thm25(opt: Options, checks: CheckList):
         raise UsageError("--n-list entries must be positive")
     rho = opt.get("rho", float)
     w = opt.get("w", float)
-    if rho is None or w is None:
-        bpd = models.free_bulk_data(x0)
-    else:
-        bpd = limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f", float, 0.0))
+    try:
+        if rho is None or w is None:
+            bpd = models.free_bulk_data(x0)
+        else:
+            bpd = limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f", float, 0.0))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = limits.check_equivalence(model, n_list, x0, bpd, _parse_grid(opt.get("grid")),
                                       _parse_t_grid(opt.get("t_grid")))
     checks.add("kernel_stat_final", report.kernel_stat[-1], tol)
@@ -483,14 +483,12 @@ def cmd_canonical_solve(opt: Options) -> int:
             system = canonical.system_from_dict(json.load(fh))
     z = _parse_complex(opt.require("z"))
     t_grid = _parse_t_grid(opt.get("t_grid"))
-    sol = canonical.solve_ode(system, z, t_grid, max_step=opt.get("max_step", float))
+    qs = canonical.solve_ode_batch(system, [z], t_grid, max_step=opt.get("max_step", float))[:, 0]
     out = _out_dir(opt)
     with open(os.path.join(out, "solution.csv"), "w", newline="") as fh:
         fh.write("t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
-        for t, q in sol.samples:
-            cells = [t] + [f(getattr(q, name))
-                           for name in ("m11", "m12", "m21", "m22")
-                           for f in (lambda c: complex(c).real, lambda c: complex(c).imag)]
+        for t, q in zip(t_grid, qs):
+            cells = [t] + [part for c in q.ravel() for part in (c.real, c.imag)]
             fh.write(",".join(repr(float(c)) for c in cells) + "\n")
     _write_manifest(out, {"command": "canonical-solve", "system": system.to_dict(),
                           "z": [z.real, z.imag], "t_grid": opt.get("t_grid"),

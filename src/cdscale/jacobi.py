@@ -10,10 +10,10 @@ with initial data (p_{-1}, p_0) = (0, 1) and (q_{-1}, q_0) = (-1/a_0, 0); the
 q initialization is the unique one producing q_1 = 1/a_1 and makes the 0-step
 transfer matrix exactly the identity.
 
-Zeros of p_n are the eigenvalues of the n x n truncation. They are extracted
-by Sturm-sequence bisection, which counts eigenvalues below a shift exactly
-and therefore supports windowed extraction around a point without computing
-the rest of the spectrum.
+Zeros of p_n are the eigenvalues of the n x n truncation. Sturm sequences
+count the eigenvalues below a shift exactly, which selects the ones in a
+window around a point; LAPACK ?stebz bisects those, also by Sturm counts,
+without computing the rest of the spectrum.
 """
 
 from __future__ import annotations
@@ -321,26 +321,16 @@ def tridiagonal_eigs_in(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
                         tol: float = EIG_ABS_TOL) -> np.ndarray:
     """All eigenvalues in [lo, hi], each bisected to absolute accuracy tol.
 
-    All targets are refined simultaneously, so every bisection level costs a
-    single Sturm pass over the matrix.
+    Sturm counts fix which eigenvalues lie in the window; LAPACK ?stebz
+    bisects exactly those, by index.
     """
     k_lo = int(sturm_count(diag, off, lo)[0])
     k_hi = int(sturm_count(diag, off, np.nextafter(hi, np.inf))[0])
-    m = k_hi - k_lo
-    if m <= 0:
+    if k_hi <= k_lo:
         return np.empty(0)
-    los = np.full(m, lo)
-    his = np.full(m, hi)
-    targets = np.arange(k_lo, k_hi)  # 0-based eigenvalue indices
-    for _ in range(200):
-        if np.max(his - los) <= tol:
-            break
-        mids = 0.5 * (los + his)
-        counts = sturm_count(diag, off, mids)
-        above = counts >= targets + 1
-        his = np.where(above, mids, his)
-        los = np.where(above, los, mids)
-    return 0.5 * (los + his)
+    return scipy.linalg.eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(k_lo, k_hi - 1),
+        lapack_driver="stebz", tol=tol)
 
 
 def scaled_zeros(model: CoefficientModel, n: int, x0: float, window: float,

@@ -19,20 +19,6 @@ DET_ONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Vec2:
-    """Column vector (v1, v2) over complex scalars."""
-
-    v1: complex
-    v2: complex
-
-    def norm(self) -> float:
-        return math.hypot(abs(self.v1), abs(self.v2))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2], dtype=complex)
-
-
-@dataclass(frozen=True)
 class Mat2:
     """Dense 2x2 matrix ((m11, m12), (m21, m22)) over complex scalars."""
 
@@ -56,21 +42,6 @@ class Mat2:
     def det(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def trace(self) -> complex:
-        return self.m11 + self.m22
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.m11, self.m21, self.m12, self.m22)
-
-    def is_finite(self) -> bool:
-        return all(
-            math.isfinite(z.real) and math.isfinite(z.imag)
-            for z in (complex(self.m11), complex(self.m12), complex(self.m21), complex(self.m22))
-        )
-
-    def apply(self, v: Vec2) -> Vec2:
-        return Vec2(self.m11 * v.v1 + self.m12 * v.v2, self.m21 * v.v1 + self.m22 * v.v2)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return multiply(self, other)
 
@@ -85,20 +56,11 @@ class Mat2:
     def __neg__(self) -> "Mat2":
         return Mat2(-self.m11, -self.m12, -self.m21, -self.m22)
 
-    def scale(self, c: complex) -> "Mat2":
-        return Mat2(c * self.m11, c * self.m12, c * self.m21, c * self.m22)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
 
 IDENTITY = Mat2.identity()
 
 # Rotation by pi/2; the symplectic form of every canonical system here.
 JMAT = Mat2(0.0, -1.0, 1.0, 0.0)
-JINV = Mat2(0.0, 1.0, -1.0, 0.0)
 
 
 def multiply(a: Mat2, b: Mat2) -> Mat2:
@@ -119,7 +81,7 @@ def inverse_unimodular(a: Mat2, tol: float = DET_ONE_TOL) -> Mat2:
     renormalized.
     """
     d = a.det()
-    if abs(d - 1.0) > tol:
+    if not abs(d - 1.0) <= tol:  # a NaN determinant or tolerance fails too
         raise DetNotOne(f"determinant {d} is not 1 within {tol:g}")
     return Mat2(a.m22, -a.m12, -a.m21, a.m11)
 
@@ -146,13 +108,21 @@ def operator_norm(a: Mat2) -> float:
 
 
 def operator_norm_array(m: np.ndarray) -> np.ndarray:
-    """Spectral norms of a batch of 2x2 matrices (shape (..., 2, 2))."""
+    """Spectral norms of a batch of 2x2 matrices (shape (..., 2, 2)).
+
+    The closed form of operator_norm on each matrix scaled by the power of
+    two at its largest entry modulus; that scaling is exact, so no result
+    changes where the unscaled formula neither overflows nor underflows.
+    """
     m = np.asarray(m)
+    _, exponent = np.frexp(np.max(np.abs(m), axis=(-2, -1)))
+    scale = np.ldexp(1.0, exponent)
+    m = m * np.ldexp(1.0, -exponent)[..., None, None]
     t = (np.abs(m[..., 0, 0]) ** 2 + np.abs(m[..., 0, 1]) ** 2
          + np.abs(m[..., 1, 0]) ** 2 + np.abs(m[..., 1, 1]) ** 2)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt(0.5 * (t + np.sqrt(disc)))
+    return scale * np.sqrt(0.5 * (t + np.sqrt(disc)))
 
 
 def symmetric_eig_bounds(m: Mat2) -> tuple[float, float]:

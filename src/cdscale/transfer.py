@@ -18,51 +18,26 @@ Q_ell(x) = T_ell(x0)^{-1} T_ell(x), which satisfies the difference equation
     H_ell = ((p_ell^2, -p_ell q_ell), (-p_ell q_ell, q_ell^2)) at x0,
 
 a discrete canonical system with rank-one nonnegative coefficients. Both the
-direct product and the recursion are first-class here and must agree.
+direct product and the recursion are first-class here and must agree; both
+return arrays of shape (len(t), len(a), 2, 2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningWarning
 from .jacobi import CoefficientModel, poly_table
-from .mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
+from .mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
+                   operator_norm_array)
 
-# Above this accumulated norm product the direct path has lost too many digits.
+# Above this squared size of the accumulated product the direct path has lost
+# too many digits. transfer_product measures size by the spectral norm,
+# transfer_matrices by the largest entry modulus, which is within a factor 2.
 DIRECT_COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class TransferState:
-    """The ell-step transfer matrix at a point."""
-
-    ell: int
-    x: complex
-    T: Mat2
-
-
-@dataclass(frozen=True)
-class QTrajectory:
-    """Samples of Q_{[tn]}(x0 + a/n) along a grid of scaled times t."""
-
-    n: int
-    a: complex
-    x0: float
-    samples: tuple  # of (t, Mat2)
-
-    def at(self, t: float) -> Mat2:
-        for s, q in self.samples:
-            if s == t:
-                return q
-        raise KeyError(f"t = {t} not among sampled times")
-
-    @property
-    def final(self) -> Mat2:
-        return self.samples[-1][1]
+_STEP_BLOCK = 512
 
 
 class DiscreteHSequence:
@@ -82,14 +57,6 @@ class DiscreteHSequence:
 
     def __len__(self) -> int:
         return len(self.ps)
-
-    def entry(self, ell: int) -> Mat2:
-        p, q = self.ps[ell], self.qs[ell]
-        return Mat2(p * p, -p * q, -p * q, q * q)
-
-    @property
-    def entries(self) -> list[Mat2]:
-        return [self.entry(ell) for ell in range(len(self))]
 
     def norms(self) -> np.ndarray:
         """Operator norms ||H_ell|| = p_ell^2 + q_ell^2."""
@@ -115,20 +82,73 @@ def one_step(model: CoefficientModel, ell: int, x, n: int | None = None) -> Mat2
 
 
 def transfer_product(model: CoefficientModel, ell: int, x,
-                     n: int | None = None, warn_limit: float = DIRECT_COND_LIMIT) -> TransferState:
-    """Ordered product S_ell(x) ... S_1(x); T_0 is the identity."""
+                     n: int | None = None) -> Mat2:
+    """Ordered product S_ell(x) ... S_1(x); T_0 is the identity.
+
+    The scalar reference that tests hold transfer_matrices against.
+    """
     if ell < 0:
         raise ValueError("ell must be >= 0")
     T = IDENTITY
+    warned = False
     for k in range(1, ell + 1):
         T = one_step(model, k, x, n) @ T
-        if operator_norm(T) ** 2 > warn_limit:
-            warnings.warn(
-                f"accumulated transfer norm squared exceeds {warn_limit:g} at step {k}; "
-                "use the recursive trajectory instead", ConditioningWarning,
-                stacklevel=2)
-            warn_limit = np.inf  # warn once per product
-    return TransferState(ell=ell, x=x, T=T)
+        if operator_norm(T) ** 2 > DIRECT_COND_LIMIT and not warned:
+            _warn_conditioning(k)
+            warned = True
+    return T
+
+
+def _warn_conditioning(step: int) -> None:
+    warnings.warn(
+        f"accumulated transfer matrices exceed {DIRECT_COND_LIMIT:g} in squared size at "
+        f"step {step}; the recursive trajectory is the supported path here",
+        ConditioningWarning, stacklevel=3)
+
+
+def transfer_matrices(model: CoefficientModel, xs, ells,
+                      n: int | None = None) -> np.ndarray:
+    """T_ell(x) at every snapshot step ell in ``ells`` for all points xs at once.
+
+    Multiplies the one-step factors S_ell(x) of one_step, for all points at
+    every step, so it stays a product independent of the polynomial
+    recurrence. ``ells`` must be nondecreasing; only the snapshots are kept.
+    Returns shape (len(ells), len(xs), 2, 2), real for real points. Warns
+    once (ConditioningWarning) at the first step whose largest entry modulus,
+    squared, passes DIRECT_COND_LIMIT.
+    """
+    ells = [int(ell) for ell in ells]
+    if any(ell < 0 for ell in ells) or sorted(ells) != ells:
+        raise ValueError("snapshot steps must be nonnegative and nondecreasing")
+    xs = np.atleast_1d(np.asarray(xs))
+    xs = xs.astype(complex if np.iscomplexobj(xs) else float)
+    max_ell = ells[-1] if ells else 0
+    a, b = model.coeff_arrays(max_ell, n)
+    out = np.empty((len(ells), xs.shape[0], 2, 2), dtype=xs.dtype)
+    # rows of T_ell: row 1 is (p_ell, -q_ell), row 2 is a_ell (p_{ell-1}, -q_{ell-1})
+    row1 = np.zeros((2, xs.shape[0]), dtype=xs.dtype)
+    row1[0] = 1.0
+    row2 = row1[::-1].copy()
+    k = ells.count(0)  # the sorted ells start with the identity snapshots
+    out[:k] = np.eye(2)
+    # the factors of a block of steps are formed at once; row 1 after each
+    # step of the block is kept to bound the entries step by step
+    history = np.empty((_STEP_BLOCK,) + row1.shape, dtype=xs.dtype)
+    limit = np.sqrt(DIRECT_COND_LIMIT)
+    for start in range(0, max_ell, _STEP_BLOCK):
+        a_blk, b_blk = a[start:start + _STEP_BLOCK], b[start:start + _STEP_BLOCK]
+        shifts = (xs - b_blk[:, None]) / a_blk[:, None]
+        for i, (s, c, a_ell) in enumerate(zip(shifts, (-1.0 / a_blk).tolist(), a_blk.tolist())):
+            row1, row2 = s * row1 + c * row2, a_ell * row1
+            history[i] = row1
+            while k < len(ells) and ells[k] == start + i + 1:
+                out[k] = np.stack([row1, row2]).transpose(2, 0, 1)
+                k += 1
+        over = np.abs(history[:len(a_blk)]).max(axis=(1, 2)) > limit
+        if over.any():
+            _warn_conditioning(start + 1 + int(np.argmax(over)))
+            limit = np.inf  # warn once
+    return out
 
 
 def transfer_from_polys(model: CoefficientModel, ell: int, x,
@@ -159,38 +179,25 @@ def _snapshot_indices(n: int, t_grid) -> list[int]:
     return [int(np.floor(t * n)) for t in ts]
 
 
-def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a,
-                        t_grid, warn_limit: float = DIRECT_COND_LIMIT) -> QTrajectory:
-    """Q at each requested t from the definition T_[tn](x0)^{-1} T_[tn](x0 + a/n).
+def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
+                        t_grid) -> np.ndarray:
+    """Q at each (t, a) from the definition T_[tn](x0)^{-1} T_[tn](x0 + a/n).
 
-    Stable whenever the polynomials at x0 stay bounded (bulk points). Off the
-    bulk the factors grow exponentially and a ConditioningWarning is issued
-    once the accumulated norms pass ``warn_limit``.
+    Stable whenever the polynomials at x0 stay bounded (bulk points); off the
+    bulk transfer_matrices warns. Each snapshot checks det T_[tn](x0) = 1 to
+    within 1e-9 relative to ||T(x0)|| min_a ||T(x0 + a/n)||. Returns shape
+    (len(t_grid), len(a_values), 2, 2), like q_snapshots.
     """
     ells = _snapshot_indices(n, t_grid)
-    x = x0 + a / n
-    T0 = IDENTITY
-    Tx = IDENTITY
-    cond = 1.0
-    warned = False
-    samples = []
-    by_ell = {}
-    for ell in range(0, (max(ells) if ells else 0) + 1):
-        if ell > 0:
-            T0 = one_step(model, ell, x0, n) @ T0
-            Tx = one_step(model, ell, x, n) @ Tx
-            cond = operator_norm(T0) * operator_norm(Tx)
-            if cond > warn_limit and not warned:
-                warnings.warn(
-                    f"accumulated transfer norms exceed {warn_limit:g}; "
-                    "the recursive trajectory is the supported path here",
-                    ConditioningWarning, stacklevel=2)
-                warned = True
-        if ell in ells and ell not in by_ell:
-            by_ell[ell] = inverse_unimodular(T0, tol=max(1e-9 * cond, 1e-9)) @ Tx
-    for t, ell in zip(t_grid, ells):
-        samples.append((float(t), by_ell[ell]))
-    return QTrajectory(n=n, a=a, x0=x0, samples=tuple(samples))
+    a_arr = np.atleast_1d(np.asarray(a_values))
+    T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
+    norms = operator_norm_array(T)
+    out = np.empty((len(ells), a_arr.shape[0], 2, 2), dtype=complex)
+    for k in range(len(ells)):
+        tol = max(1e-9 * norms[k, 0] * np.min(norms[k, 1:]), 1e-9)
+        T0_inv = inverse_unimodular(Mat2.from_array(T[k, 0]), tol=tol).to_array()
+        out[k] = T0_inv @ T[k, 1:]
+    return out
 
 
 def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,

@@ -11,8 +11,8 @@ import numpy as np
 
 from cdscale.canonical import (ConstantHamiltonian, CoshSinhHamiltonian,
                                constant_solution_batch, discrete_to_jacobi,
-                               hb_kernel, kernel_from_solutions, kernel_grid,
-                               kernel_integral_form, rs_from_model, solve_ode)
+                               hb_kernel, kernel_grid, kernel_integral_form,
+                               rs_from_model, solve_ode_batch)
 from cdscale.cdkernel import (kernel_cd, kernel_det_q, kernel_sum, scaled_grid,
                               sine_compare, sine_kernel)
 from cdscale.jacobi import (ConstantModel, TableModel, poly_table, scaled_zeros)
@@ -66,7 +66,7 @@ def test_criterion_1_exact_identity_suite():
         model = bounded_random_model(200 + seed, 2000)
         ell = int(rng.integers(100, 2000))
         xv = complex(rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0) / ell)
-        prod = transfer_product(model, ell, xv).T.to_array()
+        prod = transfer_product(model, ell, xv).to_array()
         cols = transfer_from_polys(model, ell, xv).to_array()
         col_worst = max(col_worst, float(np.max(np.abs(prod - cols)))
                         / max(1.0, float(np.max(np.abs(cols)))))
@@ -84,8 +84,7 @@ def test_criterion_1_exact_identity_suite():
         x, y = a / n, b / n
         ks = kernel_sum(model, n, x, y)
         kc = kernel_cd(model, n, x, y)
-        qa = q_trajectory_direct(model, n, 0.0, a, [1.0])
-        qb = q_trajectory_direct(model, n, 0.0, b, [1.0])
+        qa, qb = q_trajectory_direct(model, n, 0.0, [a, b], [1.0])[0]
         kd = kernel_det_q(qa, qb, a, b)
         kern_worst = max(kern_worst,
                          abs(ks - kc) / max(1.0, abs(ks)),
@@ -99,10 +98,10 @@ def test_criterion_1_exact_identity_suite():
         model = bounded_random_model(400 + seed, 1000)
         seq = h_sequence(model, 0.0, 1000)
         a = complex(rng.uniform(-4, 4), rng.uniform(-1, 1))
-        qd = q_trajectory_direct(model, 1000, 0.0, a, tgrid)
+        qd = q_trajectory_direct(model, 1000, 0.0, [a], tgrid)[:, 0]
         qr = q_snapshots(seq, 1000, [a], tgrid)[:, 0]
-        for (_, m1), m2 in zip(qd.samples, qr):
-            q_worst = max(q_worst, operator_norm(m1 - Mat2.from_array(m2)))
+        for m1, m2 in zip(qd, qr):
+            q_worst = max(q_worst, operator_norm(Mat2.from_array(m1 - m2)))
     report(1, "q_direct_vs_recursive", q_worst, 1e-8)
 
     # one-step conjugation identity, exact to rounding
@@ -192,8 +191,8 @@ def test_criterion_5_section5_closed_forms():
     alt = alternating_model(v)
     qhat_worst = 0.0
     for ell in range(0, 501):
-        t0 = transfer_product(free, ell, 0.0).T
-        tn = transfer_product(alt, ell, 0.0, n).T
+        t0 = transfer_product(free, ell, 0.0)
+        tn = transfer_product(alt, ell, 0.0, n)
         prod = inverse_unimodular(t0) @ tn
         qhat_worst = max(qhat_worst, operator_norm(prod - qhat_closed(v, n, ell)))
     report(5, "qhat_closed_vs_product", qhat_worst, 1e-9)
@@ -220,9 +219,7 @@ def test_criterion_6_canonical_kernel_identities():
             b = complex(rng.uniform(-4, 4), rng.uniform(-1, 1))
             if abs(a - b) < 0.1:
                 b = a + 1.5
-            sa = solve_ode(system, a, [1.0])
-            sb = solve_ode(system, b, [1.0])
-            kd = kernel_from_solutions(sa, sb)
+            kd = kernel_grid(system, [a], [b])[0, 0]
             ki = kernel_integral_form(system, a, b)
             kh = hb_kernel(system, a, b)
             mutual = max(mutual, abs(kd - ki), abs(kd - kh), abs(ki - kh))
@@ -245,8 +242,8 @@ def test_criterion_6_canonical_kernel_identities():
 
     ref = Mat2.from_array(constant_solution_batch(np.eye(2) / 2, [10.0], [1.0])[0, 0])
     sysc = ConstantHamiltonian(np.eye(2) / 2)
-    e1 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=1e-3).final - ref)
-    e2 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=5e-4).final - ref)
+    qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
+    e1, e2 = (operator_norm(Mat2.from_array(q) - ref) for q in qs)
     factor = e1 / e2
     report(6, "rk4_halving_factor", factor, 20.0, ok=12.0 <= factor <= 20.0)
 

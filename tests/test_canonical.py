@@ -8,10 +8,9 @@ from cdscale.canonical import (CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
                                constant_solution_batch, discrete_to_jacobi,
-                               hb_kernel, hermite_biehler,
-                               kernel_from_solutions, kernel_grid,
+                               hb_kernel, hermite_biehler, kernel_grid,
                                kernel_integral_form, polys_from_rs,
-                               rs_from_model, solve_ode, solve_ode_batch,
+                               rs_from_model, solve_ode_batch,
                                system_from_dict)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.jacobi import ConstantModel, TableModel, poly_table
@@ -68,46 +67,40 @@ def test_solve_constant_rejects_indefinite():
 def test_solve_ode_matches_closed_form():
     sysc = ConstantHamiltonian(HALF_ID)
     ts = [0.0, 0.5, 1.0]
-    sol = solve_ode(sysc, 1.0, ts)
+    qs = solve_ode_batch(sysc, [1.0], ts)[:, 0]
     ref = constant_solution_batch(HALF_ID, [1.0], ts)
-    for i, (_, q) in enumerate(sol.samples):
-        assert operator_norm(q - Mat2.from_array(ref[i, 0])) <= 1e-10
+    for i, q in enumerate(qs):
+        assert operator_norm(Mat2.from_array(q - ref[i, 0])) <= 1e-10
 
 
 def test_solve_ode_zero_is_identity():
     for system in built_in_systems():
-        sol = solve_ode(system, 0.0, [0.3, 1.0])
-        for _, q in sol.samples:
-            assert operator_norm(q - Mat2.identity()) <= 1e-14
+        for q in solve_ode_batch(system, [0.0], [0.3, 1.0])[:, 0]:
+            assert operator_norm(Mat2.from_array(q) - Mat2.identity()) <= 1e-14
 
 
 def test_solve_ode_unimodular():
     for system in built_in_systems():
-        sol = solve_ode(system, 2.0 - 1.0j, np.linspace(0, 1, 5))
-        for _, q in sol.samples:
-            assert abs(q.det() - 1.0) <= 1e-8
+        for q in solve_ode_batch(system, [2.0 - 1.0j], np.linspace(0, 1, 5))[:, 0]:
+            assert abs(Mat2.from_array(q).det() - 1.0) <= 1e-8
 
 
 def test_rk4_fourth_order_convergence():
     ref = Mat2.from_array(constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0])
     sysc = ConstantHamiltonian(HALF_ID)
-    e1 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=1e-3).final - ref)
-    e2 = operator_norm(solve_ode(sysc, 10.0, [1.0], max_step=5e-4).final - ref)
+    qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
+    e1, e2 = (operator_norm(Mat2.from_array(q) - ref) for q in qs)
     assert 12.0 <= e1 / e2 <= 20.0
 
 
 def test_kernel_determinant_constant_half():
     sysc = ConstantHamiltonian(HALF_ID)
-    sa = solve_ode(sysc, 1.0, [1.0])
-    sb = solve_ode(sysc, 0.0, [1.0])
-    assert abs(kernel_from_solutions(sa, sb) - math.sin(0.5)) <= 1e-10
+    assert abs(kernel_grid(sysc, [1.0], [0.0])[0, 0] - math.sin(0.5)) <= 1e-10
 
 
 def test_kernel_real_for_symmetric_offsets():
     for system in built_in_systems():
-        sa = solve_ode(system, 1.3, [1.0])
-        sb = solve_ode(system, -1.3, [1.0])
-        val = kernel_from_solutions(sa, sb)
+        val = kernel_grid(system, [1.3], [-1.3])[0, 0]
         assert abs(complex(val).imag) <= 1e-12
 
 
@@ -119,9 +112,7 @@ def test_three_kernel_forms_agree():
             b = complex(rng.uniform(-4, 4), rng.uniform(-1, 1))
             if abs(a - b) < 0.1:
                 continue
-            sa = solve_ode(system, a, [1.0])
-            sb = solve_ode(system, b, [1.0])
-            kd = kernel_from_solutions(sa, sb)
+            kd = kernel_grid(system, [a], [b])[0, 0]
             ki = kernel_integral_form(system, a, b)
             kh = hb_kernel(system, a, b)
             assert abs(kd - ki) <= FORMS_ATOL
@@ -131,8 +122,7 @@ def test_three_kernel_forms_agree():
 def test_diagonal_confluent_vs_integral():
     for system in built_in_systems()[:3]:
         for a in (0.0, 1.7, -2.5):
-            sa = solve_ode(system, a, [1.0])
-            kd = kernel_from_solutions(sa, sa)
+            kd = kernel_grid(system, [a], [a])[0, 0]
             ki = kernel_integral_form(system, a, a)
             assert abs(kd - ki) <= FORMS_ATOL
 
@@ -146,10 +136,8 @@ def test_integral_form_diagonal_examples():
 
 def test_kernel_near_coincident_refused():
     sysc = ConstantHamiltonian(HALF_ID)
-    sa = solve_ode(sysc, 1.0, [1.0])
-    sb = solve_ode(sysc, 1.0 + 1e-15, [1.0])
     with pytest.raises(CoincidentArguments):
-        kernel_from_solutions(sa, sb)
+        kernel_grid(sysc, [1.0], [1.0 + 1e-15])
     with pytest.raises(CoincidentArguments):
         hb_kernel(sysc, 0.5, 0.5)
 
@@ -161,14 +149,8 @@ def test_kernel_entire_cauchy_consistency():
     m = 64
     angles = 2.0 * math.pi * np.arange(m) / m
     ring = b + np.exp(1j * angles)
-    sa = solve_ode(system, a, [1.0])
-    vals = []
-    for zeta in ring:
-        sz = solve_ode(system, complex(zeta), [1.0])
-        vals.append(kernel_from_solutions(sa, sz, a, complex(zeta)))
-    integral = np.mean(np.asarray(vals))  # trapezoid over the circle
-    sb = solve_ode(system, b, [1.0])
-    direct = kernel_from_solutions(sa, sb, a, b)
+    integral = np.mean(kernel_grid(system, [a], ring))  # trapezoid over the circle
+    direct = kernel_grid(system, [a], [b])[0, 0]
     assert abs(integral - direct) <= 1e-8
 
 
@@ -178,9 +160,7 @@ def test_kernel_grid_matches_pointwise():
     grid = kernel_grid(system, vals, vals)
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
-            sa = solve_ode(system, complex(a), [1.0])
-            sb = solve_ode(system, complex(b), [1.0])
-            ref = kernel_from_solutions(sa, sb, complex(a), complex(b))
+            ref = kernel_grid(system, [a], [b])[0, 0]
             assert abs(grid[i, j] - ref) <= 1e-10
 
 
@@ -227,11 +207,11 @@ def test_callable_hamiltonian_integral():
 def test_solver_rejects_bad_grids():
     sysc = ConstantHamiltonian(HALF_ID)
     with pytest.raises(ValueError):
-        solve_ode(sysc, 1.0, [0.5, 0.2])
+        solve_ode_batch(sysc, [1.0], [0.5, 0.2])
     with pytest.raises(ValueError):
-        solve_ode(sysc, 1.0, [1.2])
+        solve_ode_batch(sysc, [1.0], [1.2])
     with pytest.raises(ValueError):
-        solve_ode(sysc, 1.0, [1.0], max_step=5e-3)
+        solve_ode_batch(sysc, [1.0], [1.0], max_step=5e-3)
 
 
 def test_rs_sequence_free_values():
@@ -285,6 +265,6 @@ def test_batch_solver_matches_scalar():
     ts = [0.5, 1.0]
     batch = solve_ode_batch(system, zs, ts)
     for k, z in enumerate(zs):
-        sol = solve_ode(system, complex(z), ts)
-        for i, (_, q) in enumerate(sol.samples):
-            np.testing.assert_allclose(batch[i, k], q.to_array(), atol=1e-13)
+        single = solve_ode_batch(system, [z], ts)[:, 0]
+        for i, q in enumerate(single):
+            np.testing.assert_allclose(batch[i, k], q, atol=1e-13)

@@ -98,8 +98,7 @@ def test_kernel_det_q_equals_sum():
         b = complex(rng.uniform(-4, 4), rng.uniform(-0.5, 0.5))
         if abs(a - b) < 1e-3:
             continue
-        qa = q_trajectory_direct(model, n, 0.0, a, [1.0])
-        qb = q_trajectory_direct(model, n, 0.0, b, [1.0])
+        qa, qb = q_trajectory_direct(model, n, 0.0, [a, b], [1.0])[0]
         kd = kernel_det_q(qa, qb, a, b)
         ks = kernel_sum(model, n, 0.0 + a / n, 0.0 + b / n) / n
         assert abs(kd - ks) <= 1e-8 * max(1.0, abs(ks))
@@ -107,16 +106,14 @@ def test_kernel_det_q_equals_sum():
 
 def test_kernel_det_q_real_for_symmetric_offsets():
     n = 150
-    qa = q_trajectory_direct(FREE, n, 0.0, 1.7, [1.0])
-    qb = q_trajectory_direct(FREE, n, 0.0, -1.7, [1.0])
+    qa, qb = q_trajectory_direct(FREE, n, 0.0, [1.7, -1.7], [1.0])[0]
     val = kernel_det_q(qa, qb, 1.7, -1.7)
     assert abs(complex(val).imag) <= 1e-14
 
 
 def test_kernel_det_q_free_sine_value():
     n = 4000
-    qa = q_trajectory_direct(FREE, n, 0.0, 1.0, [1.0])
-    qb = q_trajectory_direct(FREE, n, 0.0, 0.0, [1.0])
+    qa, qb = q_trajectory_direct(FREE, n, 0.0, [1.0, 0.0], [1.0])[0]
     val = kernel_det_q(qa, qb, 1.0, 0.0)
     assert abs(val - math.sin(0.5)) <= 2e-2
 

@@ -203,6 +203,11 @@ def test_table_model_via_cli(tmp_path):
     ["diagnostics", "--model", "free", "--n", "0"],
     ["kernel", "--model", "free", "--n", "10", "--grid", "nan:1:3"],
     ["kernel", "--model", "free", "--n", "10", "--threads", "2"],
+    ["verify", "thm25", "--x0", "3", "--n-list", "100"],
+    ["kernel", "--model", "alternating-v", "--v", "1", "--n", "10", "--grid", "0:1:2",
+     "--reference", "canonical", "--max-step", "0.01"],
+    ["verify", "section5", "--v", "1", "--n", "50", "--max-step", "0"],
+    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "2e-3"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
@@ -218,3 +223,14 @@ def test_usage_errors_exit_2(tmp_path, argv):
 def test_thm25_off_center_passes(tmp_path):
     assert main(["verify", "thm25", "--x0", "0.3", "--n-list", "500,1000,2000",
                  "--grid", "-5:5:21", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5"], "kernel.csv"),
+    (["diagnostics", "--model", "free", "--x0", "3", "--n", "4000"], "diagnostics.json"),
+])
+def test_non_finite_results_exit_1(tmp_path, capsys, argv, output):
+    # off the bulk the polynomials overflow; no output may carry NaN
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "numerical check failed" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()

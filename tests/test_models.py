@@ -72,8 +72,8 @@ def test_qhat_closed_matches_product_definition():
         n = int(rng.integers(10, 500))
         alt = alternating_model(v)
         for ell in sorted(rng.integers(0, min(n, 200) + 1, size=6)):
-            t0 = transfer_product(free, int(ell), 0.0).T
-            tn = transfer_product(alt, int(ell), 0.0, n).T
+            t0 = transfer_product(free, int(ell), 0.0)
+            tn = transfer_product(alt, int(ell), 0.0, n)
             prod = inverse_unimodular(t0) @ tn
             assert operator_norm(prod - qhat_closed(v, n, int(ell))) <= QHAT_ATOL
 
