@@ -46,10 +46,13 @@ def _as_matrix(h) -> np.ndarray:
 
 
 def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
-    if abs(arr[0, 1] - arr[1, 0]) > 1e-12 * max(1.0, abs(arr[0, 1])):
+    if not np.all(np.isfinite(arr)):
+        raise NotPSD(f"Hamiltonian value{where} is not finite")
+    # both comparisons are written to fail on NaN
+    if not abs(arr[0, 1] - arr[1, 0]) <= 1e-12 * max(1.0, abs(arr[0, 1])):
         raise ValueError(f"Hamiltonian value{where} is not symmetric")
     lo, _ = symmetric_eig_bounds(Mat2.from_array(arr))
-    if lo < -tol:
+    if not lo >= -tol:
         raise NotPSD(f"Hamiltonian value{where} has eigenvalue {lo:.3e} < -{tol:g}")
     return arr
 

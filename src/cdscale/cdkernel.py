@@ -14,7 +14,6 @@ behavior is compared against the sine kernel sin(pi rho (b-a)) / (pi w (b-a)).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,42 +34,36 @@ def _check_distinct(x, y):
             f"arguments {xb.flat[i]} and {yb.flat[i]} coincide to working precision")
 
 
-def _poly_values(model: CoefficientModel, up_to: int, x, y, n_ctx):
+def _poly_values(model: CoefficientModel, up_to: int, x, y, n: int):
     """p_0..p_up_to at x and at y from one recurrence, on a last axis of length up_to + 1."""
     x, y = np.asarray(x), np.asarray(y)
-    P, _ = poly_table(model, np.concatenate([x.ravel(), y.ravel()]), up_to, n_ctx)
+    P, _ = poly_table(model, np.concatenate([x.ravel(), y.ravel()]), up_to, n)
     return (P[:, :x.size].T.reshape(x.shape + (up_to + 1,)),
             P[:, x.size:].T.reshape(y.shape + (up_to + 1,)))
 
 
-def kernel_sum(model: CoefficientModel, n: int, x, y,
-               n_ctx: int | None = None):
+def kernel_sum(model: CoefficientModel, n: int, x, y):
     """K_n(x, y) as the orthonormal-polynomial sum; safe on the diagonal.
 
     x and y broadcast against each other; scalar arguments give a scalar.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n_ctx is None:
-        n_ctx = n
-    px, py = _poly_values(model, n - 1, x, y, n_ctx)
+    px, py = _poly_values(model, n - 1, x, y, n)
     return np.sum(px * py, axis=-1)[()]
 
 
-def kernel_cd(model: CoefficientModel, n: int, x, y,
-              n_ctx: int | None = None):
+def kernel_cd(model: CoefficientModel, n: int, x, y):
     """K_n(x, y) by the Christoffel-Darboux quotient; x and y must be distinct.
 
     x and y broadcast against each other; scalar arguments give a scalar.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n_ctx is None:
-        n_ctx = n
     x, y = np.asarray(x), np.asarray(y)
     _check_distinct(x, y)
-    px, py = _poly_values(model, n, x, y, n_ctx)
-    a_n, _ = model.coeff(n, n_ctx)
+    px, py = _poly_values(model, n, x, y, n)
+    a_n, _ = model.coeff(n, n)
     return (a_n * (px[..., n] * py[..., n - 1] - py[..., n] * px[..., n - 1]) / (x - y))[()]
 
 
@@ -133,12 +126,6 @@ class KernelGrid:
             d["sup_error"] = sup_error
         return d
 
-    def save_manifest(self, path, model_spec: dict, reference=None, sup_error=None):
-        with open(path, "w") as fh:
-            json.dump(self.manifest_dict(model_spec, reference, sup_error),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _num(v) -> str:
     v = complex(v)
@@ -150,27 +137,24 @@ def _num_json(v):
     return v.real if v.imag == 0 else [v.real, v.imag]
 
 
-def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values,
-                n_ctx: int | None = None, verify: bool = True) -> KernelGrid:
+def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) -> KernelGrid:
     """Fill a KernelGrid through the diagonal-safe sum form.
 
-    With ``verify`` the first well-separated off-diagonal cell is re-derived
-    through the determinant form and must agree to 1e-6 relative; this wires
-    the polynomial and transfer-matrix pipelines together on every grid.
+    The first well-separated off-diagonal cell is re-derived through the
+    determinant form and must agree to 1e-6 relative; this wires the
+    polynomial and transfer-matrix pipelines together on every grid.
     """
     a_arr = np.atleast_1d(np.asarray(a_values))
     b_arr = np.atleast_1d(np.asarray(b_values))
     if a_arr.size == 0 or b_arr.size == 0:
         raise ValueError("grids must be nonempty")
-    if n_ctx is None:
-        n_ctx = n
-    Pa, _ = poly_table(model, x0 + a_arr / n, n - 1, n_ctx)
-    Pb, _ = poly_table(model, x0 + b_arr / n, n - 1, n_ctx)
+    Pa, _ = poly_table(model, x0 + a_arr / n, n - 1, n)
+    Pb, _ = poly_table(model, x0 + b_arr / n, n - 1, n)
     values = (Pa.T @ Pb) / n
     if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"kernel grid at x0 = {x0}, n = {n} overflows off the bulk")
     grid = KernelGrid(x0=float(x0), n=n, a_values=a_arr, b_values=b_arr, values=values)
-    pair = _first_separated_pair(a_arr, b_arr) if verify else None
+    pair = _first_separated_pair(a_arr, b_arr)
     if pair is not None:
         i, j = pair
         a, b = complex(a_arr[i]), complex(b_arr[j])

@@ -9,6 +9,7 @@ numerics, no timestamps, shortest round-trip decimal formatting.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -21,20 +22,56 @@ from . import errors
 from .errors import IndexOutOfRange, InvalidCoefficient
 from .mat2 import Mat2, inverse_unimodular, operator_norm, operator_norm_array
 
-DEFAULTS = {
-    "out": ".",
-    "tol": 0.02,
-    "x0": 0.0,
-    "grid": "-5:5:51",
-    "t_grid": "0:1:101",
-    "n": 1000,
-    "bins": 50,
-    "window": 40.0,
-    "seed": 0,
-    "max_step": 1e-3,
-    "n_list": "500,1000,2000,4000",
+# name: (type, default, help). The type casts flags and config-file values
+# alike; a tuple type lists the allowed values.
+OPTIONS = {
+    "out": (str, ".", "output directory (env CDSCALE_OUT overrides)"),
+    "tol": (float, 0.02, "tolerance for pass/fail comparisons"),
+    "config": (str, None, "key=value config file (flags take precedence)"),
+    "model": (models.MODEL_NAMES, None, "coefficient model"),
+    "v": (float, None, "coupling V of alternating-v and coshsinh"),
+    "period_a": (str, None, "comma list for periodic a"),
+    "period_b": (str, None, "comma list for periodic b"),
+    "table": (str, None, "CSV path (header j,a,b) for the table model"),
+    "n": (int, 1000, "truncation order n"),
+    "x0": (float, 0.0, "spectral base point"),
+    "grid": (str, "-5:5:51", "a grid as min:max:steps"),
+    "bgrid": (str, None, "b grid (defaults to --grid)"),
+    "t_grid": (str, "0:1:101", "t grid in [0, 1] as min:max:steps"),
+    "reference": (("sine", "modified-sine", "canonical"), None, "limit kernel to compare with"),
+    "rho": (float, None, "zero density at x0"),
+    "w": (float, None, "density of the orthogonality measure at x0"),
+    "re_f": (float, 0.0, "real part of the boundary Stieltjes transform at x0"),
+    "max_step": (float, canonical.DEFAULT_MAX_STEP, "RK4 step bound in (0, 1e-3]"),
+    "bins": (int, 50, "bins of the piecewise Hamiltonian estimate"),
+    "candidate": (str, None, "constant | coshsinh | JSON file"),
+    "system": (str, None, "constant | coshsinh | JSON file"),
+    "h11": (float, None, "entry of a constant Hamiltonian"),
+    "h12": (float, 0.0, "off-diagonal entry of a constant Hamiltonian"),
+    "h22": (float, None, "entry of a constant Hamiltonian"),
+    "z": (str, None, "spectral value re or re,im"),
+    "window": (float, 40.0, "half-width of the window of scaled zeros"),
+    "seed": (int, 0, "random seed"),
+    "n_list": (str, "500,1000,2000,4000", "comma list of orders n"),
 }
 
+_MODEL = ("model", "v", "period_a", "period_b", "table", "n", "x0")
+_COMMON = ("out", "tol", "config")
+_REFERENCE = ("rho", "w", "re_f", "max_step")
+
+# command: (help, the options it accepts)
+COMMANDS = {
+    "kernel": ("scaled CD kernel grid, optional reference comparison",
+               _MODEL + _COMMON + ("grid", "bgrid", "reference") + _REFERENCE),
+    "diagnostics": ("convergence statistics of the coefficient sequence",
+                    _MODEL + _COMMON + ("bins", "candidate", "h11", "h12", "h22")),
+    "zeros": ("scaled zeros near x0 by Sturm bisection", _MODEL + _COMMON + ("window",)),
+    "verify": ("run a named verification suite",
+               _MODEL + _COMMON + ("seed", "bins", "grid", "t_grid", "n_list") + _REFERENCE),
+    "canonical-solve": ("integrate a canonical system",
+                        _COMMON + ("system", "h11", "h12", "h22", "v", "z", "t_grid",
+                                   "max_step")),
+}
 
 # Options whose value must be positive.
 POSITIVE = {"n", "window", "bins"}
@@ -58,31 +95,54 @@ def _load_config(path):
     return cfg
 
 
+def _from_config(name, raw):
+    kind = OPTIONS[name][0]
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise UsageError(f"bad config value {name}={raw!r}")
+
+
 class Options:
-    """Resolved option values: flags beat the config file, which beats defaults."""
+    """Resolved option values: flags beat the config file, which beats OPTIONS.
+
+    Every value given by flag or config file is checked here, before any
+    command starts work: numbers must be finite, POSITIVE ones above zero.
+    """
 
     def __init__(self, args):
-        self.args = vars(args)
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-        max_step = self.get("max_step", float)  # checked before any command starts work
+        flags = vars(args)
+        cfg = _load_config(args.config) if args.config else {}
+        self.suite = flags.get("suite")
+        self.values = {}
+        for name in OPTIONS:
+            v = flags.get(name)
+            if v is None and name in cfg:
+                v = _from_config(name, cfg[name])
+            flag = "--" + name.replace("_", "-")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"{flag} must be finite, got {v!r}")
+            if name in POSITIVE and v is not None and not v > 0:
+                raise UsageError(f"{flag} must be positive, got {v!r}")
+            self.values[name] = v
+        max_step = self.get("max_step")
         if not 0 < max_step <= canonical.DEFAULT_MAX_STEP:
             raise UsageError(f"--max-step {max_step!r} is outside (0, {canonical.DEFAULT_MAX_STEP:g}]")
 
-    def get(self, name, cast=str, default=None):
-        v = self.args.get(name)
-        if v is None and name in self.cfg:
-            try:
-                v = cast(self.cfg[name])
-            except ValueError:
-                raise UsageError(f"bad config value {name}={self.cfg[name]!r}") from None
+    def get(self, name, default=None):
+        """The resolved value; ``default``, if given, replaces the one in OPTIONS."""
+        v = self.values[name]
         if v is None:
-            v = default if default is not None else DEFAULTS.get(name)
-        if name in POSITIVE and v is not None and not v > 0:
-            raise UsageError(f"--{name} must be positive, got {v!r}")
+            v = OPTIONS[name][1] if default is None else default
         return v
 
-    def require(self, name, cast=str):
-        v = self.get(name, cast)
+    def require(self, name):
+        v = self.get(name)
         if v is None:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         return v
@@ -108,12 +168,13 @@ def _parse_t_grid(spec: str) -> np.ndarray:
 
 def _parse_complex(spec: str) -> complex:
     try:
-        if "," in spec:
-            re, im = spec.split(",")
-            return complex(float(re), float(im))
-        return complex(float(spec), 0.0)
+        re, im = spec.split(",") if "," in spec else (spec, 0.0)
+        z = complex(float(re), float(im))
     except ValueError:
         raise UsageError(f"bad complex value {spec!r}; expected re or re,im") from None
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex value {spec!r} is not finite")
+    return z
 
 
 def _out_dir(opt: Options) -> str:
@@ -129,7 +190,7 @@ def _model_from(opt: Options):
     try:
         return models.make_model(
             name,
-            v=opt.require("v", float) if name == "alternating-v" else None,
+            v=opt.require("v") if name == "alternating-v" else None,
             period_a=[float(x) for x in period_a.split(",")] if period_a else None,
             period_b=[float(x) for x in period_b.split(",")] if period_b else None,
             table_path=opt.get("table"),
@@ -147,40 +208,60 @@ def _write_manifest(out, payload: dict) -> None:
         fh.write("\n")
 
 
+def _bulk_data(opt: Options, rho, w) -> limits.BulkPointData:
+    """Bulk data at --x0 from rho, w and --re-f; the free model's if rho or w is None."""
+    x0 = opt.get("x0")
+    try:
+        if rho is None or w is None:
+            return models.free_bulk_data(x0)
+        return limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _system_from(opt: Options, spec: str) -> canonical.CanonicalSystem:
+    """A canonical system from 'constant' (--h11/--h12/--h22), 'coshsinh' (--v) or a JSON file."""
+    try:
+        if spec == "constant":
+            h12 = opt.get("h12")
+            return canonical.ConstantHamiltonian(
+                np.array([[opt.require("h11"), h12], [h12, opt.require("h22")]]))
+        if spec == "coshsinh":
+            return canonical.CoshSinhHamiltonian(opt.require("v"))
+        with open(spec) as fh:
+            return canonical.system_from_dict(json.load(fh))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _reference_values(opt: Options, model, a_vals, b_vals):
     """Reference kernel values and a label, per --reference."""
     ref = opt.get("reference")
     if ref is None:
         return None, None
     if ref == "sine":
-        rho = opt.require("rho", float)
-        w = opt.require("w", float)
-        return ref, cdkernel.sine_kernel(a_vals[:, None], b_vals[None, :], rho, w)
+        return ref, cdkernel.sine_kernel(a_vals[:, None], b_vals[None, :],
+                                         opt.require("rho"), opt.require("w"))
     if ref == "modified-sine":
         if not isinstance(model, jacobi.AlternatingSignModel):
             raise UsageError("--reference modified-sine requires --model alternating-v")
         return ref, models.modified_sine_kernel(model.v, a_vals[:, None], b_vals[None, :])
-    if ref == "canonical":
-        if isinstance(model, jacobi.AlternatingSignModel):
-            system = canonical.CoshSinhHamiltonian(model.v)
-        else:
-            rho = opt.require("rho", float)
-            w = opt.require("w", float)
-            re_f = opt.get("re_f", float, 0.0)
-            bpd = limits.BulkPointData.from_densities(opt.get("x0", float), w, rho, re_f)
-            system = canonical.ConstantHamiltonian(bpd.hamiltonian().to_array().real)
-        return ref, canonical.kernel_grid(system, a_vals, b_vals,
-                                          max_step=opt.get("max_step", float))
-    raise UsageError(f"unknown reference {ref!r}")
+    # OPTIONS admits one more value: "canonical"
+    if isinstance(model, jacobi.AlternatingSignModel):
+        system = canonical.CoshSinhHamiltonian(model.v)
+    else:
+        bpd = _bulk_data(opt, opt.require("rho"), opt.require("w"))
+        system = canonical.ConstantHamiltonian(bpd.hamiltonian().to_array().real)
+    return ref, canonical.kernel_grid(system, a_vals, b_vals, max_step=opt.get("max_step"))
 
 
 def cmd_kernel(opt: Options) -> int:
     model = _model_from(opt)
-    n = opt.require("n", int)
-    x0 = opt.get("x0", float)
+    n = opt.require("n")
+    x0 = opt.get("x0")
     a_vals = _parse_grid(opt.get("grid"))
     b_vals = _parse_grid(opt.get("bgrid")) if opt.get("bgrid") else a_vals
-    tol = opt.get("tol", float)
+    tol = opt.get("tol")
     grid = cdkernel.scaled_grid(model, n, x0, a_vals, b_vals)
     ref_name, ref_vals = _reference_values(opt, model, a_vals, b_vals)
     out = _out_dir(opt)
@@ -202,22 +283,12 @@ def cmd_kernel(opt: Options) -> int:
 
 def cmd_diagnostics(opt: Options) -> int:
     model = _model_from(opt)
-    n = opt.require("n", int)
-    x0 = opt.get("x0", float)
-    bins = opt.get("bins", int)
+    n = opt.require("n")
+    x0 = opt.get("x0")
+    bins = opt.get("bins")
     seq = transfer.h_sequence(model, x0, n, n)
-    candidate = None
     cand_name = opt.get("candidate")
-    if cand_name == "constant":
-        h = np.array([[opt.require("h11", float), opt.get("h12", float, 0.0)],
-                      [opt.get("h12", float, 0.0), opt.require("h22", float)]])
-        candidate = canonical.ConstantHamiltonian(h)
-    elif cand_name == "coshsinh":
-        v = model.v if isinstance(model, jacobi.AlternatingSignModel) else opt.require("v", float)
-        candidate = canonical.CoshSinhHamiltonian(v)
-    elif cand_name:
-        with open(cand_name) as fh:
-            candidate = canonical.system_from_dict(json.load(fh))
+    candidate = _system_from(opt, cand_name) if cand_name else None
     report = limits.diagnostics(seq, n, candidate=candidate)
     est = limits.piecewise_estimate(seq, n, bins)
     out = _out_dir(opt)
@@ -240,9 +311,9 @@ def cmd_diagnostics(opt: Options) -> int:
 
 def cmd_zeros(opt: Options) -> int:
     model = _model_from(opt)
-    n = opt.require("n", int)
-    x0 = opt.get("x0", float)
-    window = opt.get("window", float)
+    n = opt.require("n")
+    x0 = opt.get("x0")
+    window = opt.get("window")
     sl = jacobi.scaled_zeros(model, n, x0, window)
     out = _out_dir(opt)
     with open(os.path.join(out, "zeros.csv"), "w", newline="") as fh:
@@ -277,8 +348,8 @@ class CheckList:
 
 def _suite_transfer(opt: Options, checks: CheckList):
     model = _model_from(opt)
-    n = opt.require("n", int)
-    x0 = opt.get("x0", float)
+    n = opt.require("n")
+    x0 = opt.get("x0")
     x = x0 + 0.7 / n + 0.3j / n
     P, Q = jacobi.poly_table(model, np.array([complex(x)]), n, n)
     a_arr, _ = model.coeff_arrays(n, n)
@@ -312,13 +383,13 @@ def _suite_transfer(opt: Options, checks: CheckList):
 
 def _suite_kernel(opt: Options, checks: CheckList):
     model = _model_from(opt)
-    n = opt.require("n", int)
-    x0 = opt.get("x0", float)
-    rng = np.random.default_rng(opt.get("seed", int))
+    n = opt.require("n")
+    x0 = opt.get("x0")
+    rng = np.random.default_rng(opt.get("seed"))
     a, b = np.array([rng.uniform(-5, 5, 2) + 1j * rng.uniform(-1, 1, 2)
                      for _ in range(20)]).T
-    ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n, n)
-    kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n, n)
+    ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n)
+    kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n)
     q = transfer.q_trajectory_direct(model, n, x0, np.concatenate([a, b]), [1.0])[0]
     kd = cdkernel.kernel_det_q(q[:len(a)], q[len(a):], a, b)
     checks.add("sum_vs_cd", float(np.max(np.abs(ks - kc) / np.maximum(1.0, np.abs(ks)))), 1e-8)
@@ -326,21 +397,22 @@ def _suite_kernel(opt: Options, checks: CheckList):
                float(np.max(np.abs(ks / n - kd) / np.maximum(1.0, np.abs(ks / n)))), 1e-8)
 
     nk = min(n, 40)
-    nodes, weights = jacobi.gauss_quadrature(model, 4 * nk, 4 * nk)
+    # the Gauss rule of the measure of coefficient family nk, the family the kernel uses
+    nodes, weights = jacobi.gauss_quadrature(model, 4 * nk, nk)
     worst_rep = 0.0
     for _ in range(3):
         x, y = x0 + rng.uniform(-0.5, 0.5, 2)
-        kxz, kyz = cdkernel.kernel_sum(model, nk, np.array([[x], [y]]), nodes, nk)
+        kxz, kyz = cdkernel.kernel_sum(model, nk, np.array([[x], [y]]), nodes)
         integral = float(np.dot(weights, kxz * kyz))
-        direct = float(cdkernel.kernel_sum(model, nk, x, y, nk))
+        direct = float(cdkernel.kernel_sum(model, nk, x, y))
         worst_rep = max(worst_rep, abs(integral - direct) / max(1.0, abs(direct)))
     checks.add("reproducing_property", worst_rep, 1e-8)
 
 
 def _suite_section5(opt: Options, checks: CheckList):
-    v = opt.get("v", float, 1.0)
-    n = opt.require("n", int)
-    tol = opt.get("tol", float)
+    v = opt.get("v", 1.0)
+    n = opt.require("n")
+    tol = opt.get("tol")
     lam_p, lam_m = models.lambda_pm(v, n)
     checks.add("lambda_product", abs(lam_p * lam_m - 1.0), 1e-14)
 
@@ -358,7 +430,7 @@ def _suite_section5(opt: Options, checks: CheckList):
     dev = models.alternating_coefficient_deviation(v, n)
     checks.add("coefficient_deviation", dev, max(5e-3, 2.0 / n))
 
-    bins = opt.get("bins", int)
+    bins = opt.get("bins")
     seq = transfer.h_sequence(alt, 0.0, n, n)
     est = limits.piecewise_estimate(seq, n, bins)
     sysv = canonical.CoshSinhHamiltonian(v)
@@ -369,7 +441,7 @@ def _suite_section5(opt: Options, checks: CheckList):
     grid_vals = _parse_grid(opt.get("grid"))
     grid = cdkernel.scaled_grid(alt, n, 0.0, grid_vals, grid_vals)
     canon = canonical.kernel_grid(sysv, grid_vals, grid_vals,
-                                  max_step=opt.get("max_step", float))
+                                  max_step=opt.get("max_step"))
     checks.add("cross_pipeline_kernel", float(np.max(np.abs(grid.values - canon))), tol)
 
     msk = models.modified_sine_kernel(v, grid_vals[:, None], grid_vals[None, :])
@@ -395,8 +467,8 @@ def _suite_appendix(opt: Options, checks: CheckList):
     # table length has its own default: the identity residuals scale with the
     # polynomial growth of the random draws, so very long tables exceed the
     # absolute tolerances for conditioning reasons alone
-    n = opt.get("n", int, 50)
-    seed = opt.get("seed", int)
+    n = opt.get("n", 50)
+    seed = opt.get("seed")
     worst_wr = 0.0
     worst_b = 0.0
     worst_p = 0.0
@@ -420,23 +492,15 @@ def _suite_appendix(opt: Options, checks: CheckList):
 
 def _suite_thm25(opt: Options, checks: CheckList):
     model = _model_from(opt) if opt.get("model") else models.free_model()
-    x0 = opt.get("x0", float)
-    tol = opt.get("tol", float)
+    x0 = opt.get("x0")
+    tol = opt.get("tol")
     try:
         n_list = [int(s) for s in opt.get("n_list").split(",")]
     except ValueError:
         raise UsageError(f"bad --n-list {opt.get('n_list')!r}") from None
     if min(n_list) < 1:
         raise UsageError("--n-list entries must be positive")
-    rho = opt.get("rho", float)
-    w = opt.get("w", float)
-    try:
-        if rho is None or w is None:
-            bpd = models.free_bulk_data(x0)
-        else:
-            bpd = limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f", float, 0.0))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    bpd = _bulk_data(opt, opt.get("rho"), opt.get("w"))
     report = limits.check_equivalence(model, n_list, x0, bpd, _parse_grid(opt.get("grid")),
                                       _parse_t_grid(opt.get("t_grid")))
     checks.add("kernel_stat_final", report.kernel_stat[-1], tol)
@@ -457,7 +521,7 @@ SUITES = {
 
 
 def cmd_verify(opt: Options) -> int:
-    suite = opt.args.get("suite")
+    suite = opt.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     checks = CheckList()
@@ -471,19 +535,10 @@ def cmd_verify(opt: Options) -> int:
 
 
 def cmd_canonical_solve(opt: Options) -> int:
-    kind = opt.require("system")
-    if kind == "constant":
-        h = np.array([[opt.require("h11", float), opt.get("h12", float, 0.0)],
-                      [opt.get("h12", float, 0.0), opt.require("h22", float)]])
-        system = canonical.ConstantHamiltonian(h)
-    elif kind == "coshsinh":
-        system = canonical.CoshSinhHamiltonian(opt.require("v", float))
-    else:
-        with open(kind) as fh:
-            system = canonical.system_from_dict(json.load(fh))
+    system = _system_from(opt, opt.require("system"))
     z = _parse_complex(opt.require("z"))
     t_grid = _parse_t_grid(opt.get("t_grid"))
-    qs = canonical.solve_ode_batch(system, [z], t_grid, max_step=opt.get("max_step", float))[:, 0]
+    qs = canonical.solve_ode_batch(system, [z], t_grid, max_step=opt.get("max_step"))[:, 0]
     out = _out_dir(opt)
     with open(os.path.join(out, "solution.csv"), "w", newline="") as fh:
         fh.write("t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
@@ -492,86 +547,24 @@ def cmd_canonical_solve(opt: Options) -> int:
             fh.write(",".join(repr(float(c)) for c in cells) + "\n")
     _write_manifest(out, {"command": "canonical-solve", "system": system.to_dict(),
                           "z": [z.real, z.imag], "t_grid": opt.get("t_grid"),
-                          "max_step": opt.get("max_step", float),
+                          "max_step": opt.get("max_step"),
                           "outputs": ["solution.csv"]})
     return 0
-
-
-def _add_common(p):
-    p.add_argument("--out", help="output directory (env CDSCALE_OUT overrides)")
-    p.add_argument("--tol", type=float, help="tolerance for pass/fail comparisons")
-    p.add_argument("--config", help="key=value config file (flags take precedence)")
-
-
-def _add_model(p):
-    p.add_argument("--model", choices=models.MODEL_NAMES)
-    p.add_argument("--v", type=float, help="coupling for alternating-v")
-    p.add_argument("--period-a", dest="period_a", help="comma list for periodic a")
-    p.add_argument("--period-b", dest="period_b", help="comma list for periodic b")
-    p.add_argument("--table", help="CSV path (header j,a,b) for the table model")
-    p.add_argument("--n", type=int)
-    p.add_argument("--x0", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cdscale", description=__doc__)
     ap.add_argument("--version", action="version", version=f"cdscale {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernel", help="scaled CD kernel grid, optional reference comparison")
-    _add_model(p)
-    _add_common(p)
-    p.add_argument("--grid", help="a grid as min:max:steps")
-    p.add_argument("--bgrid", help="b grid (defaults to --grid)")
-    p.add_argument("--reference", choices=("sine", "modified-sine", "canonical"))
-    p.add_argument("--rho", type=float)
-    p.add_argument("--w", type=float)
-    p.add_argument("--re-f", dest="re_f", type=float)
-    p.add_argument("--max-step", dest="max_step", type=float)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("diagnostics", help="convergence statistics of the coefficient sequence")
-    _add_model(p)
-    _add_common(p)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--candidate", help="constant | coshsinh | JSON file")
-    p.add_argument("--h11", type=float)
-    p.add_argument("--h12", type=float)
-    p.add_argument("--h22", type=float)
-    p.set_defaults(func=cmd_diagnostics)
-
-    p = sub.add_parser("zeros", help="scaled zeros near x0 by Sturm bisection")
-    _add_model(p)
-    _add_common(p)
-    p.add_argument("--window", type=float)
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite")
-    _add_model(p)
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--grid")
-    p.add_argument("--t-grid", dest="t_grid")
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--w", type=float)
-    p.add_argument("--re-f", dest="re_f", type=float)
-    p.add_argument("--max-step", dest="max_step", type=float)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("canonical-solve", help="integrate a canonical system")
-    _add_common(p)
-    p.add_argument("--system", help="constant | coshsinh | JSON file")
-    p.add_argument("--h11", type=float)
-    p.add_argument("--h12", type=float)
-    p.add_argument("--h22", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--z", help="spectral value re or re,im")
-    p.add_argument("--t-grid", dest="t_grid")
-    p.add_argument("--max-step", dest="max_step", type=float)
-    p.set_defaults(func=cmd_canonical_solve)
+    for command, (summary, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if command == "verify":
+            p.add_argument("suite", help=" | ".join(SUITES))
+        for name in names:
+            kind, _, text = OPTIONS[name]
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=text,
+                           type=None if choices else kind, choices=choices)
     return ap
 
 
@@ -595,13 +588,11 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_join_value_flags(list(argv)))
+    args = build_parser().parse_args(_join_value_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         opt = Options(args)
-        return args.func(opt)
+        # looked up when called, so a wrapper bound to a cmd_* name later is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](opt)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

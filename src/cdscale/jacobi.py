@@ -54,20 +54,22 @@ class CoefficientModel:
 
     ``n_dependent`` models draw their entries from a family indexed by the
     truncation order; their accessors require the order context ``n``.
+    Subclasses implement ``coeff_at``; the other accessors are its forms.
     """
 
     n_dependent = False
 
-    def coeff(self, j: int, n: int | None = None) -> tuple[float, float]:
+    def coeff_at(self, j: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(a_j, b_j) at every index of the integer array j (all j >= 1)."""
         raise NotImplementedError
+
+    def coeff(self, j: int, n: int | None = None) -> tuple[float, float]:
+        a, b = self.coeff_at(np.array([j]), n)
+        return float(a[0]), float(b[0])
 
     def coeff_arrays(self, up_to: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (a_1..a_up_to, b_1..b_up_to)."""
-        a = np.empty(up_to)
-        b = np.empty(up_to)
-        for j in range(1, up_to + 1):
-            a[j - 1], b[j - 1] = self.coeff(j, n)
-        return a, b
+        return self.coeff_at(np.arange(1, up_to + 1), n)
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -86,11 +88,8 @@ class ConstantModel(CoefficientModel):
     def __init__(self, a: float, b: float):
         self.a, self.b = self._validate(a, b, 1)
 
-    def coeff(self, j, n=None):
-        return self.a, self.b
-
-    def coeff_arrays(self, up_to, n=None):
-        return np.full(up_to, self.a), np.full(up_to, self.b)
+    def coeff_at(self, j, n=None):
+        return np.full(len(j), self.a), np.full(len(j), self.b)
 
     def describe(self):
         return {"kind": "constant", "a": self.a, "b": self.b}
@@ -106,13 +105,9 @@ class PeriodicModel(CoefficientModel):
         self.a_list = np.array([p[0] for p in pairs])
         self.b_list = np.array([p[1] for p in pairs])
 
-    def coeff(self, j, n=None):
+    def coeff_at(self, j, n=None):
         k = (j - 1) % len(self.a_list)
-        return float(self.a_list[k]), float(self.b_list[k])
-
-    def coeff_arrays(self, up_to, n=None):
-        idx = np.arange(up_to) % len(self.a_list)
-        return self.a_list[idx], self.b_list[idx]
+        return self.a_list[k], self.b_list[k]
 
     def describe(self):
         return {"kind": "periodic", "a": self.a_list.tolist(), "b": self.b_list.tolist()}
@@ -136,15 +131,10 @@ class TableModel(CoefficientModel):
     def __len__(self):
         return len(self.a_list)
 
-    def coeff(self, j, n=None):
-        if j > len(self.a_list):
-            raise IndexOutOfRange(f"index {j} beyond table of {len(self.a_list)} rows")
-        return float(self.a_list[j - 1]), float(self.b_list[j - 1])
-
-    def coeff_arrays(self, up_to, n=None):
-        if up_to > len(self.a_list):
-            raise IndexOutOfRange(f"index {up_to} beyond table of {len(self.a_list)} rows")
-        return self.a_list[:up_to].copy(), self.b_list[:up_to].copy()
+    def coeff_at(self, j, n=None):
+        if np.any(j > len(self.a_list)):
+            raise IndexOutOfRange(f"index {int(np.max(j))} beyond table of {len(self.a_list)} rows")
+        return self.a_list[j - 1], self.b_list[j - 1]
 
     def describe(self):
         d = {"kind": "table", "rows": len(self.a_list)}
@@ -198,17 +188,10 @@ class AlternatingSignModel(CoefficientModel):
             raise InvalidCoefficient("coupling V must be finite and nonnegative")
         self.v = float(v)
 
-    def coeff(self, j, n=None):
+    def coeff_at(self, j, n=None):
         if n is None:
             raise InvalidCoefficient("order context n is required for an n-dependent model")
-        return 1.0, ((-1) ** (j + 1)) * self.v / n
-
-    def coeff_arrays(self, up_to, n=None):
-        if n is None:
-            raise InvalidCoefficient("order context n is required for an n-dependent model")
-        j = np.arange(1, up_to + 1)
-        b = np.where(j % 2 == 1, self.v / n, -self.v / n)
-        return np.ones(up_to), b
+        return np.ones(len(j)), np.where(j % 2 == 1, self.v / n, -self.v / n)
 
     def describe(self):
         return {"kind": "alternating-v", "v": self.v}
@@ -222,14 +205,12 @@ class CustomModel(CoefficientModel):
         self.description = description
         self.n_dependent = n_dependent
 
-    def coeff(self, j, n=None):
-        if self.n_dependent:
-            if n is None:
-                raise InvalidCoefficient("order context n is required for an n-dependent model")
-            a, b = self.fn(n, j)
-        else:
-            a, b = self.fn(j)
-        return self._validate(a, b, j)
+    def coeff_at(self, j, n=None):
+        if self.n_dependent and n is None:
+            raise InvalidCoefficient("order context n is required for an n-dependent model")
+        pairs = [self._validate(*(self.fn(n, k) if self.n_dependent else self.fn(k)), k)
+                 for k in j.tolist()]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def describe(self):
         return {"kind": "custom", "description": self.description}
@@ -333,27 +314,25 @@ def tridiagonal_eigs_in(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
         lapack_driver="stebz", tol=tol)
 
 
-def scaled_zeros(model: CoefficientModel, n: int, x0: float, window: float,
-                 n_ctx: int | None = None) -> SpectrumSlice:
+def scaled_zeros(model: CoefficientModel, n: int, x0: float, window: float) -> SpectrumSlice:
     """Zeros of p_n within |n (x - x0)| <= window, rescaled by n around x0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if window <= 0:
         raise ValueError("window must be positive")
-    diag, off = truncated_tridiagonal(model, n, n_ctx)
+    diag, off = truncated_tridiagonal(model, n)
     lo = x0 - window / n
     hi = x0 + window / n
     eigs = tridiagonal_eigs_in(diag, off, lo, hi)
     return SpectrumSlice(x0=x0, n=n, scaled_zeros=n * (eigs - x0))
 
 
-def all_scaled_zeros(model: CoefficientModel, n: int, x0: float = 0.0,
-                     n_ctx: int | None = None) -> SpectrumSlice:
+def all_scaled_zeros(model: CoefficientModel, n: int, x0: float = 0.0) -> SpectrumSlice:
     """Every zero of p_n, via a Gershgorin bracket around the full spectrum."""
-    diag, off = truncated_tridiagonal(model, n, n_ctx)
+    diag, off = truncated_tridiagonal(model, n)
     pad = 2.0 * (np.max(np.abs(off)) if off.size else 0.0) + 1.0
     window = n * max(abs(float(np.min(diag) - pad) - x0), abs(float(np.max(diag) + pad) - x0))
-    return scaled_zeros(model, n, x0, window, n_ctx)
+    return scaled_zeros(model, n, x0, window)
 
 
 def gauss_quadrature(model: CoefficientModel, m: int,

@@ -23,7 +23,6 @@ itself does not require that boundedness.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -111,11 +110,6 @@ class DiagnosticsReport:
             "cesaro_h": self.cesaro_h.to_array().real.tolist(),
             "candidate": self.candidate,
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _h_partials(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
@@ -206,26 +200,6 @@ class EquivalenceReport:
     @property
     def flow_decreasing(self) -> bool:
         return all(b < a for a, b in zip(self.flow_stat, self.flow_stat[1:]))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_list": [int(n) for n in self.n_list],
-            "kernel_stat": self.kernel_stat,
-            "flow_stat": self.flow_stat,
-            "kernel_decreasing": self.kernel_decreasing,
-            "flow_decreasing": self.flow_decreasing,
-            "bulk": self.bulk,
-        }
-
-    def rows(self) -> list:
-        return [(int(n), ks, fs) for n, ks, fs in
-                zip(self.n_list, self.kernel_stat, self.flow_stat)]
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("n,kernel_stat,flow_stat\n")
-            for n, ks, fs in self.rows():
-                fh.write(f"{n},{ks!r},{fs!r}\n")
 
 
 def flow_deviation(model, n: int, x0: float, h: Mat2, a_grid, t_grid) -> float:

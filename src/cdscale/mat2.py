@@ -81,7 +81,9 @@ def inverse_unimodular(a: Mat2, tol: float = DET_ONE_TOL) -> Mat2:
     renormalized.
     """
     d = a.det()
-    if not abs(d - 1.0) <= tol:  # a NaN determinant or tolerance fails too
+    # a NaN determinant or tolerance fails too, and an infinite determinant
+    # fails even the infinite tolerance that a norm-relative one can reach
+    if not abs(d - 1.0) <= tol or math.isinf(abs(d)):
         raise DetNotOne(f"determinant {d} is not 1 within {tol:g}")
     return Mat2(a.m22, -a.m12, -a.m21, a.m11)
 
@@ -113,16 +115,20 @@ def operator_norm_array(m: np.ndarray) -> np.ndarray:
     The closed form of operator_norm on each matrix scaled by the power of
     two at its largest entry modulus; that scaling is exact, so no result
     changes where the unscaled formula neither overflows nor underflows.
+    As in operator_norm, a matrix with a non-finite entry gets its largest
+    entry modulus (inf, or NaN if an entry is NaN).
     """
     m = np.asarray(m)
-    _, exponent = np.frexp(np.max(np.abs(m), axis=(-2, -1)))
+    big = np.max(np.abs(m), axis=(-2, -1))
+    finite = np.isfinite(big)
+    _, exponent = np.frexp(np.where(finite, big, 0.0))
     scale = np.ldexp(1.0, exponent)
-    m = m * np.ldexp(1.0, -exponent)[..., None, None]
+    m = np.where(finite[..., None, None], m, 0.0) * np.ldexp(1.0, -exponent)[..., None, None]
     t = (np.abs(m[..., 0, 0]) ** 2 + np.abs(m[..., 0, 1]) ** 2
          + np.abs(m[..., 1, 0]) ** 2 + np.abs(m[..., 1, 1]) ** 2)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-    return scale * np.sqrt(0.5 * (t + np.sqrt(disc)))
+    return np.where(finite, scale * np.sqrt(0.5 * (t + np.sqrt(disc))), big)[()]
 
 
 def symmetric_eig_bounds(m: Mat2) -> tuple[float, float]:

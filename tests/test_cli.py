@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from cdscale.cli import main
+from cdscale.cli import _join_value_flags, build_parser, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -208,11 +213,26 @@ def test_table_model_via_cli(tmp_path):
      "--reference", "canonical", "--max-step", "0.01"],
     ["verify", "section5", "--v", "1", "--n", "50", "--max-step", "0"],
     ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "2e-3"],
+    # non-finite numbers and values the library refuses are usage errors too
+    ["zeros", "--model", "free", "--n", "100", "--x0", "nan"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--x0", "inf"],
+    ["canonical-solve", "--system", "constant", "--h11", "nan", "--h22", "1", "--z", "1"],
+    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "nan"],
+    ["canonical-solve", "--system", "coshsinh", "--v", "-1", "--z", "1"],
+    ["diagnostics", "--model", "free", "--n", "100", "--candidate", "coshsinh", "--v", "-1"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical",
+     "--rho", "1", "--w", "-1"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--config", "{config}"],
+    ["kernel", "--model", "bogus", "--n", "10"],
+    ["kernel", "--model", "free", "--n", "10", "--reference", "bogus"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
     table.write_text("j,a,b\n0,1.0,0.0\n1,1.0,0.0\n")
-    argv = [arg.format(table=table) for arg in argv] + ["--out", str(tmp_path)]
+    config = tmp_path / "bad.cfg"
+    config.write_text("tol=nan\n")
+    argv = [arg.format(table=table, config=config) for arg in argv] + ["--out", str(tmp_path)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects unknown flags itself
@@ -234,3 +254,19 @@ def test_non_finite_results_exit_1(tmp_path, capsys, argv, output):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert "numerical check failed" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("v", ["1", "3"])
+def test_kernel_identities_n_dependent_model(tmp_path, v):
+    # the Gauss rule must come from the coefficient family of the kernel
+    assert main(["verify", "kernel-identities", "--model", "alternating-v", "--v", v,
+                 "--n", "40", "--out", str(tmp_path)]) == 0
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = re.sub(r"\\\n\s*", " ", block).splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("cdscale ")]
+    assert len(examples) == 10
+    for argv in examples:
+        build_parser().parse_args(_join_value_flags(argv))

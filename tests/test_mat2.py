@@ -72,6 +72,8 @@ def test_inverse_unimodular_rejects_wrong_det():
         inverse_unimodular(Mat2(2.0, 0.0, 0.0, 1.0))
     with pytest.raises(DetNotOne):  # an overflowed product has a NaN determinant
         inverse_unimodular(Mat2(math.inf, math.inf, 1.0, 1.0))
+    with pytest.raises(DetNotOne):
+        inverse_unimodular(Mat2(math.inf, 0.0, 0.0, 1.0), tol=math.inf)
 
 
 def test_operator_norm_examples():
@@ -110,9 +112,12 @@ def test_operator_norm_array_matches_scalar():
     arrs = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
     # entries whose squares overflow, with and without a tiny companion
     arrs = np.concatenate([arrs, [[[1e200, 0.0], [0.0, 1.0]], np.full((2, 2), 1e160)]])
+    # an infinite entry gives inf, as in the scalar form
+    arrs = np.concatenate([arrs, [[[math.inf, 0.0], [0.0, 1.0]]]])
     batch = operator_norm_array(arrs)
-    for k in range(len(arrs)):
-        assert abs(batch[k] - operator_norm(Mat2.from_array(arrs[k]))) < 1e-13
+    scalar = [operator_norm(Mat2.from_array(a)) for a in arrs]
+    assert batch[-1] == scalar[-1] == math.inf
+    np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-13)
 
 
 def test_symmetric_eig_bounds():
