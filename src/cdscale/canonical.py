@@ -14,6 +14,13 @@ generator J^{-1} H squares to -det(H) Id), and a classical fixed-step
 fourth-order Runge-Kutta integrator for t-dependent H. Fixed steps keep runs
 bit-reproducible; all built-in Hamiltonians are smooth or piecewise constant,
 and steps never straddle a breakpoint.
+
+The system is linear in Q, so one RK4 step is exactly the step propagator
+Q -> Q + D(z) Q with D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real
+2x2 matrices built from the step's three stage generators; the integrator
+forms them for every step once, independently of z, and then evaluates D by
+Horner over blocks of (step, z) pairs. It adds D Q to Q rather than
+multiplying by I + D, which would drop the low bits of the increment.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ SOLVE_CONSTANT_PSD_TOL = 1e-10
 WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
 CONFLUENT_FD_STEP = 1e-5
+# steps whose propagator coefficients are formed together, and (step, z)
+# pairs whose propagators are evaluated together
+STEP_BLOCK_VALUES = 4096
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -187,13 +197,19 @@ class CallableHamiltonian(CanonicalSystem):
 
 
 def system_from_dict(d: dict) -> CanonicalSystem:
+    """The system of a ``to_dict`` value; a malformed value raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a canonical system is a JSON object, not {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "constant":
-        return ConstantHamiltonian(np.asarray(d["h"]))
-    if kind == "piecewise":
-        return PiecewiseConstantHamiltonian(d["edges"], [np.asarray(m) for m in d["matrices"]])
-    if kind == "cosh-sinh":
-        return CoshSinhHamiltonian(d["v"])
+    try:
+        if kind == "constant":
+            return ConstantHamiltonian(np.asarray(d["h"]))
+        if kind == "piecewise":
+            return PiecewiseConstantHamiltonian(d["edges"], [np.asarray(m) for m in d["matrices"]])
+        if kind == "cosh-sinh":
+            return CoshSinhHamiltonian(d["v"])
+    except KeyError as exc:
+        raise ValueError(f"canonical system of kind {kind!r} needs key {exc.args[0]!r}") from None
     raise ValueError(f"unknown canonical system kind {kind!r}")
 
 
@@ -233,8 +249,9 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
 
 
 def _generator(harr: np.ndarray) -> np.ndarray:
-    """J^{-1} H for a symmetric 2x2 H."""
-    return np.array([[harr[0, 1], harr[1, 1]], [-harr[0, 0], -harr[0, 1]]])
+    """J^{-1} H for symmetric 2x2 H, over leading axes."""
+    return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
+                     np.stack([-harr[..., 0, 0], -harr[..., 0, 1]], axis=-1)], axis=-2)
 
 
 def _integration_path(system: CanonicalSystem, t_grid) -> list[float]:
@@ -248,37 +265,79 @@ def _integration_path(system: CanonicalSystem, t_grid) -> list[float]:
     return path
 
 
+def _step_grid(path: list[float], max_step: float):
+    """Start and length of every RK4 step, and {steps taken: path point reached}."""
+    t_lo, h, ends = [np.empty(0)], [np.empty(0)], {}
+    n_steps = 0
+    for lo, hi in zip(path[:-1], path[1:]):
+        m = max(1, math.ceil((hi - lo) / max_step - 1e-12))
+        step = (hi - lo) / m
+        t_lo.append(lo + np.arange(m) * step)
+        h.append(np.full(m, step))
+        n_steps += m
+        ends[n_steps] = hi
+    return np.concatenate(t_lo), np.concatenate(h), ends
+
+
+def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Real coefficients C1..C4 of the steps [t_lo, t_lo + h], shape (4, len(h), 2, 2).
+
+    One RK4 step with stage generators m0, m1, m2 = J^{-1} H at t, t + h/2,
+    t + h is exactly Q -> Q + (z C1 + z^2 C2 + z^3 C3 + z^4 C4) Q.
+    """
+    m0, m1, m2 = (_generator(np.stack([system.stage_value(t, t + s, t + f * s)
+                                        for t, s in zip(t_lo.tolist(), h.tolist())]))
+                  for f in (0.0, 0.5, 1.0))
+    h = h[:, None, None]
+    m1m0 = m1 @ m0
+    m1m1 = m1 @ m1
+    return np.stack([
+        h / 6.0 * (m0 + 4.0 * m1 + m2),
+        h ** 2 / 6.0 * (m1m0 + m1m1 + m2 @ m1),
+        h ** 3 / 12.0 * (m1 @ m1m0 + m2 @ m1m1),
+        h ** 4 / 24.0 * (m2 @ (m1 @ m1m0)),
+    ])
+
+
 def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                     max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
     """RK4 integration of J Q' = z H(t) Q for many z at once.
 
     Returns shape (len(t_grid), len(zs), 2, 2). Steps are uniform within each
     segment of the path (grid points plus Hamiltonian breakpoints) and never
-    longer than ``max_step``.
+    longer than ``max_step``. Each step applies Q += D(z) Q with the step
+    propagator D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The coefficients are
+    formed for STEP_BLOCK_VALUES steps at a time and D by Horner for
+    STEP_BLOCK_VALUES (step, z) pairs at a time, so memory does not grow with
+    the number of steps beyond 16 B per step.
     """
     if not 0 < max_step <= 1e-3 + 1e-15:
         raise ValueError("max_step must be in (0, 1e-3]")
     zs = np.asarray(zs, dtype=complex)
     ts = [float(t) for t in t_grid]
-    path = _integration_path(system, ts)
     nz = zs.shape[0]
-    Q = np.broadcast_to(np.eye(2, dtype=complex), (nz, 2, 2)).copy()
-    zcol = zs[:, None, None]
-    results = {0.0: Q.copy()}
-    for lo, hi in zip(path[:-1], path[1:]):
-        m = max(1, math.ceil((hi - lo) / max_step - 1e-12))
-        h = (hi - lo) / m
-        for i in range(m):
-            t = lo + i * h
-            m0 = _generator(system.stage_value(t, t + h, t))
-            m1 = _generator(system.stage_value(t, t + h, t + 0.5 * h))
-            m2 = _generator(system.stage_value(t, t + h, t + h))
-            k1 = zcol * (m0 @ Q)
-            k2 = zcol * (m1 @ (Q + 0.5 * h * k1))
-            k3 = zcol * (m1 @ (Q + 0.5 * h * k2))
-            k4 = zcol * (m2 @ (Q + h * k3))
-            Q = Q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        results[hi] = Q.copy()
+    t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
+    block = max(1, STEP_BLOCK_VALUES // max(nz, 1))
+    Q = np.zeros((2, 2, nz), dtype=complex)  # Q[i, j] over z
+    Q[0, 0] = Q[1, 1] = 1.0
+    q0, q1 = Q  # row views, updated in place
+    results = {0.0: Q.transpose(2, 0, 1).copy()}
+    for c0 in range(0, len(h), STEP_BLOCK_VALUES):
+        coeffs = _step_coefficients(system, t_lo[c0:c0 + STEP_BLOCK_VALUES],
+                                    h[c0:c0 + STEP_BLOCK_VALUES])[..., None]
+        for b0 in range(0, coeffs.shape[1], block):
+            c1, c2, c3, c4 = coeffs[:, b0:b0 + block]
+            D = c4 * zs
+            for c in (c3, c2, c1):
+                D += c
+                D *= zs
+            for k, d in enumerate(D, c0 + b0 + 1):
+                dq0 = d[0, 0] * q0 + d[0, 1] * q1
+                dq1 = d[1, 0] * q0 + d[1, 1] * q1
+                q0 += dq0
+                q1 += dq1
+                if k in ends:
+                    results[ends[k]] = Q.transpose(2, 0, 1).copy()
     return np.stack([results[t] for t in ts]) if ts else np.empty((0, nz, 2, 2), complex)
 
 

@@ -103,12 +103,15 @@ class KernelGrid:
 
     def to_csv(self, path) -> None:
         """Rows (a, b, re, im), a-major, shortest round-trip decimals."""
+        b_labels = [_num(b) for b in np.atleast_1d(self.b_values)]
         with open(path, "w", newline="") as fh:
             fh.write("a,b,re,im\n")
-            for i, a in enumerate(np.atleast_1d(self.a_values)):
-                for j, b in enumerate(np.atleast_1d(self.b_values)):
-                    v = complex(self.values[i, j])
-                    fh.write(f"{_num(a)},{_num(b)},{v.real!r},{v.imag!r}\n")
+            # one row of Python floats at a time: the whole grid as floats
+            # would cost 32 B per number
+            for a, row in zip(np.atleast_1d(self.a_values), np.asarray(self.values)):
+                a_label = _num(a)
+                fh.writelines(f"{a_label},{b},{re!r},{im!r}\n" for b, re, im in
+                              zip(b_labels, row.real.tolist(), row.imag.tolist()))
 
     def manifest_dict(self, model_spec: dict, reference: str | None = None,
                       sup_error: float | None = None) -> dict:

@@ -73,8 +73,9 @@ COMMANDS = {
                                    "max_step")),
 }
 
-# Options whose value must be positive.
+# Options whose value must be positive, and those that must not be negative.
 POSITIVE = {"n", "window", "bins"}
+NON_NEGATIVE = {"seed"}
 
 
 class UsageError(Exception):
@@ -112,7 +113,8 @@ class Options:
     """Resolved option values: flags beat the config file, which beats OPTIONS.
 
     Every value given by flag or config file is checked here, before any
-    command starts work: numbers must be finite, POSITIVE ones above zero.
+    command starts work: numbers must be finite, POSITIVE ones above zero
+    and NON_NEGATIVE ones at or above zero.
     """
 
     def __init__(self, args):
@@ -129,6 +131,8 @@ class Options:
                 raise UsageError(f"{flag} must be finite, got {v!r}")
             if name in POSITIVE and v is not None and not v > 0:
                 raise UsageError(f"{flag} must be positive, got {v!r}")
+            if name in NON_NEGATIVE and v is not None and v < 0:
+                raise UsageError(f"{flag} must not be negative, got {v!r}")
             self.values[name] = v
         max_step = self.get("max_step")
         if not 0 < max_step <= canonical.DEFAULT_MAX_STEP:

@@ -1,10 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cdscale.canonical import (CallableHamiltonian,
+from cdscale.canonical import (STEP_BLOCK_VALUES, CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
                                constant_solution_batch, discrete_to_jacobi,
@@ -270,3 +271,77 @@ def test_batch_solver_matches_scalar():
         single = solve_ode_batch(system, [z], ts)[:, 0]
         for i, q in enumerate(single):
             np.testing.assert_allclose(batch[i, k], q, atol=1e-13)
+
+
+def staged_rk4(system, zs, t_grid, max_step=1e-3):
+    """Reference: the classical four-stage RK4 loop over (nz, 2, 2) arrays."""
+    Q = np.broadcast_to(np.eye(2, dtype=complex), (len(zs), 2, 2)).copy()
+    z = np.asarray(zs, dtype=complex)[:, None, None]
+    t_max = t_grid[-1] if len(t_grid) else 0.0
+    path = sorted({0.0, *t_grid, *[b for b in system.breakpoints() if b < t_max]})
+    snaps = {0.0: Q.copy()}
+    for lo, hi in zip(path[:-1], path[1:]):
+        m = max(1, math.ceil((hi - lo) / max_step - 1e-12))
+        h = (hi - lo) / m
+        for i in range(m):
+            t = lo + i * h
+            m0, m1, m2 = (np.array([[g[0, 1], g[1, 1]], [-g[0, 0], -g[0, 1]]])
+                          for g in (system.stage_value(t, t + h, tau)
+                                    for tau in (t, t + 0.5 * h, t + h)))
+            k1 = z * (m0 @ Q)
+            k2 = z * (m1 @ (Q + 0.5 * h * k1))
+            k3 = z * (m1 @ (Q + 0.5 * h * k2))
+            k4 = z * (m2 @ (Q + h * k3))
+            Q = Q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        snaps[hi] = Q.copy()
+    return np.array([snaps[t] for t in t_grid]).reshape(len(t_grid), len(zs), 2, 2)
+
+
+def assert_matches_staged(system, zs, t_grid, max_step=1e-3):
+    got = solve_ode_batch(system, zs, t_grid, max_step)
+    ref = staged_rk4(system, zs, t_grid, max_step)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("system", built_in_systems() + [CallableHamiltonian(
+    lambda t: np.array([[1.0 + t * t, 0.3 * t], [0.3 * t, 0.5 + math.sin(t) ** 2]]),
+    "smooth quadratic")], ids=lambda s: type(s).__name__)
+def test_solver_matches_staged_rk4(system):
+    zs = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j]
+    assert_matches_staged(system, zs, [0.2, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("nz, t_grid, max_step", [
+    # 16 z values make blocks of 256 steps; steps of 2^-10 put t = 0.25 on a
+    # block edge, t = 0.6 inside the third block, and t = 1 in a partial block
+    (STEP_BLOCK_VALUES // 256, [0.25, 0.6, 1.0], 2.0 ** -10),
+    # coefficients are formed STEP_BLOCK_VALUES steps at a time: t = 0.5 ends
+    # the first such run, whose last block of 1365 steps holds one step
+    (3, [0.5, 0.75], 0.5 / STEP_BLOCK_VALUES),
+])
+def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step):
+    zs = np.linspace(-6.0, 6.0, nz) + 0.25j
+    assert_matches_staged(CoshSinhHamiltonian(1.0), zs, t_grid, max_step)
+
+
+def test_solver_one_step_blocks():
+    zs = np.linspace(-20.0, 20.0, STEP_BLOCK_VALUES + 904)
+    assert_matches_staged(CoshSinhHamiltonian(0.7), zs, [0.02, 0.05])
+
+
+@pytest.mark.parametrize("t_grid", [[0.0], []])
+def test_solver_trivial_t_grids(t_grid):
+    assert_matches_staged(CoshSinhHamiltonian(1.0), [1.0, 2.0 - 1.0j], t_grid)
+
+
+@pytest.mark.parametrize("nz", [401, 20000])
+def test_solver_memory_bounded(nz):
+    zs = np.linspace(-20.0, 20.0, nz)
+    tracemalloc.start()
+    try:
+        solve_ode_batch(CoshSinhHamiltonian(1.0), zs, [1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * nz * 64 + 2 * 2 ** 20

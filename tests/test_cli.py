@@ -226,13 +226,24 @@ def test_table_model_via_cli(tmp_path):
     ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--config", "{config}"],
     ["kernel", "--model", "bogus", "--n", "10"],
     ["kernel", "--model", "free", "--n", "10", "--reference", "bogus"],
+    ["verify", "appendix-roundtrip", "--seed", "-1", "--n", "50"],
+    ["verify", "kernel-identities", "--model", "free", "--n", "20", "--seed", "-1"],
+    # a system file without the key its kind needs, or not a JSON object
+    ["canonical-solve", "--system", "{system}", "--z", "1"],
+    ["diagnostics", "--model", "free", "--n", "100", "--candidate", "{system}"],
+    ["canonical-solve", "--system", "{array}", "--z", "1"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
     table.write_text("j,a,b\n0,1.0,0.0\n1,1.0,0.0\n")
     config = tmp_path / "bad.cfg"
     config.write_text("tol=nan\n")
-    argv = [arg.format(table=table, config=config) for arg in argv] + ["--out", str(tmp_path)]
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"kind": "constant"}))
+    array = tmp_path / "array.json"
+    array.write_text("[1.0]")
+    argv = [arg.format(table=table, config=config, system=system, array=array)
+            for arg in argv] + ["--out", str(tmp_path)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects unknown flags itself
