@@ -73,8 +73,8 @@ class CanonicalSystem:
     def H(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def integral(self, t: float) -> np.ndarray:
-        """Exact (for the built-ins) value of int_0^t H(s) ds."""
+    def integral(self, t) -> np.ndarray:
+        """Exact (for the built-ins) value of int_0^t H(s) ds, shape t.shape + (2, 2)."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -97,7 +97,7 @@ class ConstantHamiltonian(CanonicalSystem):
         return self.h
 
     def integral(self, t):
-        return t * self.h
+        return np.multiply.outer(t, self.h)
 
     def to_dict(self):
         return {"kind": "constant", "h": self.h.tolist()}
@@ -120,9 +120,8 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
             np.zeros((1, 2, 2)),
             np.cumsum(widths[:, None, None] * self.matrices, axis=0)])
 
-    def _piece(self, t: float) -> int:
-        k = int(np.searchsorted(self.edges, t, side="right")) - 1
-        return min(max(k, 0), len(self.matrices) - 1)
+    def _piece(self, t):
+        return np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.matrices) - 1)
 
     def H(self, t):
         return self.matrices[self._piece(t)]
@@ -134,7 +133,7 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
 
     def integral(self, t):
         k = self._piece(t)
-        return self._cum[k] + (t - self.edges[k]) * self.matrices[k]
+        return self._cum[k] + (t - self.edges[k])[..., None, None] * self.matrices[k]
 
     def breakpoints(self):
         return tuple(float(e) for e in self.edges[1:-1])
@@ -163,10 +162,10 @@ class CoshSinhHamiltonian(CanonicalSystem):
 
     def integral(self, t):
         if self.v == 0.0:
-            return 0.5 * t * np.eye(2)
-        c = 0.5 * math.sinh(t * self.v) / self.v
-        s = 0.5 * (math.cosh(t * self.v) - 1.0) / self.v
-        return np.array([[c, s], [s, c]])
+            return np.multiply.outer(0.5 * np.asarray(t), np.eye(2))
+        c = 0.5 * np.sinh(t * self.v) / self.v
+        s = 0.5 * (np.cosh(t * self.v) - 1.0) / self.v
+        return np.stack([np.stack([c, s], -1), np.stack([s, c], -1)], -2)
 
     def to_dict(self):
         return {"kind": "cosh-sinh", "v": self.v}
@@ -184,6 +183,8 @@ class CallableHamiltonian(CanonicalSystem):
         return _check_psd(_as_matrix(self.fn(t)), PSD_SAMPLE_TOL, f" at t = {t}")
 
     def integral(self, t):
+        if np.ndim(t):
+            return np.array([self.integral(s) for s in np.ravel(t)]).reshape(np.shape(t) + (2, 2))
         if t == 0.0:
             return np.zeros((2, 2))
         m = self.quad_points + (self.quad_points % 2)

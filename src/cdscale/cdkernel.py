@@ -152,7 +152,7 @@ def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) 
     if a_arr.size == 0 or b_arr.size == 0:
         raise ValueError("grids must be nonempty")
     Pa, _ = poly_table(model, x0 + a_arr / n, n - 1, n)
-    Pb, _ = poly_table(model, x0 + b_arr / n, n - 1, n)
+    Pb = Pa if np.array_equal(a_arr, b_arr) else poly_table(model, x0 + b_arr / n, n - 1, n)[0]
     values = (Pa.T @ Pb) / n
     if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"kernel grid at x0 = {x0}, n = {n} overflows off the bulk")

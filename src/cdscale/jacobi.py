@@ -8,7 +8,9 @@ polynomials p_j and the second-kind polynomials q_j both satisfy
 
 with initial data (p_{-1}, p_0) = (0, 1) and (q_{-1}, q_0) = (-1/a_0, 0); the
 q initialization is the unique one producing q_1 = 1/a_1 and makes the 0-step
-transfer matrix exactly the identity.
+transfer matrix exactly the identity. poly_table runs this recurrence as a
+blocked scan (``scan``): blocks of isqrt(n) steps side by side, about
+3 sqrt(n) vectorized steps in place of n.
 
 Zeros of p_n are the eigenvalues of the n x n truncation. Sturm sequences
 count the eigenvalues below a shift exactly, which selects the ones in a
@@ -26,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IndexOutOfRange, InvalidCoefficient
+from .scan import blocked_scan
 
 # Bisection runs to this absolute accuracy in unscaled spectral units.
 EIG_ABS_TOL = 1e-12
@@ -227,34 +230,34 @@ def poly_table(model: CoefficientModel, xs, up_to: int,
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
     xs = np.atleast_1d(np.asarray(xs))
-    dtype = complex if np.iscomplexobj(xs) else float
-    xs = xs.astype(dtype)
-    m = xs.shape[0]
-    P = np.empty((up_to + 1, m), dtype=dtype)
-    Q = np.empty((up_to + 1, m), dtype=dtype)
-    P[0] = 1.0
-    Q[0] = 0.0
+    xs = xs.astype(complex if np.iscomplexobj(xs) else float)
+    P = np.empty((up_to + 1, xs.shape[0]), dtype=xs.dtype)
+    Q = np.empty_like(P)
+    P[0], Q[0] = 1.0, 0.0
     if up_to == 0:
         return P, Q
     a, b = model.coeff_arrays(up_to, n)
     if np.any(a <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         bad = int(np.argmax((a <= 0) | ~np.isfinite(a) | ~np.isfinite(b))) + 1
         raise InvalidCoefficient(f"invalid coefficient pair at index {bad}")
-    p_prev2 = np.zeros(m, dtype=dtype)
-    p_prev1 = P[0].copy()
-    q_prev2 = np.full(m, -1.0, dtype=dtype)
-    q_prev1 = Q[0].copy()
-    a_prev = 1.0
-    for ell in range(1, up_to + 1):
-        shift = xs - b[ell - 1]
-        a_ell = a[ell - 1]
-        p = (shift * p_prev1 - a_prev * p_prev2) / a_ell
-        q = (shift * q_prev1 - a_prev * q_prev2) / a_ell
-        P[ell] = p
-        Q[ell] = q
-        p_prev2, p_prev1 = p_prev1, p
-        q_prev2, q_prev1 = q_prev1, q
-        a_prev = a_ell
+    a_prev = np.concatenate([[1.0], a[:-1]])
+
+    # the state is ((p_ell, q_ell), (p_{ell-1}, q_{ell-1})); the new row is
+    # formed in place of the oldest, as (-a_prev y_{ell-1} + shift y_ell) / a_ell
+    def step(x, i):
+        shift, ap, al = xs - b[i, None], a_prev[i, None], a[i, None]
+        for cur, prev in ((x[0], x[2]), (x[1], x[3])):
+            prev *= -ap
+            prev += shift * cur
+            prev /= al
+        return [x[2], x[3], x[0], x[1]]
+
+    def visit(x, i):  # every rerun step fills its rows of the tables; padding never reaches here
+        P[i + 1] = x[0]
+        Q[i + 1] = x[1]
+
+    start = np.array([[1.0], [0.0], [0.0], [-1.0]], dtype=xs.dtype).repeat(xs.shape[0], axis=1)
+    blocked_scan(up_to, start, step, visit=visit)
     return P, Q
 
 

@@ -168,8 +168,7 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
     cand_dict = None
     if candidate is not None:
         partials = _h_partials(h_seq, n)
-        ts = np.arange(n + 1) / n
-        cand = np.stack([candidate.integral(float(t)) for t in ts])
+        cand = candidate.integral(np.arange(n + 1) / n)
         matrix_conv = float(np.max(operator_norm_array(partials / n - cand)))
         cand_dict = candidate.to_dict()
     return DiagnosticsReport(

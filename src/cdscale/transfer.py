@@ -19,7 +19,9 @@ Q_ell(x) = T_ell(x0)^{-1} T_ell(x), which satisfies the difference equation
 
 a discrete canonical system with rank-one nonnegative coefficients. Both the
 direct product and the recursion are first-class here and must agree; both
-return arrays of shape (len(t), len(a), 2, 2).
+return arrays of shape (len(t), len(a), 2, 2). Both step loops, like the
+polynomial recurrence, run as a blocked scan (``scan``): about 3 sqrt(n)
+vectorized steps in place of n.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from .errors import ConditioningWarning
 from .jacobi import CoefficientModel, poly_table
 from .mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
                    operator_norm_array)
+from .scan import blocked_scan
 
 # Above this squared size of the accumulated product the direct path has lost
 # too many digits. transfer_product measures size by the spectral norm,
 # transfer_matrices by the largest entry modulus, which is within a factor 2.
 DIRECT_COND_LIMIT = 1e12
-_STEP_BLOCK = 512
 
 
 class DiscreteHSequence:
@@ -110,9 +112,10 @@ def transfer_matrices(model: CoefficientModel, xs, ells,
                       n: int | None = None) -> np.ndarray:
     """T_ell(x) at every snapshot step ell in ``ells`` for all points xs at once.
 
-    Multiplies the one-step factors S_ell(x) of one_step, for all points at
-    every step, so it stays a product independent of the polynomial
-    recurrence. ``ells`` must be nondecreasing; only the snapshots are kept.
+    Multiplies the one-step factors S_ell(x) of one_step by a blocked scan,
+    for all points at once, so it stays a product independent of the
+    polynomial recurrence. ``ells`` must be nondecreasing; only the snapshots
+    are kept.
     Returns shape (len(ells), len(xs), 2, 2), real for real points. Warns
     once (ConditioningWarning) at the first step whose largest entry modulus,
     squared, passes DIRECT_COND_LIMIT.
@@ -124,41 +127,25 @@ def transfer_matrices(model: CoefficientModel, xs, ells,
     xs = xs.astype(complex if np.iscomplexobj(xs) else float)
     max_ell = ells[-1] if ells else 0
     a, b = model.coeff_arrays(max_ell, n)
-    out = np.empty((len(ells), xs.shape[0], 2, 2), dtype=xs.dtype)
-    # rows of T_ell: row 1 is (p_ell, -q_ell), row 2 is a_ell (p_{ell-1}, -q_{ell-1})
-    row1 = np.zeros((2, xs.shape[0]), dtype=xs.dtype)
-    row1[0] = 1.0
-    row2 = row1[::-1].copy()
-    k = ells.count(0)  # the sorted ells start with the identity snapshots
-    out[:k] = np.eye(2)
-    # the factors of a block of steps are formed at once; row 1 after each
-    # step of the block is kept to bound the entries step by step
-    history = np.empty((_STEP_BLOCK,) + row1.shape, dtype=xs.dtype)
-    limit = np.sqrt(DIRECT_COND_LIMIT)
-    for start in range(0, max_ell, _STEP_BLOCK):
-        a_blk, b_blk = a[start:start + _STEP_BLOCK], b[start:start + _STEP_BLOCK]
-        shifts = (xs - b_blk[:, None]) / a_blk[:, None]
-        for i, (s, c, a_ell) in enumerate(zip(shifts, (-1.0 / a_blk).tolist(), a_blk.tolist())):
-            row1, row2 = s * row1 + c * row2, a_ell * row1
-            history[i] = row1
-            while k < len(ells) and ells[k] == start + i + 1:
-                out[k] = np.stack([row1, row2]).transpose(2, 0, 1)
-                k += 1
-        over = np.abs(history[:len(a_blk)]).max(axis=(1, 2)) > limit
-        if over.any():
-            _warn_conditioning(start + 1 + int(np.argmax(over)))
-            limit = np.inf  # warn once
+
+    # the rows of T_ell are (p_ell, -q_ell) and a_ell (p_{ell-1}, -q_{ell-1})
+    def step(x, i):
+        ai = a[i, None]
+        s, c = (xs - b[i, None]) / ai, -1.0 / ai
+        return [s * x[0] + c * x[2], s * x[1] + c * x[3], ai * x[0], ai * x[1]]
+
+    over = []
+
+    def visit(x, i):
+        big = np.maximum(abs(x[0]), abs(x[1])).max(axis=1, initial=0.0) > DIRECT_COND_LIMIT ** 0.5
+        if big.any():
+            over.append(int(i[big].min()) + 1)
+
+    start = np.eye(2, dtype=xs.dtype).reshape(4, 1).repeat(xs.shape[0], axis=1)
+    out = blocked_scan(max_ell, start, step, ells, visit=visit)
+    if over:
+        _warn_conditioning(min(over))
     return out
-
-
-def transfer_from_polys(model: CoefficientModel, ell: int, x,
-                        n: int | None = None) -> Mat2:
-    """Column form of the transfer matrix, from the polynomial recurrence."""
-    P, Q = poly_table(model, np.array([x]), ell, n)
-    if ell == 0:
-        return IDENTITY
-    a_ell, _ = model.coeff(ell, n)
-    return Mat2(P[ell, 0], -Q[ell, 0], a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0])
 
 
 def h_sequence(model: CoefficientModel, x0: float, up_to: int,
@@ -204,33 +191,23 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
                 t_values) -> np.ndarray:
     """Q at each requested (t, a) from the one-step recursion of the difference equation.
 
-    Iterates Q_{ell+1} = (Id + (a/n) J^{-1} H_ell) Q_ell from the identity, for
-    all spectral offsets at once; J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
+    Iterates Q_{ell+1} = Q_ell + (a/n) J^{-1} H_ell Q_ell from the identity for
+    all offsets at once, by a blocked scan that keeps block propagators as
+    increments over the identity; J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
     Needs H_0..H_{max[tn]-1}. Returns shape (len(t_values), len(a_values), 2, 2).
     """
-    ells = _snapshot_indices(n, sorted(t_values))
-    order = np.argsort(np.asarray(t_values))
-    a_arr = np.asarray(a_values, dtype=complex)
-    na = a_arr.shape[0]
-    z = a_arr / n
-    max_ell = max(ells) if ells else 0
+    _snapshot_indices(n, sorted(t_values))  # checks that every t is in [0, 1]
+    ells = np.floor(np.asarray(t_values, dtype=float) * n).astype(np.int64)
+    z = np.asarray(a_values, dtype=complex) / n
+    max_ell = int(ells.max(initial=0))
     if max_ell > len(h_seq):
         raise ValueError(f"h sequence of length {len(h_seq)} does not cover index {max_ell - 1}")
-    Q = np.broadcast_to(np.eye(2, dtype=complex), (na, 2, 2)).copy()
-    out = np.empty((len(t_values), na, 2, 2), dtype=complex)
-    want = {}
-    for pos, ell in zip(order, [int(np.floor(t * n)) for t in np.asarray(t_values)[order]]):
-        want.setdefault(ell, []).append(pos)
-    for pos in want.get(0, []):
-        out[pos] = Q
-    B = np.empty((2, 2))
-    for ell in range(max_ell):
-        p, q = h_seq.ps[ell], h_seq.qs[ell]
-        B[0, 0] = -p * q
-        B[0, 1] = q * q
-        B[1, 0] = -p * p
-        B[1, 1] = p * q
-        Q = Q + z[:, None, None] * (B @ Q)
-        for pos in want.get(ell + 1, []):
-            out[pos] = Q
-    return out
+
+    # J^{-1} H_ell = (q, p)^T (-p, q) has rank one
+    def increment(x, i):
+        p, q = h_seq.ps[i, None], h_seq.qs[i, None]
+        r1, r2 = z * (q * x[2] - p * x[0]), z * (q * x[3] - p * x[1])
+        return [q * r1, q * r2, p * r1, p * r2]
+
+    start = np.eye(2, dtype=complex).reshape(4, 1).repeat(z.shape[0], axis=1)
+    return blocked_scan(max_ell, start, increment, ells, increment=True)

@@ -1,0 +1,77 @@
+"""Test-side references: plain one-step-per-iteration loops.
+
+``poly_table_loop`` and ``q_snapshots_loop`` are the step loops that
+``poly_table`` and ``q_snapshots`` ran before both became a blocked scan;
+``transfer_from_polys`` is the column form of the transfer matrix. The scalar
+``transfer.transfer_product`` is the third reference, for transfer_matrices.
+"""
+
+import numpy as np
+
+from cdscale.jacobi import poly_table
+from cdscale.mat2 import IDENTITY, Mat2
+
+
+def poly_table_loop(model, xs, up_to, n=None):
+    """The three-term recurrence, one step per iteration."""
+    xs = np.atleast_1d(np.asarray(xs))
+    dtype = complex if np.iscomplexobj(xs) else float
+    xs = xs.astype(dtype)
+    m = xs.shape[0]
+    P = np.empty((up_to + 1, m), dtype=dtype)
+    Q = np.empty((up_to + 1, m), dtype=dtype)
+    P[0] = 1.0
+    Q[0] = 0.0
+    if up_to == 0:
+        return P, Q
+    a, b = model.coeff_arrays(up_to, n)
+    p_prev2 = np.zeros(m, dtype=dtype)
+    p_prev1 = P[0].copy()
+    q_prev2 = np.full(m, -1.0, dtype=dtype)
+    q_prev1 = Q[0].copy()
+    a_prev = 1.0
+    for ell in range(1, up_to + 1):
+        shift = xs - b[ell - 1]
+        a_ell = a[ell - 1]
+        p = (shift * p_prev1 - a_prev * p_prev2) / a_ell
+        q = (shift * q_prev1 - a_prev * q_prev2) / a_ell
+        P[ell] = p
+        Q[ell] = q
+        p_prev2, p_prev1 = p_prev1, p
+        q_prev2, q_prev1 = q_prev1, q
+        a_prev = a_ell
+    return P, Q
+
+
+def q_snapshots_loop(h_seq, n, a_values, t_values):
+    """Q_{ell+1} = Q_ell + (a/n) J^{-1} H_ell Q_ell, one step per iteration."""
+    t_values = np.asarray(t_values, dtype=float)
+    z = np.asarray(a_values, dtype=complex) / n
+    ells = [int(np.floor(t * n)) for t in t_values]
+    Q = np.broadcast_to(np.eye(2, dtype=complex), (z.shape[0], 2, 2)).copy()
+    out = np.empty((len(ells), z.shape[0], 2, 2), dtype=complex)
+    want = {}
+    for pos, ell in enumerate(ells):
+        want.setdefault(ell, []).append(pos)
+    for pos in want.get(0, []):
+        out[pos] = Q
+    B = np.empty((2, 2))
+    for ell in range(max(ells, default=0)):
+        p, q = h_seq.ps[ell], h_seq.qs[ell]
+        B[0, 0] = -p * q
+        B[0, 1] = q * q
+        B[1, 0] = -p * p
+        B[1, 1] = p * q
+        Q = Q + z[:, None, None] * (B @ Q)
+        for pos in want.get(ell + 1, []):
+            out[pos] = Q
+    return out
+
+
+def transfer_from_polys(model, ell, x, n=None) -> Mat2:
+    """Column form of the transfer matrix, from the polynomial recurrence."""
+    P, Q = poly_table(model, np.array([x]), ell, n)
+    if ell == 0:
+        return IDENTITY
+    a_ell, _ = model.coeff(ell, n)
+    return Mat2(P[ell, 0], -Q[ell, 0], a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0])

@@ -22,8 +22,8 @@ from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             lambda_pm, modified_sine_kernel, qhat_closed,
                             raw_limit_formula)
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
-                              q_trajectory_direct, transfer_from_polys,
-                              transfer_product)
+                              q_trajectory_direct, transfer_product)
+from references import transfer_from_polys
 
 FREE = ConstantModel(1.0, 0.0)
 RHO0 = 1.0 / (2.0 * math.pi)

@@ -207,6 +207,20 @@ def test_callable_hamiltonian_integral():
     np.testing.assert_allclose(system.integral(1.0), np.eye(2) * 0.625, atol=1e-10)
 
 
+def test_integral_of_a_time_array():
+    ts = np.array([[0.0, 0.2, 0.3], [0.75, 0.9, 1.0]])
+    ramp = CallableHamiltonian(lambda t: np.eye(2) * (0.5 + 0.25 * t), "linear ramp", 50)
+    for system in built_in_systems() + [CoshSinhHamiltonian(0.0), ramp]:
+        got = system.integral(ts)
+        assert got.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(ts.shape):
+            assert np.array_equal(got[idx], system.integral(float(ts[idx])))
+    v = 1.0
+    for t, m in zip(ts.ravel(), CoshSinhHamiltonian(v).integral(ts.ravel())):
+        c, s = 0.5 * math.sinh(t * v) / v, 0.5 * (math.cosh(t * v) - 1.0) / v
+        np.testing.assert_allclose(m, [[c, s], [s, c]], rtol=1e-15, atol=0)
+
+
 def test_solver_rejects_bad_grids():
     sysc = ConstantHamiltonian(HALF_ID)
     with pytest.raises(ValueError):

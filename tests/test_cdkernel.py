@@ -8,8 +8,9 @@ import pytest
 from cdscale.cdkernel import (KernelGrid, kernel_cd, kernel_det_q, kernel_sum,
                               scaled_grid, sine_compare, sine_kernel)
 from cdscale.errors import CoincidentArguments
+from cdscale import cdkernel
 from cdscale.jacobi import (AlternatingSignModel, ConstantModel, PeriodicModel,
-                            TableModel, gauss_quadrature)
+                            TableModel, gauss_quadrature, poly_table)
 from cdscale.transfer import q_trajectory_direct
 
 FREE = ConstantModel(1.0, 0.0)
@@ -133,6 +134,23 @@ def test_scaled_grid_symmetry_real_grids():
     grid = scaled_grid(bulk_model(36), 400, 0.0, vals, vals)
     np.testing.assert_allclose(grid.values, grid.values.T, atol=1e-13)
     assert np.all(np.diag(grid.values) >= 0)
+
+
+def test_scaled_grid_same_grids_share_one_table(monkeypatch):
+    calls = []
+
+    def counted(model, xs, up_to, n=None):
+        calls.append(len(xs))
+        return poly_table(model, xs, up_to, n)
+
+    monkeypatch.setattr(cdkernel, "poly_table", counted)
+    model, vals = bulk_model(37), np.linspace(-3, 3, 13)
+    grid = scaled_grid(model, 400, 0.0, vals, vals.copy())
+    assert calls == [13]
+    P, _ = poly_table(model, vals / 400, 399, 400)
+    assert np.array_equal(grid.values, (P.T @ P) / 400)
+    scaled_grid(model, 400, 0.0, vals, vals + 0.01)
+    assert calls == [13, 13, 13]
 
 
 def test_scaled_grid_free_matches_sine():

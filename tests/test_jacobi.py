@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from cdscale.jacobi import (AlternatingSignModel, ConstantModel, CustomModel,
                             PeriodicModel, TableModel, all_scaled_zeros,
                             gauss_quadrature, poly_table, scaled_zeros,
                             sturm_count, truncated_tridiagonal)
+from references import poly_table_loop
 
 FREE = ConstantModel(1.0, 0.0)
+# lengths around the block edges of the scan (blocks of isqrt(L) steps)
+SCAN_LENGTHS = [0, 1, 2, 3, 15, 16, 17, 997, 4096]
 
 
 def decaying_model(seed, strength=0.3, size=4000):
@@ -217,3 +221,31 @@ def test_invalid_scaled_zero_arguments():
         scaled_zeros(FREE, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
         scaled_zeros(FREE, 5, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("up_to", SCAN_LENGTHS)
+@pytest.mark.parametrize("points", [[-1.9, -0.4, 0.0, 0.3, 1.7], [0.3 + 1e-3j, -1.2 - 2e-4j]])
+def test_poly_table_matches_step_loop(up_to, points):
+    models = [FREE, PeriodicModel([1.1, 0.9, 1.0], [0.2, -0.1, 0.0]), decaying_model(3, size=4096),
+              AlternatingSignModel(1.0)]
+    for model in models:
+        n = max(up_to, 1) if model.n_dependent else None
+        P, Q = poly_table(model, points, up_to, n)
+        P_ref, Q_ref = poly_table_loop(model, points, up_to, n)
+        assert P.shape == Q.shape == P_ref.shape and P.dtype == P_ref.dtype
+        for got, ref in ((P, P_ref), (Q, Q_ref)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+            # the first block reruns from the exact initial data with the loop's arithmetic
+            block = max(1, math.isqrt(up_to))
+            assert np.array_equal(got[:block + 1], ref[:block + 1])
+
+
+def test_poly_table_memory_bounded():
+    xs = 0.3 + np.linspace(-5.0, 5.0, 51) / 64000
+    tracemalloc.start()
+    try:
+        P, Q = poly_table(FREE, xs, 64000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (P.nbytes + Q.nbytes) + 2 ** 20

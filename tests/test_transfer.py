@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +11,15 @@ from cdscale.errors import ConditioningWarning
 from cdscale.jacobi import ConstantModel, PeriodicModel, TableModel
 from cdscale.mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
-                              q_trajectory_direct, transfer_from_polys,
-                              transfer_matrices, transfer_product)
+                              q_trajectory_direct, transfer_matrices,
+                              transfer_product)
+from references import poly_table_loop, q_snapshots_loop, transfer_from_polys
 
 FREE = ConstantModel(1.0, 0.0)
 COLUMN_RTOL = 1e-9
+SCAN_RTOL = 1e-12
+# lengths around the block edges of the scan (blocks of isqrt(L) steps)
+SCAN_LENGTHS = [0, 1, 2, 3, 15, 16, 17, 997, 4096]
 Q_AGREE_ATOL = 1e-8
 DET_ATOL = 1e-8
 
@@ -193,6 +199,79 @@ def test_rotation_limit_free_model():
     for t, q in zip(ts, qs):
         c, s = np.cos(a * t / 2), np.sin(a * t / 2)
         assert operator_norm(Mat2.from_array(q) - Mat2(c, s, -s, c)) <= 1e-2
+
+
+def scan_snapshots(length):
+    """Steps 0 and length, the first and last step of blocks, and a repeat."""
+    size = max(1, math.isqrt(length))
+    edges = [size * k + d for k in (0, 1, length // size - 1) for d in (0, 1)]
+    return sorted({min(max(s, 0), length) for s in edges} | {length}) + [length]
+
+
+@pytest.mark.parametrize("length", SCAN_LENGTHS)
+def test_transfer_matrices_match_scalar_product_at_block_edges(length):
+    model = PeriodicModel([1.0, 1.05, 0.95], [0.2, 0.2, -0.1])
+    points = [0.1, -0.7 + 2e-4j]
+    ells = scan_snapshots(length)
+    T = transfer_matrices(model, points, ells)
+    assert transfer_matrices(model, [], ells).shape == (len(ells), 0, 2, 2)
+    for k, ell in enumerate(ells):
+        for i, x in enumerate(points):
+            ref = transfer_product(model, ell, x).to_array()
+            assert np.max(np.abs(T[k, i] - ref)) <= SCAN_RTOL * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS[1:])
+def test_q_snapshots_match_step_loop(n):
+    model = PeriodicModel([1.0, 1.05], [0.2, 0.2])
+    seq = h_sequence(model, 0.1, n)
+    ells = scan_snapshots(n)
+    # unsorted t, t = 0, repeated values, and floor(t n) on block edges
+    ts = [(ell + 0.5) / n if ell < n else 1.0 for ell in ells][::-1] + [0.0, 0.0]
+    a = [2.0, -3.5 + 0.4j, 0.0, 5.0]
+    got = q_snapshots(seq, n, a, ts)
+    ref = q_snapshots_loop(seq, n, a, ts)
+    assert got.shape == ref.shape == (len(ts), len(a), 2, 2)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=SCAN_RTOL * np.max(np.abs(ref)))
+    assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (len(a), 2, 2)))
+
+
+def test_q_snapshots_memory_bounded():
+    n = 64000
+    seq = h_sequence(ConstantModel(1.0, 0.0), 0.3, n)
+    a = np.linspace(-5.0, 5.0, 101)
+    tracemalloc.start()
+    try:
+        out = q_snapshots(seq, n, a, np.linspace(0.0, 1.0, 4001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond its output, the scan holds a few (blocks, len(a)) complex arrays
+    assert peak <= out.nbytes + 32 * math.isqrt(n) * len(a) * 16
+
+
+def first_over_limit_step(x, n):
+    """First ell with max(|p_ell|, |q_ell|) > 1e6 at x, from the step loop."""
+    P, Q = poly_table_loop(FREE, [x], n)
+    big = np.maximum(np.abs(P[:, 0]), np.abs(Q[:, 0])) > 1e6
+    return int(np.argmax(big)) if big.any() else None
+
+
+@pytest.mark.parametrize("x, n, step", [(3.0, 300, 15), (2.05, 2000, 58),
+                                        (1 + 0.5j, 500, 51), (0.3 + 0.1j, 1000, 286)])
+def test_conditioning_warning_names_first_step(x, n, step):
+    assert first_over_limit_step(x, n) == step
+    with pytest.warns(ConditioningWarning, match=f"at step {step};"):
+        transfer_matrices(FREE, [x], [n])
+
+
+def test_conditioning_warning_ignores_padding_steps():
+    # 14 steps make blocks of 3, so step 15 pads the last block; it would be
+    # the first step over the limit
+    assert first_over_limit_step(3.0, 15) == 15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transfer_matrices(FREE, [3.0], [14])
 
 
 def test_direct_mode_warns_off_bulk():
