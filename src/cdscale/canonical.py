@@ -17,10 +17,12 @@ and steps never straddle a breakpoint.
 
 The system is linear in Q, so one RK4 step is exactly the step propagator
 Q -> Q + D(z) Q with D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real
-2x2 matrices built from the step's three stage generators; the integrator
-forms them for every step once, independently of z, and then evaluates D by
-Horner over blocks of (step, z) pairs. It adds D Q to Q rather than
-multiplying by I + D, which would drop the low bits of the increment.
+2x2 matrices built from the step's three stage generators; H takes arrays of
+t, so the integrator forms them for all steps from three calls, independently
+of z, and then evaluates D by Horner over blocks of (step, z) pairs, in real
+arithmetic for real z. It adds D Q to Q rather than multiplying by I + D,
+which would drop the low bits of the increment. kernel_grid solves once when
+its a and b grids are equal.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
 class CanonicalSystem:
     """Base class: a Hamiltonian t -> H(t) on [0, 1], H(t) >= 0."""
 
-    def H(self, t: float) -> np.ndarray:
+    def H(self, t) -> np.ndarray:
+        """H at a time or an array of times, shape t.shape + (2, 2)."""
         raise NotImplementedError
 
     def integral(self, t) -> np.ndarray:
@@ -81,8 +84,8 @@ class CanonicalSystem:
         """Interior discontinuities the integrator must not step across."""
         return ()
 
-    def stage_value(self, t_lo: float, t_hi: float, tau: float) -> np.ndarray:
-        """H at a Runge-Kutta stage point of the step [t_lo, t_hi]."""
+    def stage_value(self, t_lo, t_hi, tau) -> np.ndarray:
+        """H at Runge-Kutta stage points tau of the steps [t_lo, t_hi], shape tau.shape + (2, 2)."""
         return self.H(tau)
 
     def to_dict(self) -> dict:
@@ -94,7 +97,7 @@ class ConstantHamiltonian(CanonicalSystem):
         self.h = _check_psd(_as_matrix(h), PSD_SAMPLE_TOL)
 
     def H(self, t):
-        return self.h
+        return np.broadcast_to(self.h, np.shape(t) + (2, 2))
 
     def integral(self, t):
         return np.multiply.outer(t, self.h)
@@ -129,7 +132,7 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
     def stage_value(self, t_lo, t_hi, tau):
         # the step is inside one piece; its midpoint identifies the piece
         # unambiguously even when tau sits on an edge
-        return self.matrices[self._piece(0.5 * (t_lo + t_hi))]
+        return self.matrices[self._piece(np.broadcast_to(0.5 * (t_lo + t_hi), np.shape(tau)))]
 
     def integral(self, t):
         k = self._piece(t)
@@ -156,9 +159,10 @@ class CoshSinhHamiltonian(CanonicalSystem):
         self.v = float(v)
 
     def H(self, t):
-        c = 0.5 * math.cosh(t * self.v)
-        s = 0.5 * math.sinh(t * self.v)
-        return np.array([[c, s], [s, c]])
+        with np.errstate(over="raise"):  # FloatingPointError is an ArithmeticError
+            c = 0.5 * np.cosh(t * self.v)
+            s = 0.5 * np.sinh(t * self.v)
+        return np.stack([np.stack([c, s], -1), np.stack([s, c], -1)], -2)
 
     def integral(self, t):
         if self.v == 0.0:
@@ -180,6 +184,8 @@ class CallableHamiltonian(CanonicalSystem):
         self.quad_points = quad_points
 
     def H(self, t):
+        if np.ndim(t):
+            return np.array([self.H(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (2, 2))
         return _check_psd(_as_matrix(self.fn(t)), PSD_SAMPLE_TOL, f" at t = {t}")
 
     def integral(self, t):
@@ -189,7 +195,7 @@ class CallableHamiltonian(CanonicalSystem):
             return np.zeros((2, 2))
         m = self.quad_points + (self.quad_points % 2)
         ts = np.linspace(0.0, t, m + 1)
-        vals = np.stack([self.H(s) for s in ts])
+        vals = self.H(ts)
         wts = _simpson_weights(m, t / m)
         return np.tensordot(wts, vals, axes=(0, 0))
 
@@ -286,8 +292,7 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
     One RK4 step with stage generators m0, m1, m2 = J^{-1} H at t, t + h/2,
     t + h is exactly Q -> Q + (z C1 + z^2 C2 + z^3 C3 + z^4 C4) Q.
     """
-    m0, m1, m2 = (_generator(np.stack([system.stage_value(t, t + s, t + f * s)
-                                        for t, s in zip(t_lo.tolist(), h.tolist())]))
+    m0, m1, m2 = (_generator(system.stage_value(t_lo, t_lo + h, t_lo + f * h))
                   for f in (0.0, 0.5, 1.0))
     h = h[:, None, None]
     m1m0 = m1 @ m0
@@ -310,19 +315,22 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     propagator D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The coefficients are
     formed for STEP_BLOCK_VALUES steps at a time and D by Horner for
     STEP_BLOCK_VALUES (step, z) pairs at a time, so memory does not grow with
-    the number of steps beyond 16 B per step.
+    the number of steps beyond 16 B per step. Real zs are solved in real
+    arithmetic; the complex result is the same to the bit, since the
+    imaginary parts of a complex run stay exactly 0.
     """
     if not 0 < max_step <= 1e-3 + 1e-15:
         raise ValueError("max_step must be in (0, 1e-3]")
-    zs = np.asarray(zs, dtype=complex)
+    zs = np.asarray(zs)
+    zs = zs.astype(complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
     t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
     block = max(1, STEP_BLOCK_VALUES // max(nz, 1))
-    Q = np.zeros((2, 2, nz), dtype=complex)  # Q[i, j] over z
+    Q = np.zeros((2, 2, nz), dtype=zs.dtype)  # Q[i, j] over z
     Q[0, 0] = Q[1, 1] = 1.0
     q0, q1 = Q  # row views, updated in place
-    results = {0.0: Q.transpose(2, 0, 1).copy()}
+    results = {0.0: Q.transpose(2, 0, 1).astype(complex)}
     for c0 in range(0, len(h), STEP_BLOCK_VALUES):
         coeffs = _step_coefficients(system, t_lo[c0:c0 + STEP_BLOCK_VALUES],
                                     h[c0:c0 + STEP_BLOCK_VALUES])[..., None]
@@ -338,8 +346,11 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                 q0 += dq0
                 q1 += dq1
                 if k in ends:
-                    results[ends[k]] = Q.transpose(2, 0, 1).copy()
-    return np.stack([results[t] for t in ts]) if ts else np.empty((0, nz, 2, 2), complex)
+                    results[ends[k]] = Q.transpose(2, 0, 1).astype(complex)
+    out = np.stack([results[t] for t in ts]) if ts else np.empty((0, nz, 2, 2), complex)
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(f"RK4 solution overflows for |z| up to {np.max(np.abs(zs)):g}")
+    return out
 
 
 def _u_final_batch(system, zs, max_step) -> np.ndarray:
@@ -350,7 +361,6 @@ def _u_final_batch(system, zs, max_step) -> np.ndarray:
 def _diagonal_kernel_batch(system, zs, max_step,
                            fd_step: float = CONFLUENT_FD_STEP) -> np.ndarray:
     """K(z, z) = det(u'(z), u(z)) via Richardson-extrapolated central differences."""
-    zs = np.asarray(zs, dtype=complex)
     u0 = _u_final_batch(system, zs, max_step)
     d_full = (_u_final_batch(system, zs + fd_step, max_step)
               - _u_final_batch(system, zs - fd_step, max_step)) / (2.0 * fd_step)
@@ -379,7 +389,7 @@ def kernel_integral_form(system: CanonicalSystem, a, b,
         seg = np.linspace(lo, hi, m + 1)
         ts.append(seg)
         weights.append(_simpson_weights(m, (hi - lo) / m))
-        hs.append(np.stack([system.stage_value(lo, hi, t) for t in seg]))
+        hs.append(system.stage_value(lo, hi, seg))
     ts = np.concatenate(ts)
     weights = np.concatenate(weights)
     hs = np.concatenate(hs)
@@ -401,12 +411,12 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     CoincidentArguments, since the quotient would be catastrophically
     cancelled.
     """
-    a_arr = np.atleast_1d(np.asarray(a_values, dtype=complex))
-    b_arr = np.atleast_1d(np.asarray(b_values, dtype=complex))
+    a_arr = np.atleast_1d(np.asarray(a_values))
+    b_arr = np.atleast_1d(np.asarray(b_values))
     for a in a_arr:
         _check_distinct(a, b_arr[b_arr != a])
     ua = _u_final_batch(system, a_arr, max_step)
-    ub = _u_final_batch(system, b_arr, max_step)
+    ub = ua if np.array_equal(a_arr, b_arr) else _u_final_batch(system, b_arr, max_step)
     det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]
     diff = a_arr[:, None] - b_arr[None, :]
     coincident = diff == 0

@@ -163,6 +163,15 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _pair_grid(opt: Options, suite: str) -> np.ndarray:
+    """--grid of a verify suite whose checks compare distinct grid points."""
+    vals = _parse_grid(opt.get("grid"))
+    if len(vals) < 2:
+        raise UsageError(f"verify {suite} needs at least two grid points, "
+                         f"got --grid {opt.get('grid')!r}")
+    return vals
+
+
 def _parse_t_grid(spec: str) -> np.ndarray:
     ts = _parse_grid(spec)
     if ts[0] < 0.0 or ts[-1] > 1.0:
@@ -417,6 +426,7 @@ def _suite_section5(opt: Options, checks: CheckList):
     v = opt.get("v", 1.0)
     n = opt.require("n")
     tol = opt.get("tol")
+    grid_vals = _pair_grid(opt, "section5")
     lam_p, lam_m = models.lambda_pm(v, n)
     checks.add("lambda_product", abs(lam_p * lam_m - 1.0), 1e-14)
 
@@ -439,10 +449,9 @@ def _suite_section5(opt: Options, checks: CheckList):
     est = limits.piecewise_estimate(seq, n, bins)
     sysv = canonical.CoshSinhHamiltonian(v)
     centers = (np.arange(bins) + 0.5) / bins
-    hw = max(float(np.max(np.abs(est.H(t) - sysv.H(t)))) for t in centers)
+    hw = float(np.max(np.abs(est.H(centers) - sysv.H(centers))))
     checks.add("piecewise_vs_coshsinh", hw, tol)
 
-    grid_vals = _parse_grid(opt.get("grid"))
     grid = cdkernel.scaled_grid(alt, n, 0.0, grid_vals, grid_vals)
     canon = canonical.kernel_grid(sysv, grid_vals, grid_vals,
                                   max_step=opt.get("max_step"))
@@ -504,8 +513,9 @@ def _suite_thm25(opt: Options, checks: CheckList):
         raise UsageError(f"bad --n-list {opt.get('n_list')!r}") from None
     if min(n_list) < 1:
         raise UsageError("--n-list entries must be positive")
+    grid_vals = _pair_grid(opt, "thm25")
     bpd = _bulk_data(opt, opt.get("rho"), opt.get("w"))
-    report = limits.check_equivalence(model, n_list, x0, bpd, _parse_grid(opt.get("grid")),
+    report = limits.check_equivalence(model, n_list, x0, bpd, grid_vals,
                                       _parse_t_grid(opt.get("t_grid")))
     checks.add("kernel_stat_final", report.kernel_stat[-1], tol)
     checks.add("kernel_stat_decreasing", 0.0, 1.0, ok=report.kernel_decreasing)

@@ -171,14 +171,21 @@ def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
     """Q at each (t, a) from the definition T_[tn](x0)^{-1} T_[tn](x0 + a/n).
 
     Stable whenever the polynomials at x0 stay bounded (bulk points); off the
-    bulk transfer_matrices warns. Each snapshot checks det T_[tn](x0) = 1 to
-    within 1e-9 relative to ||T(x0)|| min_a ||T(x0 + a/n)||. Returns shape
+    bulk transfer_matrices warns, and products too large for the check below
+    raise ArithmeticError. Each snapshot checks det T_[tn](x0) = 1 to within
+    1e-9 relative to ||T(x0)|| min_a ||T(x0 + a/n)||. Returns shape
     (len(t_grid), len(a_values), 2, 2), like q_snapshots.
     """
     ells = _snapshot_indices(n, t_grid)
     a_arr = np.atleast_1d(np.asarray(a_values))
     T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
     norms = operator_norm_array(T)
+    with np.errstate(over="ignore"):  # ||T(x0)|| ||T(x)|| bounds det T(x0) and the entries of Q
+        finite = np.isfinite(norms[:, :1] * norms).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))  # the first snapshot that overflows
+        raise ArithmeticError(f"transfer products at step {ells[k]} overflow "
+                              f"(x0 = {x0}, n = {n}, ||T(x0)|| = {norms[k, 0]:.6g})")
     out = np.empty((len(ells), a_arr.shape[0], 2, 2), dtype=complex)
     for k in range(len(ells)):
         tol = max(1e-9 * norms[k, 0] * np.min(norms[k, 1:]), 1e-9)

@@ -4,10 +4,16 @@
 ``poly_table`` and ``q_snapshots`` ran before both became a blocked scan;
 ``transfer_from_polys`` is the column form of the transfer matrix. The scalar
 ``transfer.transfer_product`` is the third reference, for transfer_matrices.
+``step_coefficients_loop`` forms the RK4 propagator coefficients from one
+scalar ``stage_value`` call per stage and step, as before H took arrays of t,
+and ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``.
 """
+
+import math
 
 import numpy as np
 
+from cdscale.canonical import CallableHamiltonian, _generator
 from cdscale.jacobi import poly_table
 from cdscale.mat2 import IDENTITY, Mat2
 
@@ -75,3 +81,28 @@ def transfer_from_polys(model, ell, x, n=None) -> Mat2:
         return IDENTITY
     a_ell, _ = model.coeff(ell, n)
     return Mat2(P[ell, 0], -Q[ell, 0], a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0])
+
+
+def step_coefficients_loop(system, t_lo, h):
+    """C1..C4 of the steps [t_lo, t_lo + h], stage values stacked from scalar calls."""
+    m0, m1, m2 = (_generator(np.stack([system.stage_value(t, t + s, t + f * s)
+                                        for t, s in zip(t_lo.tolist(), h.tolist())]))
+                  for f in (0.0, 0.5, 1.0))
+    h = h[:, None, None]
+    m1m0 = m1 @ m0
+    m1m1 = m1 @ m1
+    return np.stack([
+        h / 6.0 * (m0 + 4.0 * m1 + m2),
+        h ** 2 / 6.0 * (m1m0 + m1m1 + m2 @ m1),
+        h ** 3 / 12.0 * (m1 @ m1m0 + m2 @ m1m1),
+        h ** 4 / 24.0 * (m2 @ (m1 @ m1m0)),
+    ])
+
+
+def coshsinh_math(v):
+    """CoshSinhHamiltonian(v) from scalar math.cosh and math.sinh calls."""
+    def h(t):
+        c = 0.5 * math.cosh(t * v)
+        s = 0.5 * math.sinh(t * v)
+        return np.array([[c, s], [s, c]])
+    return CallableHamiltonian(h, f"cosh-sinh {v} by math")

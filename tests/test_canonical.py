@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdscale import canonical
 from cdscale.canonical import (STEP_BLOCK_VALUES, CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
@@ -12,10 +15,13 @@ from cdscale.canonical import (STEP_BLOCK_VALUES, CallableHamiltonian,
                                hb_kernel, hermite_biehler, kernel_grid,
                                kernel_integral_form, polys_from_rs,
                                rs_from_model, solve_ode_batch,
-                               system_from_dict)
+                               system_from_dict, _integration_path,
+                               _step_coefficients, _step_grid)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.jacobi import ConstantModel, TableModel, poly_table
 from cdscale.mat2 import Mat2, operator_norm
+
+from references import coshsinh_math, step_coefficients_loop
 
 FREE = ConstantModel(1.0, 0.0)
 HALF_ID = np.eye(2) / 2
@@ -38,6 +44,19 @@ def built_in_systems():
             [np.array([[0.6, 0.1], [0.1, 0.4]]), HALF_ID,
              np.array([[0.2, 0.0], [0.0, 0.9]])]),
     ]
+
+
+def quadratic_ramp():
+    return CallableHamiltonian(
+        lambda t: np.array([[1.0 + t * t, 0.3 * t], [0.3 * t, 0.5 + math.sin(t) ** 2]]),
+        "smooth quadratic")
+
+
+ALL_SYSTEMS = built_in_systems() + [CoshSinhHamiltonian(0.0), quadratic_ramp()]
+
+
+def system_id(system):
+    return type(system).__name__
 
 
 def test_solve_constant_rotation():
@@ -221,6 +240,26 @@ def test_integral_of_a_time_array():
         np.testing.assert_allclose(m, [[c, s], [s, c]], rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
+def test_array_hamiltonian_matches_scalar_calls(system):
+    ts = np.array([[0.0, 0.2, 0.3], [0.75, 0.9, 1.0]])
+    got = system.H(ts)
+    assert got.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(ts.shape):
+        assert np.array_equal(got[idx], system.H(float(ts[idx])))
+    # steps that start or end on the piecewise edges 0.3 and 0.75
+    t_lo = np.array([0.0, 0.25, 0.3, 0.7, 0.75, 0.95])
+    t_hi = t_lo + 0.05
+    for tau in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
+        ref = np.stack([system.stage_value(lo, hi, t)
+                        for lo, hi, t in zip(t_lo.tolist(), t_hi.tolist(), tau.tolist())])
+        assert np.array_equal(system.stage_value(t_lo, t_hi, tau), ref)
+    # one step's bounds with many stage points, as the Simpson nodes of the integral form
+    seg = np.linspace(0.3, 0.75, 7)
+    ref = np.stack([system.stage_value(0.3, 0.75, t) for t in seg.tolist()])
+    assert np.array_equal(system.stage_value(0.3, 0.75, seg), ref)
+
+
 def test_solver_rejects_bad_grids():
     sysc = ConstantHamiltonian(HALF_ID)
     with pytest.raises(ValueError):
@@ -229,6 +268,26 @@ def test_solver_rejects_bad_grids():
         solve_ode_batch(sysc, [1.0], [1.2])
     with pytest.raises(ValueError):
         solve_ode_batch(sysc, [1.0], [1.0], max_step=5e-3)
+
+
+def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):
+    system = CoshSinhHamiltonian(1.3)
+    g = np.linspace(-6.0, 6.0, 13)
+    solved = []
+    u_final_batch = canonical._u_final_batch
+
+    def counted(system, zs, max_step):
+        solved.append(len(zs))
+        return u_final_batch(system, zs, max_step)
+
+    monkeypatch.setattr(canonical, "_u_final_batch", counted)
+    shared = kernel_grid(system, g, g)
+    assert solved == [13] * 6  # u at g, then u and four finite-difference solves for the diagonal
+    # rows against a copy of g, each side from its own solve
+    split = np.vstack([kernel_grid(system, g[:5], g.copy()), kernel_grid(system, g[5:], g.copy())])
+    assert solved[6:] == [5, 13, 5, 5, 5, 5, 5, 8, 13, 8, 8, 8, 8, 8]
+    assert np.array_equal(shared, split)
+    assert np.array_equal(shared, kernel_grid(system, g + 0j, g + 0j))  # real run = complex run
 
 
 def test_rs_sequence_free_values():
@@ -270,6 +329,37 @@ def test_polys_from_rs_reconstruction():
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
+# coefficients close enough to 1 that the polynomials at 0 stay moderate for
+# 40 steps, so the absolute Wronskian check of RSSequence holds
+TABLES = st.lists(st.tuples(st.floats(0.8, 1.25), st.floats(-0.3, 0.3)), min_size=1, max_size=40)
+
+
+def rs_of_table(coeffs):
+    a, b = map(np.array, zip(*coeffs))
+    rs = rs_from_model(TableModel(a, b), len(a))
+    # rounding grows with the sequence length and with the largest product r s
+    bound = 4 * len(a) * np.finfo(float).eps * np.max(np.abs(rs.r) + np.abs(rs.s)) ** 2
+    return a, b, rs, bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coeffs=TABLES)
+def test_rs_from_model_wronskian(coeffs):
+    a, _, rs, bound = rs_of_table(coeffs)
+    lhs = rs.s[1:] * rs.r[:-1] - rs.r[1:] * rs.s[:-1]
+    assert np.max(np.abs(lhs - 1.0 / a)) <= bound
+    assert rs.wronskian_residual() <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coeffs=TABLES)
+def test_discrete_to_jacobi_inverts_rs_from_model(coeffs):
+    a, b, rs, bound = rs_of_table(coeffs)
+    rec = discrete_to_jacobi(rs)
+    assert np.array_equal(rec.a_list, a)
+    assert np.max(np.abs(rec.b_list - b)) <= bound
+
+
 def test_rs_sequence_rejects_broken_wronskian():
     with pytest.raises(WronskianViolation):
         RSSequence(r=np.array([1.0, 0.5]), s=np.array([0.0, 0.5]),
@@ -285,6 +375,37 @@ def test_batch_solver_matches_scalar():
         single = solve_ode_batch(system, [z], ts)[:, 0]
         for i, q in enumerate(single):
             np.testing.assert_allclose(batch[i, k], q, atol=1e-13)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
+def test_step_coefficients_match_step_loop(system):
+    t_lo, h, _ = _step_grid(_integration_path(system, [0.2, 0.5, 1.0]), 1e-3)
+    got = _step_coefficients(system, t_lo, h)
+    assert np.array_equal(got, step_coefficients_loop(system, t_lo, h))
+    if isinstance(system, CoshSinhHamiltonian):
+        # np.cosh and np.sinh may differ from math.cosh and math.sinh in the
+        # last bit. C_k sums products of k stage generators times h^k and can
+        # cancel, so the error is measured against (h max|H|)^k, the size of
+        # those products; H grows with t, so its largest value is at t_lo + h
+        ref = step_coefficients_loop(coshsinh_math(system.v), t_lo, h)
+        size = h * np.max(np.abs(system.H(t_lo + h)), axis=(-2, -1))
+        err = np.max(np.abs(got - ref), axis=(-2, -1))
+        assert np.all(err <= 1e-15 * size ** np.arange(1, 5)[:, None])
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
+def test_real_z_solve_is_bit_identical_to_complex(system):
+    zs = np.linspace(-20.0, 20.0, 41)
+    got = solve_ode_batch(system, zs, [0.3, 1.0])
+    assert got.dtype == complex
+    assert np.array_equal(got, solve_ode_batch(system, zs.astype(complex), [0.3, 1.0]))
+
+
+def test_solver_overflow_raises():
+    with pytest.raises(ArithmeticError, match="overflow encountered in cosh"):  # past t = 0.89
+        solve_ode_batch(CoshSinhHamiltonian(800.0), [1.0], [1.0])
+    with pytest.raises(ArithmeticError, match="RK4 solution overflows"):
+        solve_ode_batch(CoshSinhHamiltonian(1.0), [1e200], [0.5, 1.0])
 
 
 def staged_rk4(system, zs, t_grid, max_step=1e-3):
@@ -318,9 +439,7 @@ def assert_matches_staged(system, zs, t_grid, max_step=1e-3):
     np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
-@pytest.mark.parametrize("system", built_in_systems() + [CallableHamiltonian(
-    lambda t: np.array([[1.0 + t * t, 0.3 * t], [0.3 * t, 0.5 + math.sin(t) ** 2]]),
-    "smooth quadratic")], ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("system", built_in_systems() + [quadratic_ramp()], ids=system_id)
 def test_solver_matches_staged_rk4(system):
     zs = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j]
     assert_matches_staged(system, zs, [0.2, 0.5, 1.0])

@@ -232,6 +232,9 @@ def test_table_model_via_cli(tmp_path):
     ["canonical-solve", "--system", "{system}", "--z", "1"],
     ["diagnostics", "--model", "free", "--n", "100", "--candidate", "{system}"],
     ["canonical-solve", "--system", "{array}", "--z", "1"],
+    # suites that compare distinct grid points
+    ["verify", "section5", "--v", "1", "--n", "100", "--grid", "0:0:1"],
+    ["verify", "thm25", "--n-list", "500,1000", "--grid", "0:0:1"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
@@ -259,12 +262,26 @@ def test_thm25_off_center_passes(tmp_path):
 @pytest.mark.parametrize("argv, output", [
     (["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5"], "kernel.csv"),
     (["diagnostics", "--model", "free", "--x0", "3", "--n", "4000"], "diagnostics.json"),
+    # the RK4 solution overflows, or H(t) = cosh/sinh(800 t)/2 does past t = 0.89
+    (["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1e200",
+      "--t-grid", "0:1:3"], "solution.csv"),
+    (["canonical-solve", "--system", "coshsinh", "--v", "800", "--z", "1",
+      "--t-grid", "0:1:3"], "solution.csv"),
 ])
 def test_non_finite_results_exit_1(tmp_path, capsys, argv, output):
     # off the bulk the polynomials overflow; no output may carry NaN
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert "numerical check failed" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+
+
+def test_transfer_overflow_is_named(tmp_path, capsys):
+    # the direct product overflows before its determinant check can mean anything
+    assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
+                 "--x0", "2.05", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical check failed: transfer products at step 1600 overflow" in err
+    assert "determinant" not in err
 
 
 @pytest.mark.parametrize("v", ["1", "3"])

@@ -282,6 +282,13 @@ def test_direct_mode_warns_off_bulk():
         q_trajectory_direct(FREE, 300, 0.0, [1.0], [1.0])  # bulk: no warning
 
 
+def test_direct_mode_names_overflow():
+    # ||T_200(3)|| ~ 1e83 still gives a finite determinant check; ||T_1000(3)|| overflows
+    with pytest.warns(ConditioningWarning), pytest.raises(
+            ArithmeticError, match=r"transfer products at step 1000 overflow \(x0 = 3.0, n = 2000"):
+        q_trajectory_direct(FREE, 2000, 3.0, [1.0], [0.1, 0.5])
+
+
 def test_t_grid_validation():
     with pytest.raises(ValueError):
         q_trajectory_direct(FREE, 10, 0.0, [1.0], [0.5, 0.2])
