@@ -167,8 +167,9 @@ class CoshSinhHamiltonian(CanonicalSystem):
     def integral(self, t):
         if self.v == 0.0:
             return np.multiply.outer(0.5 * np.asarray(t), np.eye(2))
-        c = 0.5 * np.sinh(t * self.v) / self.v
-        s = 0.5 * (np.cosh(t * self.v) - 1.0) / self.v
+        with np.errstate(over="raise"):
+            c = 0.5 * np.sinh(t * self.v) / self.v
+            s = 0.5 * (np.cosh(t * self.v) - 1.0) / self.v
         return np.stack([np.stack([c, s], -1), np.stack([s, c], -1)], -2)
 
     def to_dict(self):

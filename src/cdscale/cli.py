@@ -367,19 +367,25 @@ def _suite_transfer(opt: Options, checks: CheckList):
     P, Q = jacobi.poly_table(model, np.array([complex(x)]), n, n)
     a_arr, _ = model.coeff_arrays(n, n)
     T = transfer.transfer_matrices(model, [x], range(1, n + 1), n)[:, 0]
-    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    seq = transfer.h_sequence(model, x0, n, n)
+    tgrid = np.linspace(0.0, 1.0, 11)
+    offsets = (2.0 + 0.0j, -3.0 + 1.0j)
+    recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
+    direct = transfer.q_trajectory_direct(model, n, x0, offsets, tgrid)
+    # every product is formed before the first check, so an overflow is named, not failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    finite = np.isfinite(det)
+    if not finite.all():
+        raise ArithmeticError(f"transfer products at step {int(np.argmin(finite)) + 1} overflow "
+                              f"(x = {x}, n = {n})")
+
     checks.add("det_transfer", float(np.max(np.abs(det - 1.0))), 1e-8)
     ref = np.empty_like(T)
     ref[:, 0, 0], ref[:, 0, 1] = P[1:, 0], -Q[1:, 0]
     ref[:, 1, 0], ref[:, 1, 1] = a_arr * P[:-1, 0], -a_arr * Q[:-1, 0]
     scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
     checks.add("column_form", float(np.max(np.max(np.abs(T - ref), axis=(1, 2)) / scale)), 1e-9)
-
-    seq = transfer.h_sequence(model, x0, n, n)
-    tgrid = np.linspace(0.0, 1.0, 11)
-    offsets = (2.0 + 0.0j, -3.0 + 1.0j)
-    recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
-    direct = transfer.q_trajectory_direct(model, n, x0, offsets, tgrid)
     worst = float(np.max(operator_norm_array(direct - recursive)))
     checks.add("q_direct_vs_recursive", worst, 1e-8)
 

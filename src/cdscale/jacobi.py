@@ -16,6 +16,12 @@ Zeros of p_n are the eigenvalues of the n x n truncation. Sturm sequences
 count the eigenvalues below a shift exactly, which selects the ones in a
 window around a point; LAPACK ?stebz bisects those, also by Sturm counts,
 without computing the rest of the spectrum.
+
+scipy is imported only inside the two functions that call LAPACK,
+tridiagonal_eigs_in and gauss_quadrature. Loading scipy.linalg takes longer
+than most CLI commands compute, and only ``zeros`` and ``verify
+kernel-identities`` reach those functions; every other command runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndexOutOfRange, InvalidCoefficient
 from .scan import blocked_scan
@@ -312,6 +317,7 @@ def tridiagonal_eigs_in(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     k_hi = int(sturm_count(diag, off, np.nextafter(hi, np.inf))[0])
     if k_hi <= k_lo:
         return np.empty(0)
+    import scipy.linalg  # see the module docstring
     return scipy.linalg.eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(k_lo, k_hi - 1),
         lapack_driver="stebz", tol=tol)
@@ -350,5 +356,6 @@ def gauss_quadrature(model: CoefficientModel, m: int,
     diag, off = truncated_tridiagonal(model, m, n_ctx)
     if m == 1:
         return diag.copy(), np.ones(1)
+    import scipy.linalg  # see the module docstring
     w, v = scipy.linalg.eigh_tridiagonal(diag, off)
     return w, v[0, :] ** 2

@@ -168,9 +168,12 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
     cand_dict = None
     if candidate is not None:
         partials = _h_partials(h_seq, n)
-        cand = candidate.integral(np.arange(n + 1) / n)
-        matrix_conv = float(np.max(operator_norm_array(partials / n - cand)))
         cand_dict = candidate.to_dict()
+        try:
+            cand = candidate.integral(np.arange(n + 1) / n)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"candidate {cand_dict} overflows on [0, 1]: {exc}") from None
+        matrix_conv = float(np.max(operator_norm_array(partials / n - cand)))
     return DiagnosticsReport(
         n=n, x0=h_seq.x0, avg_norm=avg_norm, max_over_n=sup_norm / n,
         sup_norm=sup_norm, decay_profile=profile, matrix_conv=matrix_conv,

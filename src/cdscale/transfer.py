@@ -201,11 +201,13 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
     Iterates Q_{ell+1} = Q_ell + (a/n) J^{-1} H_ell Q_ell from the identity for
     all offsets at once, by a blocked scan that keeps block propagators as
     increments over the identity; J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
-    Needs H_0..H_{max[tn]-1}. Returns shape (len(t_values), len(a_values), 2, 2).
+    Needs H_0..H_{max[tn]-1}. Real offsets run in real arithmetic. Returns
+    complex values of shape (len(t_values), len(a_values), 2, 2).
     """
     _snapshot_indices(n, sorted(t_values))  # checks that every t is in [0, 1]
     ells = np.floor(np.asarray(t_values, dtype=float) * n).astype(np.int64)
-    z = np.asarray(a_values, dtype=complex) / n
+    a = np.asarray(a_values)
+    z = a.astype(complex if np.iscomplexobj(a) else float) / n
     max_ell = int(ells.max(initial=0))
     if max_ell > len(h_seq):
         raise ValueError(f"h sequence of length {len(h_seq)} does not cover index {max_ell - 1}")
@@ -216,5 +218,5 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
         r1, r2 = z * (q * x[2] - p * x[0]), z * (q * x[3] - p * x[1])
         return [q * r1, q * r2, p * r1, p * r2]
 
-    start = np.eye(2, dtype=complex).reshape(4, 1).repeat(z.shape[0], axis=1)
-    return blocked_scan(max_ell, start, increment, ells, increment=True)
+    start = np.eye(2, dtype=z.dtype).reshape(4, 1).repeat(z.shape[0], axis=1)
+    return blocked_scan(max_ell, start, increment, ells, increment=True).astype(complex, copy=False)

@@ -18,7 +18,8 @@ from cdscale.canonical import (STEP_BLOCK_VALUES, CallableHamiltonian,
                                system_from_dict, _integration_path,
                                _step_coefficients, _step_grid)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
-from cdscale.jacobi import ConstantModel, TableModel, poly_table
+from cdscale.cdkernel import kernel_sum
+from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import Mat2, operator_norm
 
 from references import coshsinh_math, step_coefficients_loop
@@ -358,6 +359,34 @@ def test_discrete_to_jacobi_inverts_rs_from_model(coeffs):
     rec = discrete_to_jacobi(rs)
     assert np.array_equal(rec.a_list, a)
     assert np.max(np.abs(rec.b_list - b)) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coeffs=TABLES, data=st.data())
+def test_kernel_reproduces_itself_under_gauss_rule(coeffs, data):
+    # int K_n(x, t) K_n(t, y) dmu(t) = K_n(x, y); the m-point Gauss rule of the
+    # table (m >= n) integrates this degree-(2n - 2) integrand exactly
+    a, b = map(np.array, zip(*coeffs))
+    model, m = TableModel(a, b), len(a)
+    n = data.draw(st.integers(1, m))
+    x, y = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    nodes, weights = gauss_quadrature(model, m)
+    got = np.dot(weights, kernel_sum(model, n, x, nodes) * kernel_sum(model, n, nodes, y))
+    want = kernel_sum(model, n, x, y)
+    # first-order rounding, each term taken with absolute values: n-step
+    # recurrences and n-term kernel sums, an m-term rule, weights squared from
+    # eigenvectors orthonormal to m eps, and nodes with backward error
+    # m eps ||J|| (Gershgorin) times the t-derivative of the integrand
+    h = 1e-30  # complex step: p_j(t + ih) = p_j(t) + ih p_j'(t) to rounding
+    P = poly_table(model, np.concatenate([[x, y], nodes, nodes + 1j * h]), n - 1)[0]
+    px, py = np.abs(P[:, 0].real), np.abs(P[:, 1].real)
+    pt, dpt = np.abs(P[:, 2:m + 2].real), np.abs(P[:, m + 2:].imag / h)
+    kx, ky, dkx, dky = px @ pt, py @ pt, px @ dpt, py @ dpt
+    eps = np.finfo(float).eps
+    norm_j = np.max(np.abs(b)) + 2.0 * np.max(a)
+    bound = eps * ((2 * n + 3 * m) * np.dot(weights, kx * ky)
+                   + m * norm_j * np.dot(weights, dkx * ky + kx * dky))
+    assert abs(got - want) <= bound
 
 
 def test_rs_sequence_rejects_broken_wronskian():

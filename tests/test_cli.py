@@ -1,15 +1,21 @@
 import csv
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from cdscale import transfer
 from cdscale.cli import _join_value_flags, build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -279,9 +285,71 @@ def test_transfer_overflow_is_named(tmp_path, capsys):
     # the direct product overflows before its determinant check can mean anything
     assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
                  "--x0", "2.05", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "numerical check failed: transfer products at step 1600 overflow" in err
     assert "determinant" not in err
+    assert "measured=nan" not in out and "[FAIL]" not in out
+
+
+def test_transfer_determinant_overflow_is_named(tmp_path, capsys, monkeypatch):
+    # with the direct trajectory's own overflow check out of the way, the suite
+    # still names the first step whose determinant overflows, before any check
+    monkeypatch.setattr(transfer, "q_trajectory_direct",
+                        lambda model, n, x0, offsets, tgrid: np.zeros((len(tgrid), len(offsets), 2, 2)))
+    assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
+                 "--x0", "2.05", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "numerical check failed: transfer products at step 1582 overflow" in err
+    assert "[FAIL]" not in out and "[PASS]" not in out
+
+
+def test_diagnostics_candidate_overflow_names_candidate(tmp_path, capsys):
+    # the candidate's integral overflows at x0 = 0, inside the bulk of the model
+    assert main(["diagnostics", "--model", "free", "--n", "1000", "--candidate", "coshsinh",
+                 "--v", "800", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical check failed: candidate" in err
+    assert "cosh-sinh" in err and "800" in err
+    assert "off the bulk" not in err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+def run_fresh(tmp_path, commands):
+    """Run CLI commands in one fresh interpreter; the scipy modules it ended with."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from cdscale.cli import build_parser, main\n"
+            "build_parser()\n"
+            "codes = [main(argv + ['--out', sys.argv[2]]) for argv in json.loads(sys.argv[3])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    env = {k: v for k, v in os.environ.items() if k != "CDSCALE_OUT"}
+    done = subprocess.run([sys.executable, "-c", code, str(SRC), str(tmp_path), json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    return modules
+
+
+def test_commands_without_lapack_never_import_scipy(tmp_path):
+    # scipy.linalg takes longer to import than these commands take to run
+    modules = run_fresh(tmp_path, [
+        ["kernel", "--model", "free", "--n", "50", "--grid", "-2:2:5", "--reference", "sine",
+         "--rho", repr(1 / (2 * math.pi)), "--w", repr(1 / math.pi)],
+        ["kernel", "--model", "alternating-v", "--v", "1", "--n", "100", "--grid", "-2:2:5",
+         "--reference", "canonical"],
+        ["diagnostics", "--model", "alternating-v", "--v", "1", "--n", "100",
+         "--candidate", "coshsinh"],
+        ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--t-grid", "0:1:3"],
+        ["verify", "transfer-identities", "--model", "free", "--n", "100"],
+        ["verify", "section5", "--v", "1", "--n", "400", "--grid", "-2:2:5"],
+        ["verify", "appendix-roundtrip", "--seed", "7", "--n", "20"],
+        ["verify", "thm25", "--n-list", "100,200", "--grid", "-2:2:5"],
+    ])
+    assert modules == []
+
+
+def test_zeros_imports_scipy_linalg(tmp_path):
+    modules = run_fresh(tmp_path, [["zeros", "--model", "free", "--n", "200", "--window", "5"]])
+    assert "scipy.linalg" in modules
 
 
 @pytest.mark.parametrize("v", ["1", "3"])

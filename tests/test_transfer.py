@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cdscale.errors import ConditioningWarning
 from cdscale.jacobi import ConstantModel, PeriodicModel, TableModel
-from cdscale.mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
+from cdscale.mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
+                          operator_norm_array)
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
                               q_trajectory_direct, transfer_matrices,
                               transfer_product)
@@ -234,6 +235,24 @@ def test_q_snapshots_match_step_loop(n):
     assert got.shape == ref.shape == (len(ts), len(a), 2, 2)
     np.testing.assert_allclose(got, ref, rtol=0, atol=SCAN_RTOL * np.max(np.abs(ref)))
     assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (len(a), 2, 2)))
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS[1:])
+def test_q_snapshots_real_offsets_match_complex(n):
+    # real offsets run in real arithmetic, and z = a / n may differ from the
+    # complex quotient by eps |z|. By Duhamel, dQ_L/dz is the sum over ell < L
+    # of Q_L Q_ell^-1 J^-1 H_ell Q_ell, and ||Q^-1|| = ||Q|| for unimodular Q,
+    # so Q moves by at most eps |a| (L / n) max ||H|| max ||Q||^3 to first order,
+    # with max ||Q|| taken over the snapshots
+    seq = h_sequence(PeriodicModel([1.0, 1.05], [0.2, 0.2]), 0.1, n)
+    ts = np.linspace(0.0, 1.0, 7)
+    a = [2.0, -3.5, 0.0, 5.0, 1.0 / 3.0]
+    got = q_snapshots(seq, n, a, ts)
+    ref = q_snapshots(seq, n, np.asarray(a, dtype=complex), ts)
+    assert got.dtype == ref.dtype == complex
+    bound = (np.finfo(float).eps * max(map(abs, a)) * np.max(seq.norms())
+             * np.max(operator_norm_array(ref)) ** 3)
+    assert np.max(operator_norm_array(got - ref)) <= bound
 
 
 def test_q_snapshots_memory_bounded():
