@@ -10,6 +10,9 @@ implemented against it:
 
 Scaled grids hold K_n(x0 + a/n, x0 + b/n) / n, the object whose n -> infinity
 behavior is compared against the sine kernel sin(pi rho (b-a)) / (pi w (b-a)).
+scaled_grid forms no polynomial table: it sums p_j(a) p_j(b)^T over the rows
+that poly_table hands to its consumer while the recurrence runs, so its memory
+is O(sqrt(n) points + points^2) instead of O(n points).
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .jacobi import CoefficientModel, poly_table
 from .transfer import q_trajectory_direct
 
 COINCIDENT_REL_TOL = 1e-13
+# Rows of p_ell(x) buffered per matrix product in scaled_grid: one product per
+# scan step would make a 401-point grid twice as slow.
+GRAM_ROWS = 512
 
 
 def _check_distinct(x, y):
@@ -103,15 +109,20 @@ class KernelGrid:
 
     def to_csv(self, path) -> None:
         """Rows (a, b, re, im), a-major, shortest round-trip decimals."""
-        b_labels = [_num(b) for b in np.atleast_1d(self.b_values)]
+        b_cells = [f"{_num(b)}," for b in np.atleast_1d(self.b_values)]
+        values = np.asarray(self.values)
         with open(path, "w", newline="") as fh:
             fh.write("a,b,re,im\n")
             # one row of Python floats at a time: the whole grid as floats
             # would cost 32 B per number
-            for a, row in zip(np.atleast_1d(self.a_values), np.asarray(self.values)):
-                a_label = _num(a)
-                fh.writelines(f"{a_label},{b},{re!r},{im!r}\n" for b, re, im in
-                              zip(b_labels, row.real.tolist(), row.imag.tolist()))
+            for a, row in zip(np.atleast_1d(self.a_values), values):
+                a_cell = f"{_num(a)},"
+                if np.iscomplexobj(values):
+                    fh.write("".join([f"{a_cell}{b}{re!r},{im!r}\n" for b, re, im in
+                                      zip(b_cells, row.real.tolist(), row.imag.tolist())]))
+                else:  # the imaginary part of a real value is +0.0
+                    fh.write("".join([f"{a_cell}{b}{re!r},0.0\n"
+                                      for b, re in zip(b_cells, row.tolist())]))
 
     def manifest_dict(self, model_spec: dict, reference: str | None = None,
                       sup_error: float | None = None) -> dict:
@@ -143,17 +154,40 @@ def _num_json(v):
 def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) -> KernelGrid:
     """Fill a KernelGrid through the diagonal-safe sum form.
 
-    The first well-separated off-diagonal cell is re-derived through the
-    determinant form and must agree to 1e-6 relative; this wires the
-    polynomial and transfer-matrix pipelines together on every grid.
+    One recurrence runs over the a points, or over the a and b points side by
+    side when the grids differ (every scan operation is per point, so the
+    values are those of separate runs). Its rows are summed as they come, in
+    buffers of GRAM_ROWS rows with one matrix product each; no polynomial
+    table is formed. The first well-separated off-diagonal cell is re-derived
+    through the determinant form and must agree to 1e-6 relative; this wires
+    the polynomial and transfer-matrix pipelines together on every grid.
     """
     a_arr = np.atleast_1d(np.asarray(a_values))
     b_arr = np.atleast_1d(np.asarray(b_values))
     if a_arr.size == 0 or b_arr.size == 0:
         raise ValueError("grids must be nonempty")
-    Pa, _ = poly_table(model, x0 + a_arr / n, n - 1, n)
-    Pb = Pa if np.array_equal(a_arr, b_arr) else poly_table(model, x0 + b_arr / n, n - 1, n)[0]
-    values = (Pa.T @ Pb) / n
+    same = np.array_equal(a_arr, b_arr)
+    xs = x0 + (a_arr if same else np.concatenate([a_arr, b_arr])) / n
+    buf = np.empty((GRAM_ROWS, xs.size), dtype=complex if np.iscomplexobj(xs) else float)
+    na, fill = a_arr.size, 0
+    gram = np.zeros((na, b_arr.size), dtype=buf.dtype)
+
+    def add(rows):
+        gram[...] += rows.T @ rows if same else rows[:, :na].T @ rows[:, na:]
+
+    def consume(rows):
+        nonlocal fill
+        while rows.shape[0]:
+            k = min(GRAM_ROWS - fill, rows.shape[0])
+            buf[fill:fill + k] = rows[:k]
+            fill, rows = fill + k, rows[k:]
+            if fill == GRAM_ROWS:
+                add(buf)
+                fill = 0
+
+    poly_table(model, xs, n - 1, n, consume=consume)
+    add(buf[:fill])
+    values = gram / n
     if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"kernel grid at x0 = {x0}, n = {n} overflows off the bulk")
     grid = KernelGrid(x0=float(x0), n=n, a_values=a_arr, b_values=b_arr, values=values)

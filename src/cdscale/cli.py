@@ -562,9 +562,9 @@ def cmd_canonical_solve(opt: Options) -> int:
     out = _out_dir(opt)
     with open(os.path.join(out, "solution.csv"), "w", newline="") as fh:
         fh.write("t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
-        for t, q in zip(t_grid, qs):
-            cells = [t] + [part for c in q.ravel() for part in (c.real, c.imag)]
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+        # each row is t, then the real and imaginary parts of q11, q12, q21, q22
+        rows = np.column_stack([t_grid, qs.astype(complex).reshape(-1, 4).view(float)])
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     _write_manifest(out, {"command": "canonical-solve", "system": system.to_dict(),
                           "z": [z.real, z.imag], "t_grid": opt.get("t_grid"),
                           "max_step": opt.get("max_step"),

@@ -224,23 +224,43 @@ class CustomModel(CoefficientModel):
         return {"kind": "custom", "description": self.description}
 
 
-def poly_table(model: CoefficientModel, xs, up_to: int,
-               n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
+               consume=None) -> tuple[np.ndarray, np.ndarray] | None:
     """The recurrence at many points: P[ell, i] = p_ell(xs[i]), Q likewise.
 
     Shapes are (up_to + 1, len(xs)). The dtype follows xs: real points give
     exactly real values. Complex points are supported; the polynomials are
     entire, so no restriction on the argument applies.
+
+    With ``consume``, no table is allocated and None is returned: instead
+    ``consume(rows)`` receives every row p_ell, ell = 0..up_to, exactly once,
+    as blocks of shape (k, len(xs)) in scan order (p_0 first, then the rows
+    of each rerun step, one per block); the order of ell within and across
+    blocks is not increasing. ``rows`` is scan state, valid only during the
+    call; keep a copy, not the array.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
     xs = np.atleast_1d(np.asarray(xs))
     xs = xs.astype(complex if np.iscomplexobj(xs) else float)
-    P = np.empty((up_to + 1, xs.shape[0]), dtype=xs.dtype)
-    Q = np.empty_like(P)
-    P[0], Q[0] = 1.0, 0.0
+    if consume is None:
+        P = np.empty((up_to + 1, xs.shape[0]), dtype=xs.dtype)
+        Q = np.empty_like(P)
+        result = P, Q
+
+        def visit(x, i):  # every rerun step fills its rows of the tables; padding never reaches here
+            P[i + 1] = x[0]
+            Q[i + 1] = x[1]
+    else:
+        result = None
+
+        def visit(x, i):
+            consume(x[0])
+
+    start = np.array([[1.0], [0.0], [0.0], [-1.0]], dtype=xs.dtype).repeat(xs.shape[0], axis=1)
+    visit(start[:, None], np.array([-1]))  # p_0 and q_0: the scan visits steps 1..up_to only
     if up_to == 0:
-        return P, Q
+        return result
     a, b = model.coeff_arrays(up_to, n)
     if np.any(a <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         bad = int(np.argmax((a <= 0) | ~np.isfinite(a) | ~np.isfinite(b))) + 1
@@ -257,13 +277,8 @@ def poly_table(model: CoefficientModel, xs, up_to: int,
             prev /= al
         return [x[2], x[3], x[0], x[1]]
 
-    def visit(x, i):  # every rerun step fills its rows of the tables; padding never reaches here
-        P[i + 1] = x[0]
-        Q[i + 1] = x[1]
-
-    start = np.array([[1.0], [0.0], [0.0], [-1.0]], dtype=xs.dtype).repeat(xs.shape[0], axis=1)
     blocked_scan(up_to, start, step, visit=visit)
-    return P, Q
+    return result
 
 
 def truncated_tridiagonal(model: CoefficientModel, n: int,

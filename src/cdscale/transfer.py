@@ -219,4 +219,7 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
         return [q * r1, q * r2, p * r1, p * r2]
 
     start = np.eye(2, dtype=z.dtype).reshape(4, 1).repeat(z.shape[0], axis=1)
-    return blocked_scan(max_ell, start, increment, ells, increment=True).astype(complex, copy=False)
+    # off the bulk H_ell overflows; the non-finite snapshots reach the caller, which names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = blocked_scan(max_ell, start, increment, ells, increment=True)
+    return Q.astype(complex, copy=False)

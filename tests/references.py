@@ -6,7 +6,9 @@
 ``transfer.transfer_product`` is the third reference, for transfer_matrices.
 ``step_coefficients_loop`` forms the RK4 propagator coefficients from one
 scalar ``stage_value`` call per stage and step, as before H took arrays of t,
-and ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``.
+``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``, and
+``kernel_csv_per_cell`` is the ``KernelGrid.to_csv`` writer that formatted
+every cell, imaginary parts included, by its own f-string.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from cdscale.canonical import CallableHamiltonian, _generator
+from cdscale.cdkernel import _num
 from cdscale.jacobi import poly_table
 from cdscale.mat2 import IDENTITY, Mat2
 
@@ -106,3 +109,14 @@ def coshsinh_math(v):
         s = 0.5 * math.sinh(t * v)
         return np.array([[c, s], [s, c]])
     return CallableHamiltonian(h, f"cosh-sinh {v} by math")
+
+
+def kernel_csv_per_cell(grid, path):
+    """KernelGrid.to_csv, one f-string and one writelines item per cell."""
+    b_labels = [_num(b) for b in np.atleast_1d(grid.b_values)]
+    with open(path, "w", newline="") as fh:
+        fh.write("a,b,re,im\n")
+        for a, row in zip(np.atleast_1d(grid.a_values), np.asarray(grid.values)):
+            a_label = _num(a)
+            fh.writelines(f"{a_label},{b},{re!r},{im!r}\n" for b, re, im in
+                          zip(b_labels, row.real.tolist(), row.imag.tolist()))

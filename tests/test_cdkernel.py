@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cdscale import cdkernel
 from cdscale.jacobi import (AlternatingSignModel, ConstantModel, PeriodicModel,
                             TableModel, gauss_quadrature, poly_table)
 from cdscale.transfer import q_trajectory_direct
+from references import kernel_csv_per_cell
 
 FREE = ConstantModel(1.0, 0.0)
 IDENTITY_RTOL = 1e-10
@@ -136,21 +138,64 @@ def test_scaled_grid_symmetry_real_grids():
     assert np.all(np.diag(grid.values) >= 0)
 
 
+def gram_bound(Pa, Pb, n):
+    """Twice the rounding bound of fl(sum_j Pa[j] Pb[j]) / n, entrywise.
+
+    Each of the n terms takes at most n - 1 additions, a product (complex:
+    at most sqrt(2) gamma_2 < gamma_3) and the division by n, in any
+    summation order: gamma_(n+3) |Pa|^T |Pb| / n (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 3.1 and 3.6). Two computed sums
+    differ by at most twice that.
+    """
+    k = (n + 3) * np.finfo(float).eps / 2
+    return 2 * k / (1 - k) * (np.abs(Pa).T @ np.abs(Pb)) / n
+
+
 def test_scaled_grid_same_grids_share_one_table(monkeypatch):
     calls = []
 
-    def counted(model, xs, up_to, n=None):
+    def counted(model, xs, up_to, n=None, consume=None):
         calls.append(len(xs))
-        return poly_table(model, xs, up_to, n)
+        return poly_table(model, xs, up_to, n, consume)
 
     monkeypatch.setattr(cdkernel, "poly_table", counted)
     model, vals = bulk_model(37), np.linspace(-3, 3, 13)
     grid = scaled_grid(model, 400, 0.0, vals, vals.copy())
     assert calls == [13]
     P, _ = poly_table(model, vals / 400, 399, 400)
-    assert np.array_equal(grid.values, (P.T @ P) / 400)
+    assert np.all(np.abs(grid.values - (P.T @ P) / 400) <= gram_bound(P, P, 400))
+    # the bound is tight enough to miss any single row of the sum
+    for drop in (0, 200, 399):
+        Pd = np.delete(P, drop, axis=0)
+        assert not np.all(np.abs(grid.values - (Pd.T @ Pd) / 400) <= gram_bound(P, P, 400))
     scaled_grid(model, 400, 0.0, vals, vals + 0.01)
-    assert calls == [13, 13, 13]
+    assert calls == [13, 26]
+
+
+def test_scaled_grid_distinct_complex_grids_match_kernel_sum():
+    model, n = bulk_model(39), 700
+    rng = np.random.default_rng(40)
+    a = rng.uniform(-5, 5, 9) + 1j * rng.uniform(-1, 1, 9)
+    b = rng.uniform(-5, 5, 6)
+    grid = scaled_grid(model, n, 0.1, a, b)
+    assert grid.values.shape == (9, 6) and np.iscomplexobj(grid.values)
+    x, y = 0.1 + a / n, 0.1 + b / n
+    ref = kernel_sum(model, n, x[:, None], y[None, :]) / n
+    P, _ = poly_table(model, np.concatenate([x, y]), n - 1, n)
+    assert np.all(np.abs(grid.values - ref) <= gram_bound(P[:, :9], P[:, 9:], n))
+
+
+def test_scaled_grid_memory_holds_no_table():
+    vals = np.linspace(-5.0, 5.0, 51)
+    tracemalloc.start()
+    try:
+        grid = scaled_grid(FREE, 40000, 0.0, vals, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the p table alone would take 40000 * 51 * 8 B = 15.6 MiB
+    assert peak < 4 * 2 ** 20
+    assert grid.values[25, 25] == pytest.approx(0.5, rel=1e-3)
 
 
 def test_scaled_grid_free_matches_sine():
@@ -212,6 +257,25 @@ def test_grid_csv_and_manifest_round_trip(tmp_path):
                                                    sup_error=0.01)))
     assert man["n"] == 100 and man["reference"] == "sine"
     assert man["grid"]["a"] == list(vals)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex values", "complex labels"])
+def test_grid_csv_matches_per_cell_writer(tmp_path, kind):
+    rng = np.random.default_rng(41)
+    a, b = np.linspace(-2, 2, 7), rng.uniform(-3, 3, 5)
+    values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-20, 20, (7, 5))
+    values[0, 0] = -0.0
+    if kind == "complex values":
+        values = values + 1j * rng.standard_normal((7, 5))
+        values[0, :3] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.5, 0.0)]
+    elif kind == "complex labels":
+        a = a + 1j * rng.uniform(-1, 1, 7)
+        a[1] = complex(0.25, -0.0)
+        values = values + 1j * rng.standard_normal((7, 5))
+    grid = KernelGrid(x0=0.0, n=10, a_values=a, b_values=b, values=values)
+    grid.to_csv(tmp_path / "new.csv")
+    kernel_csv_per_cell(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_scaled_grid_consistency_guard():

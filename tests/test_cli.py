@@ -281,7 +281,7 @@ def test_non_finite_results_exit_1(tmp_path, capsys, argv, output):
     assert not (tmp_path / output).exists()
 
 
-def test_transfer_overflow_is_named(tmp_path, capsys):
+def test_transfer_overflow_is_named(tmp_path, capsys, recwarn):
     # the direct product overflows before its determinant check can mean anything
     assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
                  "--x0", "2.05", "--out", str(tmp_path)]) == 1
@@ -289,6 +289,9 @@ def test_transfer_overflow_is_named(tmp_path, capsys):
     assert "numerical check failed: transfer products at step 1600 overflow" in err
     assert "determinant" not in err
     assert "measured=nan" not in out and "[FAIL]" not in out
+    # numpy's own overflow warnings stay silent; only ConditioningWarning may speak
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def test_transfer_determinant_overflow_is_named(tmp_path, capsys, monkeypatch):

@@ -238,6 +238,13 @@ def test_poly_table_matches_step_loop(up_to, points):
             # the first block reruns from the exact initial data with the loop's arithmetic
             block = max(1, math.isqrt(up_to))
             assert np.array_equal(got[:block + 1], ref[:block + 1])
+        # a consumer sees the same rows as the table, each exactly once, p_0 first
+        blocks = []
+        assert poly_table(model, points, up_to, n, consume=lambda rows: blocks.append(rows.copy())) is None
+        assert np.array_equal(blocks[0], P[:1])
+        rows = np.concatenate(blocks)
+        assert rows.dtype == P.dtype
+        assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in P)
 
 
 def test_poly_table_memory_bounded():
