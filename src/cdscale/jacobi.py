@@ -300,25 +300,34 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, shifts) -> np.ndarray:
     """Number of eigenvalues strictly below each shift.
 
     Counts negative pivots of the LDL^t factorization of (J - shift), the
-    Sturm sequence of leading principal minors. Vectorized over shifts; a
-    vanishing pivot is nudged to a tiny negative value, which only perturbs
-    the count at the eigenvalue itself.
+    Sturm sequence of leading principal minors. The pivots of one shift
+    form a dependent chain, so each shift runs a scalar loop over Python
+    floats (IEEE doubles, like numpy's): a window needs only two shifts,
+    and per-row numpy calls on so few would cost far more than the
+    arithmetic. A vanishing pivot is nudged to a tiny negative value, which
+    only perturbs the count at the eigenvalue itself and keeps every
+    divisor nonzero.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     off2 = np.asarray(off, dtype=float) ** 2
     pivmin = max(float(np.max(off2)) if off2.size else 1.0, 1.0) * 1e-290
-    count = np.zeros(shifts.shape, dtype=np.int64)
-    q = np.empty_like(shifts)
-    for i in range(len(diag)):
-        if i == 0:
-            q = diag[0] - shifts
-        else:
-            q = diag[i] - shifts - off2[i - 1] / q
-        # a vanishing pivot counts as negative, uniformly at every index,
-        # which keeps the count monotone in the shift
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0
-    return count
+    d = np.asarray(diag, dtype=float).tolist()
+    # row 0 has no off-diagonal term: d_0 - s - 0.0/1.0 is exactly d_0 - s
+    e2 = [0.0] + off2.tolist()
+    if len(e2) < len(d):
+        raise ValueError("off needs len(diag) - 1 entries")
+    counts = []
+    for s in shifts.ravel().tolist():
+        q, below = 1.0, 0
+        for d_i, e2_i in zip(d, e2):
+            q = d_i - s - e2_i / q
+            # a vanishing pivot counts as negative, uniformly at every index,
+            # which keeps the count monotone in the shift
+            if abs(q) < pivmin:
+                q = -pivmin
+            below += q < 0
+        counts.append(below)
+    return np.array(counts, dtype=np.int64).reshape(shifts.shape)
 
 
 def tridiagonal_eigs_in(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
@@ -328,8 +337,7 @@ def tridiagonal_eigs_in(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
     Sturm counts fix which eigenvalues lie in the window; LAPACK ?stebz
     bisects exactly those, by index.
     """
-    k_lo = int(sturm_count(diag, off, lo)[0])
-    k_hi = int(sturm_count(diag, off, np.nextafter(hi, np.inf))[0])
+    k_lo, k_hi = sturm_count(diag, off, [lo, np.nextafter(hi, np.inf)]).tolist()
     if k_hi <= k_lo:
         return np.empty(0)
     import scipy.linalg  # see the module docstring

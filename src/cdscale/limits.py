@@ -205,11 +205,22 @@ class EquivalenceReport:
 
 
 def flow_deviation(model, n: int, x0: float, h: Mat2, a_grid, t_grid) -> float:
-    """sup_(t, a) || Q_[tn](x0 + a/n) - exp(a t J^{-1} H) || for a constant candidate."""
+    """sup_(t, a) || Q_[tn](x0 + a/n) - exp(a t J^{-1} H) || for a constant candidate.
+
+    Raises ArithmeticError, naming the first t whose snapshot is not finite,
+    when the products overflow (off the bulk) instead of returning NaN.
+    """
     seq = h_sequence(model, x0, n, n)
     actual = q_snapshots(seq, n, a_grid, t_grid)
     reference = constant_solution_batch(h, a_grid, t_grid)
-    return float(np.max(operator_norm_array(actual - reference)))
+    dev = operator_norm_array(actual - reference)
+    finite = np.isfinite(dev).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        t = float(np.asarray(t_grid, dtype=float)[k])
+        raise ArithmeticError(f"flow snapshot t = {t:.6g} (step {math.floor(t * n)}) is not "
+                              f"finite (x0 = {x0}, n = {n})")
+    return float(np.max(dev))
 
 
 def check_equivalence(model, n_list, x0: float, bpd: BulkPointData,

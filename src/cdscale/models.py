@@ -140,7 +140,16 @@ def alternating_coefficient_deviation(v: float, n: int) -> float:
     mats = alternating_coefficient_matrices(v, n)
     partials = np.zeros((n + 1, 2, 2))
     np.cumsum(mats, axis=0, out=partials[1:])
-    targets = np.stack([limit_coefficient_integral(v, m / n) for m in range(n + 1)])
+    # limit_coefficient_integral at t = m/n over Python floats; math.exp, because
+    # np.exp can differ from it in the last bit
+    ts = [m / n for m in range(n + 1)]
+    targets = np.zeros((n + 1, 2, 2))
+    if v == 0.0:
+        targets[:, 0, 1] = [-0.5 * t for t in ts]
+        targets[:, 1, 0] = [0.5 * t for t in ts]
+    else:
+        targets[:, 0, 1] = [-(math.exp(t * v) - 1.0) / (2.0 * v) for t in ts]
+        targets[:, 1, 0] = [(1.0 - math.exp(-t * v)) / (2.0 * v) for t in ts]
     return float(np.max(operator_norm_array(partials / n - targets)))
 
 

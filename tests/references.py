@@ -9,6 +9,11 @@ scalar ``stage_value`` call per stage and step, as before H took arrays of t,
 ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``, and
 ``kernel_csv_per_cell`` is the ``KernelGrid.to_csv`` writer that formatted
 every cell, imaginary parts included, by its own f-string.
+``sturm_count_loop`` is the Sturm count vectorized over shifts, one row per
+iteration, as before ``sturm_count`` ran a scalar loop per shift, and
+``alternating_deviation_stack`` is ``alternating_coefficient_deviation`` as
+it was when it stacked one ``limit_coefficient_integral`` matrix per step,
+before it filled the targets from two lists.
 """
 
 import math
@@ -18,7 +23,9 @@ import numpy as np
 from cdscale.canonical import CallableHamiltonian, _generator
 from cdscale.cdkernel import _num
 from cdscale.jacobi import poly_table
-from cdscale.mat2 import IDENTITY, Mat2
+from cdscale.mat2 import IDENTITY, Mat2, operator_norm_array
+from cdscale.models import (alternating_coefficient_matrices,
+                            limit_coefficient_integral)
 
 
 def poly_table_loop(model, xs, up_to, n=None):
@@ -120,3 +127,29 @@ def kernel_csv_per_cell(grid, path):
             a_label = _num(a)
             fh.writelines(f"{a_label},{b},{re!r},{im!r}\n" for b, re, im in
                           zip(b_labels, row.real.tolist(), row.imag.tolist()))
+
+
+def sturm_count_loop(diag, off, shifts):
+    """Negative LDL^t pivots of (J - shift), numpy over all shifts, one row per step."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    off2 = np.asarray(off, dtype=float) ** 2
+    pivmin = max(float(np.max(off2)) if off2.size else 1.0, 1.0) * 1e-290
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    q = np.empty_like(shifts)
+    for i in range(len(diag)):
+        if i == 0:
+            q = diag[0] - shifts
+        else:
+            q = diag[i] - shifts - off2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0
+    return count
+
+
+def alternating_deviation_stack(v, n):
+    """sup_t || int_0^t (A^(n) - A) ||, the targets stacked from 2x2 arrays."""
+    mats = alternating_coefficient_matrices(v, n)
+    partials = np.zeros((n + 1, 2, 2))
+    np.cumsum(mats, axis=0, out=partials[1:])
+    targets = np.stack([limit_coefficient_integral(v, m / n) for m in range(n + 1)])
+    return float(np.max(operator_norm_array(partials / n - targets)))

@@ -3,13 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdscale import jacobi
 from cdscale.errors import IndexOutOfRange, InvalidCoefficient
 from cdscale.jacobi import (AlternatingSignModel, ConstantModel, CustomModel,
                             PeriodicModel, TableModel, all_scaled_zeros,
                             gauss_quadrature, poly_table, scaled_zeros,
                             sturm_count, truncated_tridiagonal)
-from references import poly_table_loop
+from references import poly_table_loop, sturm_count_loop
 
 FREE = ConstantModel(1.0, 0.0)
 # lengths around the block edges of the scan (blocks of isqrt(L) steps)
@@ -146,6 +149,52 @@ def test_sturm_count_matches_dense_eigensolver():
     counts = sturm_count(diag, off, shifts)
     for s, c in zip(shifts, counts):
         assert c == int(np.sum(eigs < s))
+
+
+# small integers make ties: zero pivots and shifts on diagonal entries
+STURM_ENTRIES = st.one_of(st.integers(-2, 2).map(float), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(STURM_ENTRIES, STURM_ENTRIES), min_size=1, max_size=30),
+       extra=st.lists(STURM_ENTRIES, max_size=5))
+def test_sturm_count_bit_identical_to_row_loop(rows, extra):
+    diag = np.array([d for d, _ in rows])
+    off = np.array([e for _, e in rows[1:]])  # empty for n = 1
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    shifts = np.concatenate([extra, diag, np.linalg.eigvalsh(dense),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    got = sturm_count(diag, off, shifts)
+    assert got.dtype == np.int64 and got.shape == shifts.shape
+    assert np.array_equal(got, sturm_count_loop(diag, off, shifts))
+
+
+def test_sturm_count_zero_pivots():
+    # zero diagonal at shift 0: the first pivot vanishes and is nudged negative,
+    # so the eigenvalue 0 itself counts as below (eigenvalues 0, +-1, +-sqrt 3)
+    diag, off = np.zeros(5), np.ones(4)
+    shifts = [0.0, -1.5, 1.5, -np.inf, np.inf]
+    assert sturm_count(diag, off, shifts).tolist() == [3, 1, 4, 0, 5]
+    assert np.array_equal(sturm_count(diag, off, shifts), sturm_count_loop(diag, off, shifts))
+    assert sturm_count(np.array([0.5]), np.empty(0), 0.5).tolist() == [1]
+    with pytest.raises(ValueError, match="len\\(diag\\) - 1"):
+        sturm_count(np.zeros(3), np.ones(1), 0.0)
+
+
+@pytest.mark.parametrize("model", [FREE, PeriodicModel([1.1, 0.9, 1.0], [0.2, -0.1, 0.0]),
+                                   AlternatingSignModel(1.5)])
+def test_scaled_zeros_unchanged_from_row_loop(monkeypatch, model):
+    n = 512  # a power of two: n * e / n is exactly e, so a window edge can sit on a zero
+    eigs = all_scaled_zeros(model, n).scaled_zeros / n
+    k = int(np.searchsorted(eigs, 0.0))
+    lo_edge, hi_edge = float(eigs[k - 1]), float(eigs[k])
+    cases = [(0.0, 20.0), (0.3, 30.0), (0.0, n * hi_edge), (0.0, -n * lo_edge)]
+    assert 0.0 + n * hi_edge / n == hi_edge and 0.0 - (-n * lo_edge) / n == lo_edge
+    got = [scaled_zeros(model, n, x0, window).scaled_zeros for x0, window in cases]
+    monkeypatch.setattr(jacobi, "sturm_count", sturm_count_loop)
+    for (x0, window), new in zip(cases, got):
+        old = scaled_zeros(model, n, x0, window).scaled_zeros
+        assert new.tobytes() == old.tobytes()
 
 
 def test_zero_count_equals_degree():

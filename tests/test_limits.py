@@ -164,6 +164,16 @@ def test_flow_deviation_detects_wrong_density():
     assert dev >= 0.1
 
 
+def test_flow_deviation_off_the_bulk_is_named(recwarn):
+    # past the free spectrum's edge Q_[tn](x0 + a/n) overflows from t = 0.08 on
+    h = free_bulk_data(0.0).hamiltonian()
+    with pytest.raises(ArithmeticError, match=r"t = 0\.08 \(step 160\) is not finite "
+                                              r"\(x0 = 2\.05, n = 2000\)"):
+        flow_deviation(free_model(), 2000, 2.05, h, np.linspace(-5, 5, 101),
+                       np.linspace(0, 1, 101))
+    assert [w for w in recwarn if w.category is RuntimeWarning] == []
+
+
 def test_report_serialization():
     n = 512
     seq = h_sequence(FREE, 0.0, n)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import references
+from cdscale import models
 from cdscale.canonical import CoshSinhHamiltonian, kernel_grid
 from cdscale.cdkernel import scaled_grid
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, PeriodicModel
-from cdscale.mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
+from cdscale.mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
+                          operator_norm_array)
 from cdscale.models import (alternating_coefficient_deviation,
                             alternating_coefficient_matrices,
                             alternating_model, free_bulk_data, free_model,
@@ -99,6 +102,30 @@ def test_alternating_coefficients_integrate_to_limit():
     # and the deviation shrinks with n
     assert (alternating_coefficient_deviation(1.0, 4000)
             > alternating_coefficient_deviation(1.0, 16000))
+
+
+@pytest.mark.parametrize("v", [0.0, 1.0, -2.5])
+@pytest.mark.parametrize("n", [1, 7, 10 ** 4])
+def test_alternating_deviation_targets_match_stacked_integrals(monkeypatch, v, n):
+    """The list-built targets equal the stacked limit_coefficient_integral exactly."""
+    if v >= 0.0:  # the model itself needs V >= 0
+        assert (alternating_coefficient_deviation(v, n)
+                == references.alternating_deviation_stack(v, n))
+    # with zero coefficients the norms see 0 - targets: every target entry, bit for bit
+    # up to the sign of a zero
+    seen = []
+
+    def record(mats):
+        seen.append(mats)
+        return operator_norm_array(mats)
+
+    for module in (models, references):
+        monkeypatch.setattr(module, "operator_norm_array", record)
+        monkeypatch.setattr(module, "alternating_coefficient_matrices",
+                            lambda v, n: np.zeros((n, 2, 2)))
+    alternating_coefficient_deviation(v, n)
+    references.alternating_deviation_stack(v, n)
+    assert seen[0].tobytes() == seen[1].tobytes()
 
 
 def test_alternating_coefficients_leading_term_even_steps():
