@@ -15,19 +15,20 @@ fourth-order Runge-Kutta integrator for t-dependent H. Fixed steps keep runs
 bit-reproducible; all built-in Hamiltonians are smooth or piecewise constant,
 and steps never straddle a breakpoint.
 
-The system is linear in Q, so one RK4 step is exactly the step propagator
-Q -> Q + D(z) Q with D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real
-2x2 matrices built from the step's three stage generators; H takes arrays of
-t, so the integrator forms them for all steps from three calls, independently
-of z, and then evaluates D by Horner over blocks of (step, z) pairs, in real
-arithmetic for real z. It adds D Q to Q rather than multiplying by I + D,
-which would drop the low bits of the increment. kernel_grid solves once when
-its a and b grids are equal.
+The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
+D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
+from the step's three stage generators; H takes arrays of t, so they come for
+all steps from three calls, independently of z. The integrator cuts the steps
+into runs at the snapshots and multiplies each run out pairwise in increment
+form, (I + L)(I + R) = I + (L + R + L R), in real arithmetic for real z; no
+increment is added to I, where it would lose its low bits. kernel_grid solves
+once when its a and b grids are equal.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,8 @@ SOLVE_CONSTANT_PSD_TOL = 1e-10
 WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
 CONFLUENT_FD_STEP = 1e-5
-# steps whose propagator coefficients are formed together, and (step, z)
-# pairs whose propagators are evaluated together
-STEP_BLOCK_VALUES = 4096
+STEP_BLOCK_VALUES = 4096  # steps per set of coefficients; (step, z) pairs per block
+BLOCK_STEPS = 64  # steps per block of runs, fixed for every number of zs
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -275,16 +275,13 @@ def _integration_path(system: CanonicalSystem, t_grid) -> list[float]:
 
 def _step_grid(path: list[float], max_step: float):
     """Start and length of every RK4 step, and {steps taken: path point reached}."""
-    t_lo, h, ends = [np.empty(0)], [np.empty(0)], {}
-    n_steps = 0
-    for lo, hi in zip(path[:-1], path[1:]):
-        m = max(1, math.ceil((hi - lo) / max_step - 1e-12))
-        step = (hi - lo) / m
-        t_lo.append(lo + np.arange(m) * step)
-        h.append(np.full(m, step))
-        n_steps += m
-        ends[n_steps] = hi
-    return np.concatenate(t_lo), np.concatenate(h), ends
+    lo, hi = np.array(path[:-1]), np.array(path[1:])
+    m = np.maximum(1, np.ceil((hi - lo) / max_step - 1e-12)).astype(int)
+    step = (hi - lo) / m
+    reached = np.cumsum(m)
+    seg = np.repeat(np.arange(m.size), m)
+    first = np.arange(reached[-1] if m.size else 0) - (reached - m)[seg]
+    return lo[seg] + first * step[seg], step[seg], dict(zip(reached.tolist(), path[1:]))
 
 
 def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -306,49 +303,71 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
     ])
 
 
+def _times(a, b):
+    """The 2x2 products a·b of arrays shaped (..., 2, 2, nz), entry by entry over z."""
+    return a[..., :, :1, :] * b[..., :1, :, :] + a[..., :, 1:, :] * b[..., 1:, :, :]
+
+
 def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                     max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
     """RK4 integration of J Q' = z H(t) Q for many z at once.
 
     Returns shape (len(t_grid), len(zs), 2, 2). Steps are uniform within each
     segment of the path (grid points plus Hamiltonian breakpoints) and never
-    longer than ``max_step``. Each step applies Q += D(z) Q with the step
-    propagator D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The coefficients are
-    formed for STEP_BLOCK_VALUES steps at a time and D by Horner for
-    STEP_BLOCK_VALUES (step, z) pairs at a time, so memory does not grow with
-    the number of steps beyond 16 B per step. Real zs are solved in real
-    arithmetic; the complex result is the same to the bit, since the
-    imaginary parts of a complex run stay exactly 0.
+    longer than ``max_step``. Step k multiplies Q by I + D_k(z), D_k(z) =
+    z C1 + z^2 C2 + z^3 C3 + z^4 C4. Per block of BLOCK_STEPS steps and chunk
+    of zs, one real matrix product of the C_k and the powers of z gives the
+    D_k; the snapshots cut the block into runs, pairwise products reduce all
+    runs at once, and Q += P Q applies each run's product P. Real zs are
+    solved in real arithmetic, to the bit as in a complex run of the same
+    values, whose imaginary parts stay exactly 0.
     """
     if not 0 < max_step <= 1e-3 + 1e-15:
         raise ValueError("max_step must be in (0, 1e-3]")
-    zs = np.asarray(zs)
-    zs = zs.astype(complex if np.iscomplexobj(zs) else float)
+    zs = np.asarray(zs, dtype=complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
     t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
-    block = max(1, STEP_BLOCK_VALUES // max(nz, 1))
-    Q = np.zeros((2, 2, nz), dtype=zs.dtype)  # Q[i, j] over z
-    Q[0, 0] = Q[1, 1] = 1.0
-    q0, q1 = Q  # row views, updated in place
-    results = {0.0: Q.transpose(2, 0, 1).astype(complex)}
-    for c0 in range(0, len(h), STEP_BLOCK_VALUES):
-        coeffs = _step_coefficients(system, t_lo[c0:c0 + STEP_BLOCK_VALUES],
-                                    h[c0:c0 + STEP_BLOCK_VALUES])[..., None]
-        for b0 in range(0, coeffs.shape[1], block):
-            c1, c2, c3, c4 = coeffs[:, b0:b0 + block]
-            D = c4 * zs
-            for c in (c3, c2, c1):
-                D += c
-                D *= zs
-            for k, d in enumerate(D, c0 + b0 + 1):
-                dq0 = d[0, 0] * q0 + d[0, 1] * q1
-                dq1 = d[1, 0] * q0 + d[1, 1] * q1
-                q0 += dq0
-                q1 += dq1
-                if k in ends:
-                    results[ends[k]] = Q.transpose(2, 0, 1).astype(complex)
-    out = np.stack([results[t] for t in ts]) if ts else np.empty((0, nz, 2, 2), complex)
+    cuts = sorted(ends)
+    snaps = {k: slice(bisect_left(ts, t), bisect_right(ts, t)) for k, t in ends.items()}
+    out = np.full((len(ts), nz, 2, 2), np.eye(2), complex)
+    Q = np.eye(2, dtype=zs.dtype)[..., None].repeat(nz, axis=2)  # Q[i, j] over z
+    bounds = np.linspace(0, nz, -(-nz // (STEP_BLOCK_VALUES // BLOCK_STEPS)) + 1).astype(int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = zs * zs
+        powers = np.stack([zs, z2, z2 * zs, z2 * z2])
+        # real and imaginary parts go through separate real products, so a
+        # real run forms the same increments as the complex run of its values
+        re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
+        for c0 in range(0, len(h), STEP_BLOCK_VALUES):
+            c1 = min(c0 + STEP_BLOCK_VALUES, len(h))
+            coeffs = _step_coefficients(system, t_lo[c0:c1], h[c0:c1])
+            # (step, entry, power), and a zero increment last, at index -1
+            rows = np.pad(coeffs.reshape(4, -1, 4).transpose(1, 2, 0), ((0, 1), (0, 0), (0, 0)))
+            for b0 in range(c0, c1, BLOCK_STEPS):
+                b1 = min(b0 + BLOCK_STEPS, c1)
+                run_ends = cuts[bisect_right(cuts, b0):bisect_left(cuts, b1)] + [b1]
+                # each run padded with zero increments to 2^e slots, at a
+                # multiple of 2^e, so that no pair of slots straddles two runs
+                slots, where = [], []
+                for j, k in zip([b0, *run_ends], run_ends):
+                    e = (k - j - 1).bit_length()
+                    slots += [-1] * (-len(slots) % (1 << e))
+                    where.append((e, len(slots) >> e))
+                    slots += [*range(j - c0, k - c0), *[-1] * ((1 << e) - k + j)]
+                C = rows[slots].reshape(-1, 4)
+                for zc in map(slice, bounds[:-1], bounds[1:]):
+                    D = C @ re[:, zc] if zs.dtype == float else C @ re[:, zc] + 1j * (C @ im[:, zc])
+                    # level j holds the products of 2^j slots, in increment form
+                    levels = [D.reshape(len(slots), 2, 2, -1)]
+                    for _ in range(max(where)[0]):
+                        X = levels[-1][:len(levels[-1]) & ~1]
+                        levels.append(_times(X[1::2], X[::2]) + X[1::2] + X[::2])
+                    q = Q[..., zc]
+                    for (j, i), k in zip(where, run_ends):
+                        q += _times(levels[j][i], q)
+                        if k in snaps:
+                            out[snaps[k], zc] = q.transpose(2, 0, 1)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(f"RK4 solution overflows for |z| up to {np.max(np.abs(zs)):g}")
     return out

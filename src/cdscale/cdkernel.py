@@ -173,7 +173,8 @@ def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) 
     gram = np.zeros((na, b_arr.size), dtype=buf.dtype)
 
     def add(rows):
-        gram[...] += rows.T @ rows if same else rows[:, :na].T @ rows[:, na:]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
+            gram[...] += rows.T @ rows if same else rows[:, :na].T @ rows[:, na:]
 
     def consume(rows):
         nonlocal fill

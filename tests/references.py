@@ -6,6 +6,8 @@
 ``transfer.transfer_product`` is the third reference, for transfer_matrices.
 ``step_coefficients_loop`` forms the RK4 propagator coefficients from one
 scalar ``stage_value`` call per stage and step, as before H took arrays of t,
+and ``rk4_step_loop`` is ``solve_ode_batch`` as it was before it multiplied
+runs of steps pairwise: Q += D(z) Q once per step, D(z) by Horner;
 ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``, and
 ``kernel_csv_per_cell`` is the ``KernelGrid.to_csv`` writer that formatted
 every cell, imaginary parts included, by its own f-string.
@@ -20,7 +22,8 @@ import math
 
 import numpy as np
 
-from cdscale.canonical import CallableHamiltonian, _generator
+from cdscale.canonical import (DEFAULT_MAX_STEP, CallableHamiltonian, _generator,
+                               _integration_path, _step_coefficients, _step_grid)
 from cdscale.cdkernel import _num
 from cdscale.jacobi import poly_table
 from cdscale.mat2 import IDENTITY, Mat2, operator_norm_array
@@ -107,6 +110,39 @@ def step_coefficients_loop(system, t_lo, h):
         h ** 3 / 12.0 * (m1 @ m1m0 + m2 @ m1m1),
         h ** 4 / 24.0 * (m2 @ (m1 @ m1m0)),
     ])
+
+
+def rk4_step_loop(system, zs, t_grid, max_step=DEFAULT_MAX_STEP,
+                  coefficients=_step_coefficients):
+    """RK4 over (2, 2, nz) arrays, one Q += D(z) Q update per step.
+
+    ``coefficients(system, t_lo, h)`` gives C1..C4 of the steps; with the
+    absolute values of the C_k and of the zs the loop multiplies out
+    (I + |D_N|)···(I + |D_1|), the scale of the rounding errors of a solve.
+    """
+    zs = np.asarray(zs)
+    zs = zs.astype(complex if np.iscomplexobj(zs) else float)
+    ts = [float(t) for t in t_grid]
+    t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
+    Q = np.zeros((2, 2, zs.shape[0]), dtype=zs.dtype)  # Q[i, j] over z
+    Q[0, 0] = Q[1, 1] = 1.0
+    q0, q1 = Q  # row views, updated in place
+    results = {0.0: Q.transpose(2, 0, 1).astype(complex)}
+    c1, c2, c3, c4 = coefficients(system, t_lo, h)[..., None]
+    for k in range(len(h)):
+        d = c4[k] * zs
+        for c in (c3[k], c2[k], c1[k]):
+            d += c
+            d *= zs
+        dq0 = d[0, 0] * q0 + d[0, 1] * q1
+        dq1 = d[1, 0] * q0 + d[1, 1] * q1
+        q0 += dq0
+        q1 += dq1
+        if k + 1 in ends:
+            results[ends[k + 1]] = Q.transpose(2, 0, 1).astype(complex)
+    if not ts:
+        return np.empty((0, zs.shape[0], 2, 2), complex)
+    return np.stack([results[t] for t in ts])
 
 
 def coshsinh_math(v):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdscale import canonical
-from cdscale.canonical import (STEP_BLOCK_VALUES, CallableHamiltonian,
+from cdscale.canonical import (BLOCK_STEPS, STEP_BLOCK_VALUES, CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
                                constant_solution_batch, discrete_to_jacobi,
@@ -22,7 +22,7 @@ from cdscale.cdkernel import kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import Mat2, operator_norm
 
-from references import coshsinh_math, step_coefficients_loop
+from references import coshsinh_math, rk4_step_loop, step_coefficients_loop
 
 FREE = ConstantModel(1.0, 0.0)
 HALF_ID = np.eye(2) / 2
@@ -430,11 +430,14 @@ def test_real_z_solve_is_bit_identical_to_complex(system):
     assert np.array_equal(got, solve_ode_batch(system, zs.astype(complex), [0.3, 1.0]))
 
 
-def test_solver_overflow_raises():
+def test_solver_overflow_raises(recwarn):
     with pytest.raises(ArithmeticError, match="overflow encountered in cosh"):  # past t = 0.89
         solve_ode_batch(CoshSinhHamiltonian(800.0), [1.0], [1.0])
-    with pytest.raises(ArithmeticError, match="RK4 solution overflows"):
-        solve_ode_batch(CoshSinhHamiltonian(1.0), [1e200], [0.5, 1.0])
+    for zs in ([1e200], [1e200 + 1j]):
+        with pytest.raises(ArithmeticError, match="RK4 solution overflows"):
+            solve_ode_batch(CoshSinhHamiltonian(1.0), zs, [0.5, 1.0])
+    # numpy's own overflow warnings stay silent; the check above names the cause
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def staged_rk4(system, zs, t_grid, max_step=1e-3):
@@ -475,21 +478,83 @@ def test_solver_matches_staged_rk4(system):
 
 
 @pytest.mark.parametrize("nz, t_grid, max_step", [
-    # 16 z values make blocks of 256 steps; steps of 2^-10 put t = 0.25 on a
-    # block edge, t = 0.6 inside the third block, and t = 1 in a partial block
-    (STEP_BLOCK_VALUES // 256, [0.25, 0.6, 1.0], 2.0 ** -10),
-    # coefficients are formed STEP_BLOCK_VALUES steps at a time: t = 0.5 ends
-    # the first such run, whose last block of 1365 steps holds one step
-    (3, [0.5, 0.75], 0.5 / STEP_BLOCK_VALUES),
+    # blocks hold 64 steps whatever the number of z; steps of 2^-10 put
+    # t = 0.25 on the edge of the fourth block, t = 0.6 inside the tenth
+    # (step 615), and t = 1 alone in a last block of one step (step 1025)
+    (16, [0.25, 0.6, 1.0], 2.0 ** -10),
+    # coefficients are formed STEP_BLOCK_VALUES steps at a time: t = 0.4
+    # (step 3277) cuts a block of the first such run, the run to t = 0.75
+    # crosses into the second at step 4096, and t = 0.75 ends a last block of
+    # one step (step 6145)
+    (3, [0.4, 0.75], 0.5 / STEP_BLOCK_VALUES),
 ])
 def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step):
+    assert BLOCK_STEPS == 64 and STEP_BLOCK_VALUES == 4096  # the comments above
     zs = np.linspace(-6.0, 6.0, nz) + 0.25j
     assert_matches_staged(CoshSinhHamiltonian(1.0), zs, t_grid, max_step)
 
 
 def test_solver_one_step_blocks():
-    zs = np.linspace(-20.0, 20.0, STEP_BLOCK_VALUES + 904)
-    assert_matches_staged(CoshSinhHamiltonian(0.7), zs, [0.02, 0.05])
+    # runs of 20, 1, 1 and 42 steps fill the first block of 64 steps, and
+    # t = 0.065 ends a second block of one step; 129 z values make three chunks
+    zs = np.linspace(-20.0, 20.0, 2 * (STEP_BLOCK_VALUES // BLOCK_STEPS) + 1)
+    assert_matches_staged(CoshSinhHamiltonian(0.7), zs, [0.02, 0.021, 0.022, 0.065])
+
+
+def rk4_rounding_bound(system, zs, t_grid, max_step):
+    """Bound on |solve_ode_batch - rk4_step_loop| for the same steps.
+
+    Both multiply out (I + D_N)···(I + D_1) and differ only in rounding. Each
+    step's increment (4 powers or Horner's 7 operations) and its share of the
+    products (the loop's update, or one pairwise product per level and one
+    update per run) round with at most 16 relative errors of size u,
+    complex arithmetic included. Measured against the products of absolute
+    values M = (I + |D_N|)···(I + |D_1|) with |D_k| = sum_j |C_j| |z|^j, the
+    two sides then differ by at most 2 · 16 · N · u · M after N steps.
+    """
+    scale = rk4_step_loop(system, np.abs(zs), t_grid, max_step,
+                          coefficients=lambda *a: np.abs(_step_coefficients(*a)))
+    n_steps = len(_step_grid(_integration_path(system, t_grid), max_step)[1])
+    return 32 * max(n_steps, 1) * 2.0 ** -53 * scale.real
+
+
+@st.composite
+def solver_cases(draw):
+    """A system, zs, and a sorted t grid whose snapshot steps cut uneven runs.
+
+    The runs between snapshots include lengths 1, 2, 3, another odd length
+    and one longer than a propagator block; a piecewise system adds its
+    breakpoints, which may fall between steps of the grid. Over 64 zs fill
+    more than one chunk of z.
+    """
+    edges = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True))
+    system = draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
+        [0.0, *sorted(edges), 1.0], [random_psd(np.random.default_rng(k))
+                                      for k in range(len(edges) + 1)])]))
+    max_step = draw(st.sampled_from([1e-3, 2.0 ** -12, 1.0 / 4500]))
+    runs = draw(st.permutations([1, 2, 3, draw(st.sampled_from([5, 7, 9, 63, 65])),
+                                 draw(st.integers(BLOCK_STEPS + 1, 3 * BLOCK_STEPS)),
+                                 *draw(st.lists(st.integers(1, 200), max_size=4))]))
+    steps = np.cumsum([draw(st.integers(0, 2 * BLOCK_STEPS)), *runs])
+    # t = 1 ends a last run that crosses many blocks, and past 4096 steps a
+    # coefficient chunk too
+    t_grid = [t for t in (steps * max_step).tolist() if t < 1.0] + [1.0]
+    if draw(st.booleans()):
+        t_grid = sorted(t_grid + [b for b in system.breakpoints() if b <= t_grid[-1]])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zs = rng.uniform(-4.0, 4.0, draw(st.integers(1, 150)))
+    if draw(st.booleans()):
+        zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
+    return system, zs, t_grid, max_step
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(solver_cases())
+def test_solver_matches_step_loop(case):
+    system, zs, t_grid, max_step = case
+    got = solve_ode_batch(system, zs, t_grid, max_step)
+    err = np.abs(got - rk4_step_loop(system, zs, t_grid, max_step))
+    assert np.all(err <= rk4_rounding_bound(system, zs, t_grid, max_step))
 
 
 @pytest.mark.parametrize("t_grid", [[0.0], []])

@@ -294,13 +294,15 @@ def test_transfer_overflow_is_named(tmp_path, capsys, recwarn):
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
-def test_thm25_off_the_bulk_names_the_kernel_grid(tmp_path, capsys):
+def test_thm25_off_the_bulk_names_the_kernel_grid(tmp_path, capsys, recwarn):
     # scaled_grid's overflow check speaks before flow_deviation's
     assert main(["verify", "thm25", "--model", "free", "--n-list", "2000", "--x0", "2.05",
                  "--rho", "0.3", "--w", "0.3", "--grid", "-5:5:11", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert ("numerical check failed: kernel grid at x0 = 2.05, n = 2000 overflows off the bulk"
             in err)
+    # numpy's own overflow warnings stay silent; only ConditioningWarning may speak
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def test_transfer_determinant_overflow_is_named(tmp_path, capsys, monkeypatch):
