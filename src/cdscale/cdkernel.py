@@ -173,8 +173,7 @@ def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) 
     gram = np.zeros((na, b_arr.size), dtype=buf.dtype)
 
     def add(rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
-            gram[...] += rows.T @ rows if same else rows[:, :na].T @ rows[:, na:]
+        gram[...] += rows.T @ rows if same else rows[:, :na].T @ rows[:, na:]
 
     def consume(rows):
         nonlocal fill
@@ -186,8 +185,9 @@ def scaled_grid(model: CoefficientModel, n: int, x0: float, a_values, b_values) 
                 add(buf)
                 fill = 0
 
-    poly_table(model, xs, n - 1, n, consume=consume)
-    add(buf[:fill])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
+        poly_table(model, xs, n - 1, n, consume=consume)
+        add(buf[:fill])
     values = gram / n
     if not np.all(np.isfinite(values)):
         raise ArithmeticError(f"kernel grid at x0 = {x0}, n = {n} overflows off the bulk")

@@ -299,11 +299,12 @@ def cmd_diagnostics(opt: Options) -> int:
     n = opt.require("n")
     x0 = opt.get("x0")
     bins = opt.get("bins")
-    seq = transfer.h_sequence(model, x0, n, n)
-    cand_name = opt.get("candidate")
-    candidate = _system_from(opt, cand_name) if cand_name else None
-    report = limits.diagnostics(seq, n, candidate=candidate)
-    est = limits.piecewise_estimate(seq, n, bins)
+    with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
+        seq = transfer.h_sequence(model, x0, n, n)
+        cand_name = opt.get("candidate")
+        candidate = _system_from(opt, cand_name) if cand_name else None
+        report = limits.diagnostics(seq, n, candidate=candidate)
+        est = limits.piecewise_estimate(seq, n, bins)
     out = _out_dir(opt)
     payload = report.to_dict()
     payload["piecewise_estimate"] = est.to_dict()

@@ -230,35 +230,36 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
 
     Shapes are (up_to + 1, len(xs)). The dtype follows xs: real points give
     exactly real values. Complex points are supported; the polynomials are
-    entire, so no restriction on the argument applies.
+    entire, so no restriction on the argument applies. Its blocked scan
+    (``scan``) steps read views of the coefficients (b, a_prev, a).
 
-    With ``consume``, no table is allocated and None is returned: instead
-    ``consume(rows)`` receives every row p_ell, ell = 0..up_to, exactly once,
-    as blocks of shape (k, len(xs)) in scan order (p_0 first, then the rows
-    of each rerun step, one per block); the order of ell within and across
-    blocks is not increasing. ``rows`` is scan state, valid only during the
-    call; keep a copy, not the array.
+    With ``consume``, no table is allocated, the scan carries the p column
+    alone and None is returned: ``consume(rows)`` receives every row p_ell,
+    ell = 0..up_to, exactly once, as blocks of shape (k, len(xs)) in scan
+    order (p_0 first, then the rows of each rerun step, one per block); the
+    order of ell within and across blocks is not increasing. ``rows`` is scan
+    state, valid only during the call; keep a copy, not the array.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
     xs = np.atleast_1d(np.asarray(xs))
     xs = xs.astype(complex if np.iscomplexobj(xs) else float)
+    # the state is ((p_ell, q_ell), (p_{ell-1}, q_{ell-1})), or its p column alone
+    start = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=xs.dtype)[:, :, None].repeat(len(xs), axis=2)
     if consume is None:
         P = np.empty((up_to + 1, xs.shape[0]), dtype=xs.dtype)
         Q = np.empty_like(P)
         result = P, Q
 
-        def visit(x, i):  # every rerun step fills its rows of the tables; padding never reaches here
-            P[i + 1] = x[0]
-            Q[i + 1] = x[1]
+        def visit(x, steps):  # every rerun step fills its rows of the tables; padding never reaches here
+            P[steps], Q[steps] = x[0]
     else:
-        result = None
+        result, start = None, start[:, :1]
 
-        def visit(x, i):
-            consume(x[0])
+        def visit(x, steps):
+            consume(x[0, 0])
 
-    start = np.array([[1.0], [0.0], [0.0], [-1.0]], dtype=xs.dtype).repeat(xs.shape[0], axis=1)
-    visit(start[:, None], np.array([-1]))  # p_0 and q_0: the scan visits steps 1..up_to only
+    visit(start[:, :, None], slice(0, 1))  # p_0 and q_0: the scan visits steps 1..up_to only
     if up_to == 0:
         return result
     a, b = model.coeff_arrays(up_to, n)
@@ -267,17 +268,15 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
         raise InvalidCoefficient(f"invalid coefficient pair at index {bad}")
     a_prev = np.concatenate([[1.0], a[:-1]])
 
-    # the state is ((p_ell, q_ell), (p_{ell-1}, q_{ell-1})); the new row is
-    # formed in place of the oldest, as (-a_prev y_{ell-1} + shift y_ell) / a_ell
-    def step(x, i):
-        shift, ap, al = xs - b[i, None], a_prev[i, None], a[i, None]
-        for cur, prev in ((x[0], x[2]), (x[1], x[3])):
-            prev *= -ap
-            prev += shift * cur
-            prev /= al
-        return [x[2], x[3], x[0], x[1]]
+    # the new row is formed in place of the oldest, as (-a_prev y_{ell-1} + shift y_ell) / a_ell
+    def step(x, bl, ap, al):
+        cur, prev = x
+        prev *= -ap
+        prev += (xs - bl) * cur
+        prev /= al
+        return x[::-1]
 
-    blocked_scan(up_to, start, step, visit=visit)
+    blocked_scan(up_to, start, step, (b, a_prev, a), visit=visit)
     return result
 
 

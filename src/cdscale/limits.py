@@ -164,10 +164,10 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
             hi = min(int(math.floor(n * (k + 1) / L)), n - 1)
             worst = max(worst, float(cum_norms[hi + 1] - cum_norms[lo]) / n)
         profile.append((int(L), worst))
+    partials = _h_partials(h_seq, n)
     matrix_conv = None
     cand_dict = None
     if candidate is not None:
-        partials = _h_partials(h_seq, n)
         cand_dict = candidate.to_dict()
         try:
             cand = candidate.integral(np.arange(n + 1) / n)
@@ -177,7 +177,7 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
     return DiagnosticsReport(
         n=n, x0=h_seq.x0, avg_norm=avg_norm, max_over_n=sup_norm / n,
         sup_norm=sup_norm, decay_profile=profile, matrix_conv=matrix_conv,
-        cesaro_h=Mat2.from_array(_h_partials(h_seq, n)[n] / n),
+        cesaro_h=Mat2.from_array(partials[n] / n),
         candidate=cand_dict)
 
 

@@ -6,8 +6,11 @@ of Blelloch 1990, "Prefix sums and their applications": (1) every block's
 propagator is formed from the identity, all blocks side by side; (2) the
 propagators are combined in order into each block's true start; (3) the blocks
 are rerun from their true starts. That is about 3 sqrt(L) vectorized steps in
-place of L, with O(sqrt(L) points) memory beyond the output. States are entry
-lists [x11, x12, x21, x22] of arrays with a row per block, a column per point.
+place of L, with O(sqrt(L) points) memory beyond the output. A state is one
+array of shape (2, c, rows, points), c the number of columns kept (2 for a
+matrix, 1 for a vector): a step is a few numpy calls on whole rows, reading
+views [:, j, None] of per-step coefficients reshaped to (blocks, B). Pass 1
+forms full propagators; passes 2 and 3 carry the c columns alone.
 """
 
 import math
@@ -15,65 +18,71 @@ import math
 import numpy as np
 
 
-def blocked_scan(length: int, start: np.ndarray, step, snapshots=(), visit=None,
+def blocked_scan(length: int, start: np.ndarray, step, coeffs, snapshots=(), visit=None,
                  increment: bool = False) -> np.ndarray:
-    """States X_s at each step number s in ``snapshots``, shape (len, points, 2, 2).
+    """States X_s at each step number s in ``snapshots``, shape (len, points, 2, c).
 
-    ``start`` holds the entries of X_0, shape (4, points), in the dtype of all
-    states. ``step(x, i)`` returns the entries of F x, row r of x taking the
-    factor of 0-based step i[r], and may overwrite the arrays of x. With
-    ``increment`` it returns (F - I) x, and block propagators are kept as
+    ``start`` holds X_0, shape (2, c, points), in the dtype of all states.
+    ``step(x, *t)`` returns F x for states x of shape (2, 2 or c, rows, points)
+    and may overwrite x; ``t`` are (rows, 1) views of ``coeffs``, 1-D arrays
+    indexed by 0-based step, at the step of each row. With ``increment`` it
+    returns (F - I) x, leaving x intact, and block propagators are kept as
     M - I so that small increments keep their digits. The last block repeats
-    the last factor past ``length``. ``visit(x, i)``, if given, sees the rerun
-    of every step; without it only the blocks holding a snapshot (any of
-    0..length) rerun, each to its last one.
+    the last factor past ``length``. ``visit(x, steps)``, if given, sees the
+    rerun of every step in block order, x holding X_s for s in
+    ``range(length + 1)[steps]``; without it only the blocks holding a
+    snapshot (any of 0..length) rerun, each to its last one.
     """
     snaps = np.asarray(snapshots, dtype=np.int64).reshape(-1)
-    out = np.empty((snaps.size, start.shape[1], 2, 2), dtype=start.dtype)
-    out[snaps == 0] = start.T.reshape(-1, 2, 2)
+    cols, points = start.shape[1:]
+    out = np.empty((snaps.size, points, 2, cols), dtype=start.dtype)
+    out[snaps == 0] = start.transpose(2, 0, 1)
     live = np.flatnonzero(snaps > 0)
     if length == 0 or (visit is None and not live.size):
         return out
     size = max(1, math.isqrt(length))
     count = -(-length // size)
+    coeffs = [np.pad(t[:length], (0, count * size - length), mode="edge").reshape(count, size)
+              for t in coeffs]
 
-    # pass 1: the propagator of every block from the identity (the last one goes unused)
-    eye = (0.0, 0.0, 0.0, 0.0) if increment else (1.0, 0.0, 0.0, 1.0)
-    x = [np.full((count, start.shape[1]), e, dtype=start.dtype) for e in eye]
+    # pass 1: the propagator of every block from the identity (the last one goes unused);
+    # an increment x never holds -0.0, so I + x adds 0.0 off the diagonal exactly
+    eye = np.eye(2)[:, :, None, None]
+    x = np.zeros((2, 2, count, points), dtype=start.dtype) + (0.0 if increment else eye)
+    y = np.empty_like(x) if increment else None
     for j in range(size):
-        i = np.minimum(np.arange(count) * size + j, length - 1)
-        x = ([v + d for v, d in zip(x, step([1 + x[0], x[1], x[2], 1 + x[3]], i))]
-             if increment else step(x, i))
+        d = step(np.add(x, eye, out=y) if increment else x, *(c[:, j, None] for c in coeffs))
+        x = np.add(x, d, out=x) if increment else d
 
     # pass 2: in order, the true start of each block takes the place of its propagator
     s = start
     for k in range(count):
-        e = [v[k] for v in x]
-        prod = (e[0] * s[0] + e[1] * s[2], e[0] * s[1] + e[1] * s[3],
-                e[2] * s[0] + e[3] * s[2], e[2] * s[1] + e[3] * s[3])
-        for v, w in zip(x, s):
-            v[k] = w
-        s = [u + w for u, w in zip(s, prod)] if increment else prod
+        prod = x[:, 0, k, None] * s[0] + x[:, 1, k, None] * s[1]
+        x[:, :cols, k] = s
+        s = s + prod if increment else prod
 
-    # pass 3: rerun from the true starts, the rows ordered by the last step each
-    # block is needed for, so that the rows still running are a leading slice
+    # pass 3: rerun from the true starts (for a visit every block; else the blocks
+    # holding a snapshot, each to its last one), the rows ordered by the last step
+    # each block is needed for, so that the rows still running are a leading slice
     block, offset = np.divmod(snaps[live] - 1, size)
     last = np.full(count, size - 1 if visit is not None else -1)
     np.maximum.at(last, block, offset)
     rows = np.argsort(-last, kind="stable")
     row_of, last = np.argsort(rows), last[rows]
+    x = x[:, :cols]
     if visit is None:
-        x = [v[rows] for v in x]
-    for j in range(last[0] + 1):
-        running = np.count_nonzero(last >= j)
-        x, rows = [v[:running] for v in x], rows[:running]
-        i = rows * size + j
-        d = step(x, np.minimum(i, length - 1))
-        x = [v + w for v, w in zip(x, d)] if increment else d
+        x, coeffs = x.take(rows, axis=2), [c[rows] for c in coeffs]
+    running = np.searchsorted(-last, -np.arange(last[0] + 1), side="right").tolist()
+    hits = {j: (live[offset == j], row_of[block[offset == j]]) for j in set(offset.tolist())}
+    tail = length - (count - 1) * size  # steps of the last block that are not padding
+    for j, r in enumerate(running):
+        if r < x.shape[2]:
+            x, coeffs = x[:, :, :r], [c[:r] for c in coeffs]
+        d = step(x, *(c[:, j, None] for c in coeffs))
+        x = np.add(x, d, out=x) if increment else d
         if visit is not None:  # rows are in block order, and only the last one pads
-            real = np.count_nonzero(i < length)
-            visit([v[:real] for v in x], i[:real])
-        hit = np.flatnonzero(offset == j)
-        for e in range(4 if hit.size else 0):
-            out[live[hit], :, e // 2, e % 2] = x[e][row_of[block[hit]]]
+            visit(x if j < tail else x[:, :, :-1], slice(j + 1, length + 1, size))
+        if j in hits:
+            at, b = hits[j]
+            out[at] = x[:, :, b].transpose(2, 3, 0, 1)
     return out

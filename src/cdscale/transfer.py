@@ -114,8 +114,8 @@ def transfer_matrices(model: CoefficientModel, xs, ells,
 
     Multiplies the one-step factors S_ell(x) of one_step by a blocked scan,
     for all points at once, so it stays a product independent of the
-    polynomial recurrence. ``ells`` must be nondecreasing; only the snapshots
-    are kept.
+    polynomial recurrence, its steps reading views of (a, b). ``ells`` must
+    be nondecreasing; only the snapshots are kept.
     Returns shape (len(ells), len(xs), 2, 2), real for real points. Warns
     once (ConditioningWarning) at the first step whose largest entry modulus,
     squared, passes DIRECT_COND_LIMIT.
@@ -129,20 +129,23 @@ def transfer_matrices(model: CoefficientModel, xs, ells,
     a, b = model.coeff_arrays(max_ell, n)
 
     # the rows of T_ell are (p_ell, -q_ell) and a_ell (p_{ell-1}, -q_{ell-1})
-    def step(x, i):
-        ai = a[i, None]
-        s, c = (xs - b[i, None]) / ai, -1.0 / ai
-        return [s * x[0] + c * x[2], s * x[1] + c * x[3], ai * x[0], ai * x[1]]
+    def step(x, al, bl):
+        c_row = (-1.0 / al) * x[1]
+        np.multiply(al, x[0], out=x[1])
+        np.add(np.multiply((xs - bl) / al, x[0], out=x[0]), c_row, out=x[0])
+        return x
 
     over = []
 
-    def visit(x, i):
-        big = np.maximum(abs(x[0]), abs(x[1])).max(axis=1, initial=0.0) > DIRECT_COND_LIMIT ** 0.5
-        if big.any():
-            over.append(int(i[big].min()) + 1)
+    def visit(x, steps):  # one reduction clears most visits (fmax skips the NaN max would spread)
+        m = abs(x[0])
+        if np.fmax.reduce(m, axis=None, initial=0.0) > DIRECT_COND_LIMIT ** 0.5:
+            big = m.max(axis=(0, 2)) > DIRECT_COND_LIMIT ** 0.5
+            if big.any():
+                over.append(steps.start + steps.step * int(np.argmax(big)))
 
-    start = np.eye(2, dtype=xs.dtype).reshape(4, 1).repeat(xs.shape[0], axis=1)
-    out = blocked_scan(max_ell, start, step, ells, visit=visit)
+    start = np.eye(2, dtype=xs.dtype)[:, :, None].repeat(xs.shape[0], axis=2)
+    out = blocked_scan(max_ell, start, step, (a, b), ells, visit=visit)
     if over:
         _warn_conditioning(min(over))
     return out
@@ -178,9 +181,10 @@ def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
     """
     ells = _snapshot_indices(n, t_grid)
     a_arr = np.atleast_1d(np.asarray(a_values))
-    T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
-    norms = operator_norm_array(T)
-    with np.errstate(over="ignore"):  # ||T(x0)|| ||T(x)|| bounds det T(x0) and the entries of Q
+    with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
+        T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
+        norms = operator_norm_array(T)
+        # ||T(x0)|| ||T(x)|| bounds det T(x0) and the entries of Q
         finite = np.isfinite(norms[:, :1] * norms).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))  # the first snapshot that overflows
@@ -200,7 +204,9 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
 
     Iterates Q_{ell+1} = Q_ell + (a/n) J^{-1} H_ell Q_ell from the identity for
     all offsets at once, by a blocked scan that keeps block propagators as
-    increments over the identity; J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
+    increments over the identity and reruns only the blocks that hold a
+    snapshot; each step reads views of (p_ell, q_ell), and
+    J^{-1} H_ell = ((-pq, q^2), (-p^2, pq)).
     Needs H_0..H_{max[tn]-1}. Real offsets run in real arithmetic. Returns
     complex values of shape (len(t_values), len(a_values), 2, 2).
     """
@@ -213,13 +219,13 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
         raise ValueError(f"h sequence of length {len(h_seq)} does not cover index {max_ell - 1}")
 
     # J^{-1} H_ell = (q, p)^T (-p, q) has rank one
-    def increment(x, i):
-        p, q = h_seq.ps[i, None], h_seq.qs[i, None]
-        r1, r2 = z * (q * x[2] - p * x[0]), z * (q * x[3] - p * x[1])
-        return [q * r1, q * r2, p * r1, p * r2]
+    def increment(x, p, q):
+        r = q * x[1]
+        r -= p * x[0]
+        return np.array((q, p))[:, None] * np.multiply(z, r, out=r)
 
-    start = np.eye(2, dtype=z.dtype).reshape(4, 1).repeat(z.shape[0], axis=1)
+    start = np.eye(2, dtype=z.dtype)[:, :, None].repeat(z.shape[0], axis=2)
     # off the bulk H_ell overflows; the non-finite snapshots reach the caller, which names them
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = blocked_scan(max_ell, start, increment, ells, increment=True)
+        Q = blocked_scan(max_ell, start, increment, (h_seq.ps, h_seq.qs), ells, increment=True)
     return Q.astype(complex, copy=False)

@@ -18,6 +18,11 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture(autouse=True)
 def no_env_out(monkeypatch):
     monkeypatch.delenv("CDSCALE_OUT", raising=False)
@@ -27,7 +32,7 @@ def test_kernel_single_cell(tmp_path):
     code = main(["kernel", "--model", "free", "--n", "1", "--x0", "0",
                  "--grid", "0:0:1", "--out", str(tmp_path)])
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "kernel.csv")))
+    rows = csv_rows(tmp_path / "kernel.csv")
     assert len(rows) == 1
     assert float(rows[0]["re"]) == 1.0
 
@@ -85,7 +90,7 @@ def test_zeros_command(tmp_path):
     assert code == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert abs(man["mean_gap"] - 2 * math.pi) <= 0.02 * 2 * math.pi
-    zs = [float(r["scaled_zero"]) for r in csv.DictReader(open(tmp_path / "zeros.csv"))]
+    zs = [float(r["scaled_zero"]) for r in csv_rows(tmp_path / "zeros.csv")]
     assert len(zs) == man["count"]
     assert all(b > a for a, b in zip(zs, zs[1:]))
 
@@ -163,13 +168,13 @@ def test_config_file_precedence(tmp_path):
     code = main(["kernel", "--model", "free", "--config", str(cfg),
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(open(out / "kernel.csv")))
+    rows = csv_rows(out / "kernel.csv")
     assert len(rows) == 81  # 9 x 9 grid from the config file
     out2 = tmp_path / "o2"
     code = main(["kernel", "--model", "free", "--config", str(cfg),
                  "--grid", "0:1:2", "--out", str(out2)])
     assert code == 0
-    rows = list(csv.DictReader(open(out2 / "kernel.csv")))
+    rows = csv_rows(out2 / "kernel.csv")
     assert len(rows) == 4  # flag wins over config
 
 
@@ -178,7 +183,7 @@ def test_canonical_solve_constant(tmp_path):
                  "--h22", "0.5", "--z", "1.0", "--t-grid", "0:1:5",
                  "--out", str(tmp_path)])
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "solution.csv")))
+    rows = csv_rows(tmp_path / "solution.csv")
     assert len(rows) == 5
     last = rows[-1]
     assert abs(float(last["q11_re"]) - math.cos(0.5)) <= 1e-9
@@ -274,11 +279,13 @@ def test_thm25_off_center_passes(tmp_path):
     (["canonical-solve", "--system", "coshsinh", "--v", "800", "--z", "1",
       "--t-grid", "0:1:3"], "solution.csv"),
 ])
-def test_non_finite_results_exit_1(tmp_path, capsys, argv, output):
+def test_non_finite_results_exit_1(tmp_path, capsys, recwarn, argv, output):
     # off the bulk the polynomials overflow; no output may carry NaN
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert "numerical check failed" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+    # numpy's own overflow warnings stay silent; cdscale's message names the overflow
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def test_transfer_overflow_is_named(tmp_path, capsys, recwarn):
