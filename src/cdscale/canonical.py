@@ -19,10 +19,12 @@ The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
 D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
 from the step's three stage generators; H takes arrays of t, so they come for
 all steps from three calls, independently of z. The integrator cuts the steps
-into runs at the snapshots and multiplies each run out pairwise in increment
-form, (I + L)(I + R) = I + (L + R + L R), in real arithmetic for real z; no
-increment is added to I, where it would lose its low bits. kernel_grid solves
-once when its a and b grids are equal.
+into runs at the snapshots and at the edges of blocks of 64 steps, and
+multiplies each run out pairwise in increment form, (I + L)(I + R) =
+I + (L + R + L R), in real arithmetic for real z; no increment is added to I,
+where it would lose its low bits. A reduction covers a fixed budget of
+(step, z) pairs: wide z batches one block at a time, narrow ones many blocks
+at once. kernel_grid solves once when its a and b grids are equal.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ SOLVE_CONSTANT_PSD_TOL = 1e-10
 WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
 CONFLUENT_FD_STEP = 1e-5
-STEP_BLOCK_VALUES = 4096  # steps per set of coefficients; (step, z) pairs per block
-BLOCK_STEPS = 64  # steps per block of runs, fixed for every number of zs
+STEP_BLOCK_VALUES = 4096  # steps per set of coefficients, which bounds their memory
+BLOCK_STEPS = 64  # steps per block; block edges end runs whatever the number of zs
+# (step, z) pairs per reduction: chunks of at most REDUCTION_PAIRS // BLOCK_STEPS
+# zs, each reduction as many whole blocks as the widest chunk leaves room for
+REDUCTION_PAIRS = 8192
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -305,7 +310,9 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
 
 def _times(a, b):
     """The 2x2 products a·b of arrays shaped (..., 2, 2, nz), entry by entry over z."""
-    return a[..., :, :1, :] * b[..., :1, :, :] + a[..., :, 1:, :] * b[..., 1:, :, :]
+    p = a[..., :, :1, :] * b[..., :1, :, :]
+    p += a[..., :, 1:, :] * b[..., 1:, :, :]
+    return p
 
 
 def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
@@ -315,10 +322,13 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     Returns shape (len(t_grid), len(zs), 2, 2). Steps are uniform within each
     segment of the path (grid points plus Hamiltonian breakpoints) and never
     longer than ``max_step``. Step k multiplies Q by I + D_k(z), D_k(z) =
-    z C1 + z^2 C2 + z^3 C3 + z^4 C4. Per block of BLOCK_STEPS steps and chunk
-    of zs, one real matrix product of the C_k and the powers of z gives the
-    D_k; the snapshots cut the block into runs, pairwise products reduce all
-    runs at once, and Q += P Q applies each run's product P. Real zs are
+    z C1 + z^2 C2 + z^3 C3 + z^4 C4. The zs go in balanced chunks, and a
+    reduction covers as many whole blocks of BLOCK_STEPS steps as keep it
+    within REDUCTION_PAIRS (step, z) pairs. Per reduction and chunk, one real
+    matrix product of the C_k and the powers of z gives the D_k; block edges
+    and snapshots cut the steps into runs, pairwise products reduce all runs
+    at once, and Q += P Q applies each run's product P. So a z's result does
+    not depend on the batch of two or more it is solved in. Real zs are
     solved in real arithmetic, to the bit as in a complex run of the same
     values, whose imaginary parts stay exactly 0.
     """
@@ -332,7 +342,9 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     snaps = {k: slice(bisect_left(ts, t), bisect_right(ts, t)) for k, t in ends.items()}
     out = np.full((len(ts), nz, 2, 2), np.eye(2), complex)
     Q = np.eye(2, dtype=zs.dtype)[..., None].repeat(nz, axis=2)  # Q[i, j] over z
-    bounds = np.linspace(0, nz, -(-nz // (STEP_BLOCK_VALUES // BLOCK_STEPS)) + 1).astype(int)
+    bounds = np.linspace(0, nz, -(-nz // (REDUCTION_PAIRS // BLOCK_STEPS)) + 1).astype(int)
+    widest = int(np.diff(bounds).max(initial=1))
+    span = BLOCK_STEPS * max(1, REDUCTION_PAIRS // (BLOCK_STEPS * widest))
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = zs * zs
         powers = np.stack([zs, z2, z2 * zs, z2 * z2])
@@ -341,16 +353,18 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
         re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
         for c0 in range(0, len(h), STEP_BLOCK_VALUES):
             c1 = min(c0 + STEP_BLOCK_VALUES, len(h))
-            coeffs = _step_coefficients(system, t_lo[c0:c1], h[c0:c1])
             # (step, entry, power), and a zero increment last, at index -1
-            rows = np.pad(coeffs.reshape(4, -1, 4).transpose(1, 2, 0), ((0, 1), (0, 0), (0, 0)))
-            for b0 in range(c0, c1, BLOCK_STEPS):
-                b1 = min(b0 + BLOCK_STEPS, c1)
-                run_ends = cuts[bisect_right(cuts, b0):bisect_left(cuts, b1)] + [b1]
+            rows = np.zeros((c1 - c0 + 1, 4, 4))
+            rows[:-1] = _step_coefficients(system, t_lo[c0:c1], h[c0:c1]).reshape(
+                4, -1, 4).transpose(1, 2, 0)
+            for r0 in range(c0, c1, span):
+                r1 = min(r0 + span, c1)
+                run_ends = sorted({*cuts[bisect_right(cuts, r0):bisect_left(cuts, r1)],
+                                   *range(r0 + BLOCK_STEPS, r1, BLOCK_STEPS)}) + [r1]
                 # each run padded with zero increments to 2^e slots, at a
                 # multiple of 2^e, so that no pair of slots straddles two runs
                 slots, where = [], []
-                for j, k in zip([b0, *run_ends], run_ends):
+                for j, k in zip([r0, *run_ends], run_ends):
                     e = (k - j - 1).bit_length()
                     slots += [-1] * (-len(slots) % (1 << e))
                     where.append((e, len(slots) >> e))
@@ -362,7 +376,10 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                     levels = [D.reshape(len(slots), 2, 2, -1)]
                     for _ in range(max(where)[0]):
                         X = levels[-1][:len(levels[-1]) & ~1]
-                        levels.append(_times(X[1::2], X[::2]) + X[1::2] + X[::2])
+                        Y = _times(X[1::2], X[::2])  # L R + L + R, summed in place
+                        Y += X[1::2]
+                        Y += X[::2]
+                        levels.append(Y)
                     q = Q[..., zc]
                     for (j, i), k in zip(where, run_ends):
                         q += _times(levels[j][i], q)
@@ -433,19 +450,18 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     """
     a_arr = np.atleast_1d(np.asarray(a_values))
     b_arr = np.atleast_1d(np.asarray(b_values))
-    for a in a_arr:
-        _check_distinct(a, b_arr[b_arr != a])
+    # exactly equal pairs are masked out; the first near pair is named in a-major order
+    _check_distinct(a_arr[:, None], np.where(a_arr[:, None] == b_arr, np.inf, b_arr))
     ua = _u_final_batch(system, a_arr, max_step)
     ub = ua if np.array_equal(a_arr, b_arr) else _u_final_batch(system, b_arr, max_step)
     det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]
     diff = a_arr[:, None] - b_arr[None, :]
     coincident = diff == 0
     values = np.divide(det, diff, out=np.zeros_like(det), where=~coincident)
-    if np.any(coincident):
-        idx_a = np.nonzero(coincident.any(axis=1))[0]
-        diag = _diagonal_kernel_batch(system, a_arr[idx_a], max_step)
-        for k, i in enumerate(idx_a):
-            values[i, coincident[i]] = diag[k]
+    per_row = coincident.sum(axis=1)
+    if per_row.any():
+        diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], max_step)
+        values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
     return values
 
 

@@ -42,8 +42,12 @@ def blocked_scan(length: int, start: np.ndarray, step, coeffs, snapshots=(), vis
         return out
     size = max(1, math.isqrt(length))
     count = -(-length // size)
-    coeffs = [np.pad(t[:length], (0, count * size - length), mode="edge").reshape(count, size)
-              for t in coeffs]
+    padded = []
+    for t in coeffs:  # the last coefficient repeats past length
+        c = np.empty(count * size, t.dtype)
+        c[:length], c[length:] = t[:length], t[length - 1]
+        padded.append(c.reshape(count, size))
+    coeffs = padded
 
     # pass 1: the propagator of every block from the identity (the last one goes unused);
     # an increment x never holds -0.0, so I + x adds 0.0 off the diagonal exactly

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdscale import canonical
-from cdscale.canonical import (BLOCK_STEPS, STEP_BLOCK_VALUES, CallableHamiltonian,
+from cdscale.canonical import (BLOCK_STEPS, DEFAULT_MAX_STEP, REDUCTION_PAIRS,
+                               STEP_BLOCK_VALUES, CallableHamiltonian,
                                ConstantHamiltonian, CoshSinhHamiltonian,
                                PiecewiseConstantHamiltonian, RSSequence,
                                constant_solution_batch, discrete_to_jacobi,
@@ -18,7 +19,7 @@ from cdscale.canonical import (BLOCK_STEPS, STEP_BLOCK_VALUES, CallableHamiltoni
                                system_from_dict, _integration_path,
                                _step_coefficients, _step_grid)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
-from cdscale.cdkernel import kernel_sum
+from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import Mat2, operator_norm
 
@@ -161,6 +162,33 @@ def test_kernel_near_coincident_refused():
         kernel_grid(sysc, [1.0], [1.0 + 1e-15])
     with pytest.raises(CoincidentArguments):
         hb_kernel(sysc, 0.5, 0.5)
+
+
+def per_a_message(a_grid, b_grid):
+    """The coincidence check of one a at a time, each without the bs equal to it."""
+    for a in a_grid:
+        try:
+            _check_distinct(a, b_grid[b_grid != a])
+        except CoincidentArguments as exc:
+            return str(exc)
+
+
+def test_kernel_grid_names_the_first_near_pair_in_a_major_order():
+    system = CoshSinhHamiltonian(0.6)
+    a = np.array([-1.0, 1.0, 2.0, 3.0])
+    # 3 + 4e-15 comes first in b, but a = 2 is the first row with a near pair;
+    # the pairs (1, 1) and (3, 3) are exactly equal and take the diagonal
+    near = np.array([3.0 + 4e-15, 1.0, 3.0, 2.0 - 4e-15, 1.0])
+    for a_grid, b_grid in ((a, near), (a + 0.5j, near + 0.5j)):
+        with pytest.raises(CoincidentArguments) as exc:
+            kernel_grid(system, a_grid, b_grid)
+        assert str(exc.value) == per_a_message(a_grid, b_grid)
+        assert f"arguments {a_grid[2]} and {b_grid[3]} coincide" in str(exc.value)
+    b = np.array([1.0, 3.0, 1.0, 0.5])
+    values = kernel_grid(system, a, b)
+    diag = canonical._diagonal_kernel_batch(system, np.array([1.0, 3.0]), DEFAULT_MAX_STEP)
+    assert values[1, 0] == values[1, 2] == diag[0] and values[3, 1] == diag[1]
+    assert np.array_equal(values[[0, 2, 3]][:, [0, 2, 3]], kernel_grid(system, a[[0, 2, 3]], b[[0, 2, 3]]))
 
 
 def test_kernel_entire_cauchy_consistency():
@@ -494,10 +522,29 @@ def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step):
     assert_matches_staged(CoshSinhHamiltonian(1.0), zs, t_grid, max_step)
 
 
+@pytest.mark.parametrize("complex_z", [False, True])
+def test_solver_result_does_not_depend_on_the_batch(complex_z):
+    # 600 zs fill several chunks of z, one block per reduction; the batches
+    # of 2, 13 and 51 zs take many blocks per reduction, whose snapshots at
+    # t = 0.25, 0.6 and 0.6005 cut runs inside and on block edges. Batches of
+    # one z are left out: numpy sends them to BLAS gemv, which rounds otherwise
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-20.0, 20.0, 600)
+    if complex_z:
+        zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
+    assert zs.size > 4 * REDUCTION_PAIRS // BLOCK_STEPS
+    system = CoshSinhHamiltonian(1.0)
+    t_grid = [0.25, 0.6, 0.6005, 1.0]
+    wide = solve_ode_batch(system, zs, t_grid)
+    for picks in ([0, 599], [127, 128], rng.choice(600, 13, replace=False),
+                  np.arange(200, 251)):
+        assert np.array_equal(solve_ode_batch(system, zs[picks], t_grid), wide[:, picks])
+
+
 def test_solver_one_step_blocks():
     # runs of 20, 1, 1 and 42 steps fill the first block of 64 steps, and
-    # t = 0.065 ends a second block of one step; 129 z values make three chunks
-    zs = np.linspace(-20.0, 20.0, 2 * (STEP_BLOCK_VALUES // BLOCK_STEPS) + 1)
+    # t = 0.065 ends a second block of one step; 257 z values make three chunks
+    zs = np.linspace(-20.0, 20.0, 2 * (REDUCTION_PAIRS // BLOCK_STEPS) + 1)
     assert_matches_staged(CoshSinhHamiltonian(0.7), zs, [0.02, 0.021, 0.022, 0.065])
 
 
@@ -524,8 +571,8 @@ def solver_cases(draw):
 
     The runs between snapshots include lengths 1, 2, 3, another odd length
     and one longer than a propagator block; a piecewise system adds its
-    breakpoints, which may fall between steps of the grid. Over 64 zs fill
-    more than one chunk of z.
+    breakpoints, which may fall between steps of the grid. Over 128 zs fill
+    more than one chunk of z; fewer share reductions of several blocks.
     """
     edges = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True))
     system = draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
@@ -562,12 +609,13 @@ def test_solver_trivial_t_grids(t_grid):
     assert_matches_staged(CoshSinhHamiltonian(1.0), [1.0, 2.0 - 1.0j], t_grid)
 
 
-@pytest.mark.parametrize("nz", [401, 20000])
+@pytest.mark.parametrize("nz", [401, 20000, 51, 1])  # at 51 and 1, reductions span several blocks
 def test_solver_memory_bounded(nz):
     zs = np.linspace(-20.0, 20.0, nz)
+    t_grid = np.linspace(0.0, 1.0, 1001) if nz == 1 else [1.0]
     tracemalloc.start()
     try:
-        solve_ode_batch(CoshSinhHamiltonian(1.0), zs, [1.0])
+        solve_ode_batch(CoshSinhHamiltonian(1.0), zs, t_grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
