@@ -50,6 +50,8 @@ BLOCK_STEPS = 64  # steps per block; block edges end runs whatever the number of
 # (step, z) pairs per reduction: chunks of at most REDUCTION_PAIRS // BLOCK_STEPS
 # zs, each reduction as many whole blocks as the widest chunk leaves room for
 REDUCTION_PAIRS = 8192
+# grid rows per near-coincidence check in kernel_grid: bounds its temporaries
+COINCIDENCE_ROWS = 16
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -451,7 +453,9 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     a_arr = np.atleast_1d(np.asarray(a_values))
     b_arr = np.atleast_1d(np.asarray(b_values))
     # exactly equal pairs are masked out; the first near pair is named in a-major order
-    _check_distinct(a_arr[:, None], np.where(a_arr[:, None] == b_arr, np.inf, b_arr))
+    for lo in range(0, a_arr.size, COINCIDENCE_ROWS):
+        rows = a_arr[lo:lo + COINCIDENCE_ROWS, None]
+        _check_distinct(rows, np.where(rows == b_arr, np.inf, b_arr))
     ua = _u_final_batch(system, a_arr, max_step)
     ub = ua if np.array_equal(a_arr, b_arr) else _u_final_batch(system, b_arr, max_step)
     det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]

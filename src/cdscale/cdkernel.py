@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import decimals
 from .errors import CoincidentArguments
 from .jacobi import CoefficientModel, poly_table
 from .transfer import q_trajectory_direct
@@ -109,20 +110,16 @@ class KernelGrid:
 
     def to_csv(self, path) -> None:
         """Rows (a, b, re, im), a-major, shortest round-trip decimals."""
-        b_cells = [f"{_num(b)}," for b in np.atleast_1d(self.b_values)]
+        a_cells = decimals.text([[f"{_num(a)},"] for a in np.atleast_1d(self.a_values)])
+        b_cells = decimals.text([f"{_num(b)}," for b in np.atleast_1d(self.b_values)])
         values = np.asarray(self.values)
-        with open(path, "w", newline="") as fh:
-            fh.write("a,b,re,im\n")
-            # one row of Python floats at a time: the whole grid as floats
-            # would cost 32 B per number
-            for a, row in zip(np.atleast_1d(self.a_values), values):
-                a_cell = f"{_num(a)},"
-                if np.iscomplexobj(values):
-                    fh.write("".join([f"{a_cell}{b}{re!r},{im!r}\n" for b, re, im in
-                                      zip(b_cells, row.real.tolist(), row.imag.tolist())]))
-                else:  # the imaginary part of a real value is +0.0
-                    fh.write("".join([f"{a_cell}{b}{re!r},0.0\n"
-                                      for b, re in zip(b_cells, row.tolist())]))
+        if np.iscomplexobj(values):
+            cells = (values.real, decimals.text([","]), values.imag, decimals.text(["\n"]))
+        else:  # the imaginary part of a real value is +0.0
+            cells = (values, decimals.text([",0.0\n"]))
+        with open(path, "wb") as fh:
+            fh.write(b"a,b,re,im\n")
+            decimals.write_lines(fh, a_cells, b_cells, *cells)
 
     def manifest_dict(self, model_spec: dict, reference: str | None = None,
                       sup_error: float | None = None) -> dict:
@@ -143,7 +140,7 @@ class KernelGrid:
 
 def _num(v) -> str:
     v = complex(v)
-    return repr(v.real) if v.imag == 0 else f"{v.real!r}{v.imag:+.17g}j"
+    return repr(v.real) if v.imag == 0 else f"{v.real!r}{v.imag:+}j"
 
 
 def _num_json(v):

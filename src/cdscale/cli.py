@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, cdkernel, jacobi, limits, models, transfer
+from . import __version__, canonical, cdkernel, decimals, jacobi, limits, models, transfer
 from . import errors
 from .errors import IndexOutOfRange, InvalidCoefficient
 from .mat2 import Mat2, inverse_unimodular, operator_norm, operator_norm_array
@@ -330,10 +330,9 @@ def cmd_zeros(opt: Options) -> int:
     window = opt.get("window")
     sl = jacobi.scaled_zeros(model, n, x0, window)
     out = _out_dir(opt)
-    with open(os.path.join(out, "zeros.csv"), "w", newline="") as fh:
-        fh.write("scaled_zero\n")
-        for z in sl.scaled_zeros:
-            fh.write(f"{float(z)!r}\n")
+    with open(os.path.join(out, "zeros.csv"), "wb") as fh:
+        fh.write(b"scaled_zero\n")
+        decimals.write_lines(fh, sl.scaled_zeros, decimals.text(["\n"]))
     gaps = sl.nearest_neighbor_gaps()
     mean_gap = float(np.mean(gaps)) if gaps.size else None
     print(f"zeros={len(sl.scaled_zeros)} mean_gap={mean_gap!r}")
@@ -561,11 +560,13 @@ def cmd_canonical_solve(opt: Options) -> int:
     t_grid = _parse_t_grid(opt.get("t_grid"))
     qs = canonical.solve_ode_batch(system, [z], t_grid, max_step=opt.get("max_step"))[:, 0]
     out = _out_dir(opt)
-    with open(os.path.join(out, "solution.csv"), "w", newline="") as fh:
-        fh.write("t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
+    with open(os.path.join(out, "solution.csv"), "wb") as fh:
+        fh.write(b"t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
         # each row is t, then the real and imaginary parts of q11, q12, q21, q22
         rows = np.column_stack([t_grid, qs.astype(complex).reshape(-1, 4).view(float)])
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        comma, newline = decimals.text([","]), decimals.text(["\n"])
+        cells = [cell for column in rows.T for cell in (column, comma)]
+        decimals.write_lines(fh, *cells[:-1], newline)
     _write_manifest(out, {"command": "canonical-solve", "system": system.to_dict(),
                           "z": [z.real, z.imag], "t_grid": opt.get("t_grid"),
                           "max_step": opt.get("max_step"),

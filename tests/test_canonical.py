@@ -191,6 +191,19 @@ def test_kernel_grid_names_the_first_near_pair_in_a_major_order():
     assert np.array_equal(values[[0, 2, 3]][:, [0, 2, 3]], kernel_grid(system, a[[0, 2, 3]], b[[0, 2, 3]]))
 
 
+def test_kernel_grid_names_the_first_near_pair_across_row_blocks():
+    system = CoshSinhHamiltonian(0.6)
+    a = np.linspace(-20.0, 20.0, 401)
+    b = a + 0.05
+    # b[10] is near a[300] and b[350] near a[40]: the pair of row 40 comes first
+    b[10], b[350] = a[300] + 4e-15, a[40] - 4e-15
+    assert 40 // canonical.COINCIDENCE_ROWS != 300 // canonical.COINCIDENCE_ROWS
+    with pytest.raises(CoincidentArguments) as exc:
+        kernel_grid(system, a, b)
+    assert str(exc.value) == per_a_message(a, b)
+    assert f"arguments {a[40]} and {b[350]} coincide" in str(exc.value)
+
+
 def test_kernel_entire_cauchy_consistency():
     # analyticity in the second argument: Cauchy integral over a unit circle
     system = CoshSinhHamiltonian(0.8)

@@ -259,13 +259,15 @@ def test_grid_csv_and_manifest_round_trip(tmp_path):
     assert man["grid"]["a"] == list(vals)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex values", "complex labels"])
+@pytest.mark.parametrize("kind", ["real", "complex values", "complex labels", "wide values"])
 def test_grid_csv_matches_per_cell_writer(tmp_path, kind):
     rng = np.random.default_rng(41)
     a, b = np.linspace(-2, 2, 7), rng.uniform(-3, 3, 5)
     values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-20, 20, (7, 5))
     values[0, 0] = -0.0
-    if kind == "complex values":
+    if kind == "wide values":  # repr's positional range and both sides of it
+        values = rng.choice([-1.0, 1.0], (7, 5)) * 10.0 ** rng.uniform(-6, 17, (7, 5))
+    elif kind == "complex values":
         values = values + 1j * rng.standard_normal((7, 5))
         values[0, :3] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.5, 0.0)]
     elif kind == "complex labels":
@@ -276,6 +278,30 @@ def test_grid_csv_matches_per_cell_writer(tmp_path, kind):
     grid.to_csv(tmp_path / "new.csv")
     kernel_csv_per_cell(grid, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_grid_csv_memory_is_bounded_by_its_chunks(tmp_path):
+    a = np.linspace(-20, 20, 401)
+    rng = np.random.default_rng(43)
+    values = rng.standard_normal((401, 401)) * 10.0 ** rng.uniform(-6, 2, (401, 401))
+    grid = KernelGrid(x0=0.0, n=1000, a_values=a, b_values=a + 0.05, values=values)
+    tracemalloc.start()
+    try:
+        grid.to_csv(tmp_path / "kernel.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the grid's text alone is about 9 MiB
+    assert peak < 2 * 2 ** 20
+    assert (tmp_path / "kernel.csv").stat().st_size > 8 * 2 ** 20
+
+
+def test_complex_labels_are_shortest_with_a_sign():
+    assert cdkernel._num(0.1j) == "0.0+0.1j"
+    assert cdkernel._num(complex(0.25, -1e-20)) == "0.25-1e-20j"
+    assert cdkernel._num(complex(-0.5, -0.0)) == "-0.5"
+    for v in (complex(1 / 3, 2 / 3), complex(-7.0, 1e16), complex(0.0, -math.pi)):
+        assert complex(cdkernel._num(v)) == v
 
 
 def test_scaled_grid_consistency_guard():

@@ -90,7 +90,9 @@ def test_zeros_command(tmp_path):
     assert code == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert abs(man["mean_gap"] - 2 * math.pi) <= 0.02 * 2 * math.pi
-    zs = [float(r["scaled_zero"]) for r in csv_rows(tmp_path / "zeros.csv")]
+    cells = [r["scaled_zero"] for r in csv_rows(tmp_path / "zeros.csv")]
+    assert all(repr(float(cell)) == cell for cell in cells)  # repr's text of each zero
+    zs = [float(cell) for cell in cells]
     assert len(zs) == man["count"]
     assert all(b > a for a, b in zip(zs, zs[1:]))
 
@@ -185,6 +187,8 @@ def test_canonical_solve_constant(tmp_path):
     assert code == 0
     rows = csv_rows(tmp_path / "solution.csv")
     assert len(rows) == 5
+    # every cell is repr's text of the value it reads back as
+    assert all(repr(float(cell)) == cell for row in rows for cell in row.values())
     last = rows[-1]
     assert abs(float(last["q11_re"]) - math.cos(0.5)) <= 1e-9
     assert abs(float(last["q12_re"]) - math.sin(0.5)) <= 1e-9
