@@ -38,7 +38,7 @@ import numpy as np
 from .cdkernel import _check_distinct
 from .errors import NotPSD, WronskianViolation
 from .jacobi import TableModel, poly_table
-from .mat2 import Mat2, symmetric_eig_bounds
+from .mat2 import symmetric_eig_bounds
 
 PSD_SAMPLE_TOL = 1e-12
 SOLVE_CONSTANT_PSD_TOL = 1e-10
@@ -55,13 +55,10 @@ COINCIDENCE_ROWS = 16
 
 
 def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, Mat2):
-        arr = np.real_if_close(h.to_array())
-    else:
-        arr = np.asarray(h, dtype=float)
+    arr = np.array(h, dtype=float)
     if arr.shape != (2, 2):
         raise ValueError("Hamiltonian values must be 2x2")
-    return arr.astype(float)
+    return arr
 
 
 def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
@@ -70,7 +67,7 @@ def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
     # both comparisons are written to fail on NaN
     if not abs(arr[0, 1] - arr[1, 0]) <= 1e-12 * max(1.0, abs(arr[0, 1])):
         raise ValueError(f"Hamiltonian value{where} is not symmetric")
-    lo, _ = symmetric_eig_bounds(Mat2.from_array(arr))
+    lo, _ = symmetric_eig_bounds(arr)
     if not lo >= -tol:
         raise NotPSD(f"Hamiltonian value{where} has eigenvalue {lo:.3e} < -{tol:g}")
     return arr

@@ -31,7 +31,7 @@ import numpy as np
 from . import cdkernel
 from .canonical import (CanonicalSystem, PiecewiseConstantHamiltonian,
                         constant_solution_batch)
-from .mat2 import Mat2, operator_norm_array
+from .mat2 import operator_norm
 from .transfer import DiscreteHSequence, h_sequence, q_snapshots
 
 BPD_WTILDE_TOL = 1e-12
@@ -65,7 +65,7 @@ class BulkPointData:
             raise ValueError(
                 f"wtilde = {self.wtilde} inconsistent with w/(pi^2 w^2 + reF^2) = {expected}")
         h = self.hamiltonian()
-        det = h.m11 * h.m22 - h.m12 * h.m21
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         target = (math.pi * self.rho) ** 2
         if abs(det - target) > BPD_DET_TOL * max(1.0, target):
             raise ValueError(f"det H = {det} violates (pi rho)^2 = {target}")
@@ -75,9 +75,9 @@ class BulkPointData:
         wtilde = w / (math.pi ** 2 * w ** 2 + reF ** 2)
         return cls(x0=x0, w=w, rho=rho, reF=reF, wtilde=wtilde)
 
-    def hamiltonian(self) -> Mat2:
+    def hamiltonian(self) -> np.ndarray:
         off = self.reF * self.rho / self.w
-        return Mat2(self.rho / self.w, off, off, self.rho / self.wtilde)
+        return np.array([[self.rho / self.w, off], [off, self.rho / self.wtilde]])
 
     def to_dict(self) -> dict:
         return {"x0": self.x0, "w": self.w, "rho": self.rho,
@@ -95,7 +95,7 @@ class DiagnosticsReport:
     sup_norm: float  # boundedness heuristic: sup of p^2 + q^2 over ell < n
     decay_profile: list  # of (L, worst windowed average)
     matrix_conv: float | None
-    cesaro_h: Mat2
+    cesaro_h: np.ndarray  # shape (2, 2)
     candidate: dict | None = None
 
     def to_dict(self) -> dict:
@@ -107,7 +107,7 @@ class DiagnosticsReport:
             "sup_norm": self.sup_norm,
             "decay_profile": [[int(L), float(v)] for L, v in self.decay_profile],
             "matrix_conv": self.matrix_conv,
-            "cesaro_h": self.cesaro_h.to_array().real.tolist(),
+            "cesaro_h": self.cesaro_h.tolist(),
             "candidate": self.candidate,
         }
 
@@ -120,13 +120,13 @@ def _h_partials(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
     return out
 
 
-def cesaro_limit(h_seq: DiscreteHSequence, n: int) -> Mat2:
+def cesaro_limit(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
     """Running average (1/n) sum_{j < n} H_j."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > len(h_seq):
         raise ValueError("h sequence too short")
-    return Mat2.from_array(_h_partials(h_seq, n)[n] / n)
+    return _h_partials(h_seq, n)[n] / n
 
 
 def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> CanonicalSystem:
@@ -173,11 +173,11 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
             cand = candidate.integral(np.arange(n + 1) / n)
         except ArithmeticError as exc:
             raise ArithmeticError(f"candidate {cand_dict} overflows on [0, 1]: {exc}") from None
-        matrix_conv = float(np.max(operator_norm_array(partials / n - cand)))
+        matrix_conv = float(np.max(operator_norm(partials / n - cand)))
     return DiagnosticsReport(
         n=n, x0=h_seq.x0, avg_norm=avg_norm, max_over_n=sup_norm / n,
         sup_norm=sup_norm, decay_profile=profile, matrix_conv=matrix_conv,
-        cesaro_h=Mat2.from_array(partials[n] / n),
+        cesaro_h=partials[n] / n,
         candidate=cand_dict)
 
 
@@ -204,7 +204,7 @@ class EquivalenceReport:
         return all(b < a for a, b in zip(self.flow_stat, self.flow_stat[1:]))
 
 
-def flow_deviation(model, n: int, x0: float, h: Mat2, a_grid, t_grid) -> float:
+def flow_deviation(model, n: int, x0: float, h: np.ndarray, a_grid, t_grid) -> float:
     """sup_(t, a) || Q_[tn](x0 + a/n) - exp(a t J^{-1} H) || for a constant candidate.
 
     Raises ArithmeticError, naming the first t whose snapshot is not finite,
@@ -213,7 +213,7 @@ def flow_deviation(model, n: int, x0: float, h: Mat2, a_grid, t_grid) -> float:
     seq = h_sequence(model, x0, n, n)
     actual = q_snapshots(seq, n, a_grid, t_grid)
     reference = constant_solution_batch(h, a_grid, t_grid)
-    dev = operator_norm_array(actual - reference)
+    dev = operator_norm(actual - reference)
     finite = np.isfinite(dev).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -23,7 +23,7 @@ import numpy as np
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      PeriodicModel, TableModel)
 from .limits import BulkPointData
-from .mat2 import Mat2, operator_norm_array
+from .mat2 import operator_norm
 from .transfer import h_sequence
 
 ENTIRE_SERIES_RADIUS = 1.0
@@ -64,45 +64,45 @@ def lambda_pm(v: float, n: int) -> tuple[float, float]:
     return lam_plus, lam_minus
 
 
-def two_step_factor(v: float, n: int) -> Mat2:
+def two_step_factor(v: float, n: int) -> np.ndarray:
     """Product of one upper and one lower shear: ((1 + v^2, v), (v, 1)), v = V/n."""
     vn = v / n
-    return Mat2(1.0 + vn * vn, vn, vn, 1.0)
+    return np.array([[1.0 + vn * vn, vn], [vn, 1.0]])
 
 
-def u_matrix(v: float, n: int) -> Mat2:
+def u_matrix(v: float, n: int) -> np.ndarray:
     """Eigenvector matrix of the two-step factor, columns for (lambda-, lambda+)."""
     vn = v / n
     root = math.sqrt(1.0 + 0.25 * vn * vn)
-    return Mat2(1.0, 1.0, -root - 0.5 * vn, root - 0.5 * vn)
+    return np.array([[1.0, 1.0], [-root - 0.5 * vn, root - 0.5 * vn]])
 
 
-def qhat_closed(v: float, n: int, ell: int) -> Mat2:
+def qhat_closed(v: float, n: int, ell) -> np.ndarray:
     """Conjugated transfer product at spectral point 0, in closed form.
 
     Even step counts are pure powers of the two-step factor, diagonalized
     through the eigenvector matrix; odd step counts carry one extra lower
-    shear on the left.
+    shear on the left. ``ell`` may be an array of step counts; the result
+    has shape ell.shape + (2, 2).
     """
-    if not 0 <= ell <= n:
+    ell = np.asarray(ell)
+    if not np.all((0 <= ell) & (ell <= n)):
         raise ValueError("need 0 <= ell <= n")
     vn = v / n
     lam_plus, lam_minus = lambda_pm(v, n)
     u = u_matrix(v, n)
-    det_u = u.det().real
-    uinv = Mat2(u.m22 / det_u, -u.m12 / det_u, -u.m21 / det_u, u.m11 / det_u)
     k = ell // 2
-    core = u @ Mat2(lam_minus ** k, 0.0, 0.0, lam_plus ** k) @ uinv
-    if ell % 2 == 0:
-        return core
-    return Mat2(1.0, 0.0, vn, 1.0) @ core
+    # u diag(lambda-^k, lambda+^k) u^{-1}, the diagonal scaling the columns of u
+    core = (u * np.stack([lam_minus ** k, lam_plus ** k], axis=-1)[..., None, :]) @ np.linalg.inv(u)
+    odd = (ell % 2 == 1)[..., None, None]
+    return np.where(odd, np.array([[1.0, 0.0], [vn, 1.0]]) @ core, core)
 
 
-def limit_coefficient(v: float, s: float) -> Mat2:
+def limit_coefficient(v: float, s: float) -> np.ndarray:
     """Limit of the diagonalized-frame coefficients: ((0, -e^{sV}/2), (e^{-sV}/2, 0))."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    return Mat2(0.0, -0.5 * math.exp(s * v), 0.5 * math.exp(-s * v), 0.0)
+    return np.array([[0.0, -0.5 * math.exp(s * v)], [0.5 * math.exp(-s * v), 0.0]])
 
 
 def limit_coefficient_integral(v: float, t: float) -> np.ndarray:
@@ -130,7 +130,7 @@ def alternating_coefficient_matrices(v: float, n: int) -> np.ndarray:
     g[:, 0, 1] = q * q
     g[:, 1, 0] = -p * p
     g[:, 1, 1] = p * q
-    u = u_matrix(v, n).to_array().real
+    u = u_matrix(v, n)
     uinv = np.linalg.inv(u)
     return -np.einsum("ij,ljk,km->lim", uinv, g, u)
 
@@ -150,7 +150,7 @@ def alternating_coefficient_deviation(v: float, n: int) -> float:
     else:
         targets[:, 0, 1] = [-(math.exp(t * v) - 1.0) / (2.0 * v) for t in ts]
         targets[:, 1, 0] = [(1.0 - math.exp(-t * v)) / (2.0 * v) for t in ts]
-    return float(np.max(operator_norm_array(partials / n - targets)))
+    return float(np.max(operator_norm(partials / n - targets)))
 
 
 # Even entire helpers in w2 = omega^2; any square root below is taken of an

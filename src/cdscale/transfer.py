@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ConditioningWarning
 from .jacobi import CoefficientModel, poly_table
-from .mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
-                   operator_norm_array)
+from .mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
 from .scan import blocked_scan
 
 # Above this squared size of the accumulated product the direct path has lost
@@ -87,7 +86,8 @@ def transfer_product(model: CoefficientModel, ell: int, x,
                      n: int | None = None) -> Mat2:
     """Ordered product S_ell(x) ... S_1(x); T_0 is the identity.
 
-    The scalar reference that tests hold transfer_matrices against.
+    The scalar reference that tests hold transfer_matrices against: one
+    Mat2 product and one operator_norm call per step, in plain Python.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -183,19 +183,17 @@ def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
     a_arr = np.atleast_1d(np.asarray(a_values))
     with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
         T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
-        norms = operator_norm_array(T)
+        norms = operator_norm(T)
         # ||T(x0)|| ||T(x)|| bounds det T(x0) and the entries of Q
         finite = np.isfinite(norms[:, :1] * norms).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))  # the first snapshot that overflows
         raise ArithmeticError(f"transfer products at step {ells[k]} overflow "
                               f"(x0 = {x0}, n = {n}, ||T(x0)|| = {norms[k, 0]:.6g})")
-    out = np.empty((len(ells), a_arr.shape[0], 2, 2), dtype=complex)
-    for k in range(len(ells)):
-        tol = max(1e-9 * norms[k, 0] * np.min(norms[k, 1:]), 1e-9)
-        T0_inv = inverse_unimodular(Mat2.from_array(T[k, 0]), tol=tol).to_array()
-        out[k] = T0_inv @ T[k, 1:]
-    return out
+    # without offsets there is no Q to protect, and the tolerance is inf
+    tol = np.maximum(1e-9 * norms[:, 0] * np.min(norms[:, 1:], axis=1, initial=np.inf), 1e-9)
+    Q = inverse_unimodular(T[:, 0], tol=tol)[:, None] @ T[:, 1:]
+    return Q.astype(complex, copy=False)
 
 
 def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,

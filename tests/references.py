@@ -26,7 +26,7 @@ from cdscale.canonical import (DEFAULT_MAX_STEP, CallableHamiltonian, _generator
                                _integration_path, _step_coefficients, _step_grid)
 from cdscale.cdkernel import _num
 from cdscale.jacobi import poly_table
-from cdscale.mat2 import IDENTITY, Mat2, operator_norm_array
+from cdscale.mat2 import operator_norm
 from cdscale.models import (alternating_coefficient_matrices,
                             limit_coefficient_integral)
 
@@ -87,13 +87,13 @@ def q_snapshots_loop(h_seq, n, a_values, t_values):
     return out
 
 
-def transfer_from_polys(model, ell, x, n=None) -> Mat2:
+def transfer_from_polys(model, ell, x, n=None) -> np.ndarray:
     """Column form of the transfer matrix, from the polynomial recurrence."""
     P, Q = poly_table(model, np.array([x]), ell, n)
     if ell == 0:
-        return IDENTITY
+        return np.eye(2)
     a_ell, _ = model.coeff(ell, n)
-    return Mat2(P[ell, 0], -Q[ell, 0], a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0])
+    return np.array([[P[ell, 0], -Q[ell, 0]], [a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0]]])
 
 
 def step_coefficients_loop(system, t_lo, h):
@@ -188,4 +188,4 @@ def alternating_deviation_stack(v, n):
     partials = np.zeros((n + 1, 2, 2))
     np.cumsum(mats, axis=0, out=partials[1:])
     targets = np.stack([limit_coefficient_integral(v, m / n) for m in range(n + 1)])
-    return float(np.max(operator_norm_array(partials / n - targets)))
+    return float(np.max(operator_norm(partials / n - targets)))

@@ -21,7 +21,7 @@ from cdscale.canonical import (BLOCK_STEPS, DEFAULT_MAX_STEP, REDUCTION_PAIRS,
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
-from cdscale.mat2 import Mat2, operator_norm
+from cdscale.mat2 import operator_norm
 
 from references import coshsinh_math, rk4_step_loop, step_coefficients_loop
 
@@ -67,18 +67,18 @@ def test_solve_constant_rotation():
     for j, a in enumerate(zs):
         for i, t in enumerate(ts):
             c, s = math.cos(a * t / 2), math.sin(a * t / 2)
-            assert operator_norm(Mat2.from_array(qs[i, j]) - Mat2(c, s, -s, c)) <= 1e-14
+            assert operator_norm(qs[i, j] - np.array([[c, s], [-s, c]])) <= 1e-14
 
 
 def test_solve_constant_zero_spectral_value():
     q = constant_solution_batch(np.array([[0.7, 0.2], [0.2, 0.9]]), [0.0], [1.0])[0, 0]
-    assert operator_norm(Mat2.from_array(q) - Mat2.identity()) == 0.0
+    assert operator_norm(q - np.eye(2)) == 0.0
 
 
 def test_solve_constant_rank_one_generator():
     h = np.array([[1.0, 0.0], [0.0, 0.0]])
     q = constant_solution_batch(h, [2.0], [1.0])[0, 0]  # det H = 0: Id + z t J^{-1} H
-    assert operator_norm(Mat2.from_array(q) - Mat2(1.0, 0.0, -2.0, 1.0)) <= 1e-15
+    assert operator_norm(q - np.array([[1.0, 0.0], [-2.0, 1.0]])) <= 1e-15
 
 
 def test_solve_constant_rejects_indefinite():
@@ -92,26 +92,26 @@ def test_solve_ode_matches_closed_form():
     qs = solve_ode_batch(sysc, [1.0], ts)[:, 0]
     ref = constant_solution_batch(HALF_ID, [1.0], ts)
     for i, q in enumerate(qs):
-        assert operator_norm(Mat2.from_array(q - ref[i, 0])) <= 1e-10
+        assert operator_norm(q - ref[i, 0]) <= 1e-10
 
 
 def test_solve_ode_zero_is_identity():
     for system in built_in_systems():
         for q in solve_ode_batch(system, [0.0], [0.3, 1.0])[:, 0]:
-            assert operator_norm(Mat2.from_array(q) - Mat2.identity()) <= 1e-14
+            assert operator_norm(q - np.eye(2)) <= 1e-14
 
 
 def test_solve_ode_unimodular():
     for system in built_in_systems():
         for q in solve_ode_batch(system, [2.0 - 1.0j], np.linspace(0, 1, 5))[:, 0]:
-            assert abs(Mat2.from_array(q).det() - 1.0) <= 1e-8
+            assert abs(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0] - 1.0) <= 1e-8
 
 
 def test_rk4_fourth_order_convergence():
-    ref = Mat2.from_array(constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0])
+    ref = constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0]
     sysc = ConstantHamiltonian(HALF_ID)
     qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
-    e1, e2 = (operator_norm(Mat2.from_array(q) - ref) for q in qs)
+    e1, e2 = (operator_norm(q - ref) for q in qs)
     assert 12.0 <= e1 / e2 <= 20.0
 
 

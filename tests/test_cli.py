@@ -292,6 +292,12 @@ def test_non_finite_results_exit_1(tmp_path, capsys, recwarn, argv, output):
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
+def test_section5_rejects_negative_coupling_before_any_check(tmp_path, capsys):
+    assert main(["verify", "section5", "--v", "-1", "--n", "50", "--out", str(tmp_path)]) == 2
+    assert "PASS" not in capsys.readouterr().out
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_transfer_overflow_is_named(tmp_path, capsys, recwarn):
     # the direct product overflows before its determinant check can mean anything
     assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",

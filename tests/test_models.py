@@ -8,8 +8,7 @@ from cdscale import models
 from cdscale.canonical import CoshSinhHamiltonian, kernel_grid
 from cdscale.cdkernel import scaled_grid
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, PeriodicModel
-from cdscale.mat2 import (IDENTITY, Mat2, inverse_unimodular, operator_norm,
-                          operator_norm_array)
+from cdscale.mat2 import inverse_unimodular, operator_norm
 from cdscale.models import (alternating_coefficient_deviation,
                             alternating_coefficient_matrices,
                             alternating_model, free_bulk_data, free_model,
@@ -49,8 +48,8 @@ def test_u_matrix_diagonalizes_two_step_factor():
     for _ in range(20):
         v = rng.uniform(0.0, 4.0)
         n = int(rng.integers(2, 5000))
-        f = two_step_factor(v, n).to_array()
-        u = u_matrix(v, n).to_array()
+        f = two_step_factor(v, n)
+        u = u_matrix(v, n)
         lam_p, lam_m = lambda_pm(v, n)
         for col, lam in ((0, lam_m), (1, lam_p)):
             vec = u[:, col]
@@ -59,12 +58,13 @@ def test_u_matrix_diagonalizes_two_step_factor():
 
 def test_qhat_trivial_cases():
     for ell in range(6):
-        assert operator_norm(qhat_closed(0.0, 10, ell) - IDENTITY) <= 1e-15
+        assert operator_norm(qhat_closed(0.0, 10, ell) - np.eye(2)) <= 1e-15
     v, n = 0.7, 40
-    vn = v / n
     got = qhat_closed(v, n, 2)
-    expect = Mat2(1.0 + vn * vn, vn, vn, 1.0)
-    assert operator_norm(got - expect) <= 1e-14
+    assert operator_norm(got - two_step_factor(v, n)) <= 1e-14
+    assert qhat_closed(v, n, np.arange(6).reshape(2, 3)).shape == (2, 3, 2, 2)
+    with pytest.raises(ValueError):
+        qhat_closed(v, n, [0, n + 1])
 
 
 def test_qhat_closed_matches_product_definition():
@@ -74,25 +74,28 @@ def test_qhat_closed_matches_product_definition():
         v = rng.uniform(0.0, 3.0)
         n = int(rng.integers(10, 500))
         alt = alternating_model(v)
-        for ell in sorted(rng.integers(0, min(n, 200) + 1, size=6)):
+        ells = np.sort(rng.integers(0, min(n, 200) + 1, size=6))
+        closed = qhat_closed(v, n, ells)
+        for ell, q in zip(ells, closed):
             t0 = transfer_product(free, int(ell), 0.0)
             tn = transfer_product(alt, int(ell), 0.0, n)
-            prod = inverse_unimodular(t0) @ tn
+            prod = inverse_unimodular(t0) @ np.asarray(tn)
+            assert operator_norm(prod - q) <= QHAT_ATOL
             assert operator_norm(prod - qhat_closed(v, n, int(ell))) <= QHAT_ATOL
 
 
 def test_limit_coefficient_values():
-    assert limit_coefficient(0.0, 0.7) == Mat2(0.0, -0.5, 0.5, 0.0)
-    assert limit_coefficient(2.5, 0.0) == Mat2(0.0, -0.5, 0.5, 0.0)
+    assert np.array_equal(limit_coefficient(0.0, 0.7), [[0.0, -0.5], [0.5, 0.0]])
+    assert np.array_equal(limit_coefficient(2.5, 0.0), [[0.0, -0.5], [0.5, 0.0]])
     got = limit_coefficient(1.0, 1.0)
-    assert abs(got.m12 + math.e / 2) <= 1e-15
-    assert abs(got.m21 - 1.0 / (2.0 * math.e)) <= 1e-15
+    assert abs(got[0, 1] + math.e / 2) <= 1e-15
+    assert abs(got[1, 0] - 1.0 / (2.0 * math.e)) <= 1e-15
 
 
 def test_limit_coefficient_integral_matches_quadrature():
     v = 1.3
     ts = np.linspace(0, 1, 2001)
-    vals = np.stack([limit_coefficient(v, float(t)).to_array().real for t in ts])
+    vals = np.stack([limit_coefficient(v, float(t)) for t in ts])
     brute = np.trapezoid(vals, ts, axis=0)
     np.testing.assert_allclose(limit_coefficient_integral(v, 1.0), brute, atol=1e-7)
 
@@ -117,10 +120,10 @@ def test_alternating_deviation_targets_match_stacked_integrals(monkeypatch, v, n
 
     def record(mats):
         seen.append(mats)
-        return operator_norm_array(mats)
+        return operator_norm(mats)
 
     for module in (models, references):
-        monkeypatch.setattr(module, "operator_norm_array", record)
+        monkeypatch.setattr(module, "operator_norm", record)
         monkeypatch.setattr(module, "alternating_coefficient_matrices",
                             lambda v, n: np.zeros((n, 2, 2)))
     alternating_coefficient_deviation(v, n)
