@@ -3,11 +3,14 @@
 A canonical system is the family of ODEs J u'(t) = z H(t) u(t) with J the
 rotation by pi/2 and H(t) symmetric nonnegative definite. The solutions with
 u(0) = (1, 0)^t generate a reproducing kernel of entire functions in three
-interchangeable ways, all implemented here:
+interchangeable ways:
 
   * determinant form   det(u(1, a), u(1, b)) / (a - b),
   * integral form      int_0^1 (u(t, conj(a)))^* H(t) u(t, b) dt,
   * Hermite-Biehler    from E(z) = u1(1, z) + i u2(1, z).
+
+kernel_grid computes the determinant form; the other two are independent
+references, in tests/references.py.
 
 Solvers: a closed-form matrix exponential for constant H (the trace-free
 generator J^{-1} H squares to -det(H) Id), and a classical fixed-step
@@ -39,11 +42,14 @@ from .cdkernel import _check_distinct
 from .errors import NotPSD, WronskianViolation
 from .jacobi import TableModel, poly_table
 from .mat2 import symmetric_eig_bounds
+from .transfer import _check_t_grid
 
 PSD_SAMPLE_TOL = 1e-12
 SOLVE_CONSTANT_PSD_TOL = 1e-10
 WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
+# smallest max_step: 10^6 steps per unit t, since the step grid is allocated whole
+MIN_MAX_STEP = 1e-6
 CONFLUENT_FD_STEP = 1e-5
 STEP_BLOCK_VALUES = 4096  # steps per set of coefficients, which bounds their memory
 BLOCK_STEPS = 64  # steps per block; block edges end runs whatever the number of zs
@@ -180,34 +186,6 @@ class CoshSinhHamiltonian(CanonicalSystem):
         return {"kind": "cosh-sinh", "v": self.v}
 
 
-class CallableHamiltonian(CanonicalSystem):
-    """Wrap an arbitrary (smooth) t -> 2x2 PSD matrix; values checked per call."""
-
-    def __init__(self, fn, description: str, quad_points: int = 2000):
-        self.fn = fn
-        self.description = description
-        self.quad_points = quad_points
-
-    def H(self, t):
-        if np.ndim(t):
-            return np.array([self.H(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (2, 2))
-        return _check_psd(_as_matrix(self.fn(t)), PSD_SAMPLE_TOL, f" at t = {t}")
-
-    def integral(self, t):
-        if np.ndim(t):
-            return np.array([self.integral(s) for s in np.ravel(t)]).reshape(np.shape(t) + (2, 2))
-        if t == 0.0:
-            return np.zeros((2, 2))
-        m = self.quad_points + (self.quad_points % 2)
-        ts = np.linspace(0.0, t, m + 1)
-        vals = self.H(ts)
-        wts = _simpson_weights(m, t / m)
-        return np.tensordot(wts, vals, axes=(0, 0))
-
-    def to_dict(self):
-        return {"kind": "callable", "description": self.description}
-
-
 def system_from_dict(d: dict) -> CanonicalSystem:
     """The system of a ``to_dict`` value; a malformed value raises ValueError."""
     if not isinstance(d, dict):
@@ -253,13 +231,6 @@ def constant_solution_batch(h, zs, ts) -> np.ndarray:
     return out
 
 
-def _simpson_weights(m: int, h: float) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def _generator(harr: np.ndarray) -> np.ndarray:
     """J^{-1} H for symmetric 2x2 H, over leading axes."""
     return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
@@ -267,11 +238,7 @@ def _generator(harr: np.ndarray) -> np.ndarray:
 
 
 def _integration_path(system: CanonicalSystem, t_grid) -> list[float]:
-    ts = [float(t) for t in t_grid]
-    if any(t < 0.0 or t > 1.0 for t in ts):
-        raise ValueError("t grid must lie in [0, 1]")
-    if sorted(ts) != ts:
-        raise ValueError("t grid must be sorted")
+    ts = _check_t_grid([float(t) for t in t_grid])
     t_max = ts[-1] if ts else 0.0
     path = sorted({0.0, *ts, *[b for b in system.breakpoints() if b < t_max]})
     return path
@@ -331,8 +298,9 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     solved in real arithmetic, to the bit as in a complex run of the same
     values, whose imaginary parts stay exactly 0.
     """
-    if not 0 < max_step <= 1e-3 + 1e-15:
-        raise ValueError("max_step must be in (0, 1e-3]")
+    if not MIN_MAX_STEP <= max_step <= DEFAULT_MAX_STEP + 1e-15:
+        raise ValueError(f"max_step {max_step!r} is outside [MIN_MAX_STEP, DEFAULT_MAX_STEP]"
+                         f" = [{MIN_MAX_STEP:g}, {DEFAULT_MAX_STEP:g}]")
     zs = np.asarray(zs, dtype=complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
@@ -406,36 +374,6 @@ def _diagonal_kernel_batch(system, zs, max_step,
     return du[:, 0] * u0[:, 1] - u0[:, 0] * du[:, 1]
 
 
-def kernel_integral_form(system: CanonicalSystem, a, b,
-                         max_step: float = DEFAULT_MAX_STEP) -> complex:
-    """Kernel as the H-weighted pairing int_0^1 (u(t, conj(a)))^* H(t) u(t, b) dt.
-
-    Composite Simpson, applied piece by piece between Hamiltonian
-    breakpoints so discontinuities never sit inside a panel; valid on the
-    diagonal directly. For the real built-in Hamiltonians this equals the
-    determinant form.
-    """
-    path = [0.0] + [t for t in sorted(system.breakpoints()) if 0.0 < t < 1.0] + [1.0]
-    ts = []
-    weights = []
-    hs = []
-    for lo, hi in zip(path[:-1], path[1:]):
-        m = math.ceil((hi - lo) / max_step)
-        m += m % 2
-        seg = np.linspace(lo, hi, m + 1)
-        ts.append(seg)
-        weights.append(_simpson_weights(m, (hi - lo) / m))
-        hs.append(system.stage_value(lo, hi, seg))
-    ts = np.concatenate(ts)
-    weights = np.concatenate(weights)
-    hs = np.concatenate(hs)
-    qs = solve_ode_batch(system, [np.conj(complex(a)), complex(b)], ts, max_step)
-    ua = np.conj(qs[:, 0, :, 0])
-    ub = qs[:, 1, :, 0]
-    integrand = np.einsum("ti,tij,tj->t", ua, hs, ub)
-    return complex(np.dot(weights, integrand))
-
-
 def kernel_grid(system: CanonicalSystem, a_values, b_values,
                 max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
     """Kernel values on a product grid, diagonal cells by the confluent limit.
@@ -464,31 +402,6 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
         diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], max_step)
         values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
     return values
-
-
-def hermite_biehler(system: CanonicalSystem, z,
-                    max_step: float = DEFAULT_MAX_STEP) -> complex:
-    """E(z) = u1(1, z) + i u2(1, z); entire and zero free in the upper half plane."""
-    u = _u_final_batch(system, [complex(z)], max_step)[0]
-    return complex(u[0] + 1j * u[1])
-
-
-def hb_kernel(system: CanonicalSystem, a, b,
-              max_step: float = DEFAULT_MAX_STEP) -> complex:
-    """Kernel through the Hermite-Biehler function of the system.
-
-    Evaluates (conj(E(conj(a))) E(b) - E(a) conj(E(conj(b)))) / (2i (a - b)),
-    the de Branges kernel at (z, zeta) = (conj(a), b). For real Hamiltonians
-    this equals the determinant form.
-    """
-    a = complex(a)
-    b = complex(b)
-    _check_distinct(a, b)
-    e_abar = hermite_biehler(system, np.conj(a), max_step)
-    e_a = hermite_biehler(system, a, max_step)
-    e_b = hermite_biehler(system, b, max_step)
-    e_bbar = hermite_biehler(system, np.conj(b), max_step)
-    return (np.conj(e_abar) * e_b - e_a * np.conj(e_bbar)) / (2j * (a - b))
 
 
 @dataclass(frozen=True)

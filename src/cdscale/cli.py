@@ -42,7 +42,7 @@ OPTIONS = {
     "rho": (float, None, "zero density at x0"),
     "w": (float, None, "density of the orthogonality measure at x0"),
     "re_f": (float, 0.0, "real part of the boundary Stieltjes transform at x0"),
-    "max_step": (float, canonical.DEFAULT_MAX_STEP, "RK4 step bound in (0, 1e-3]"),
+    "max_step": (float, canonical.DEFAULT_MAX_STEP, "RK4 step bound in [1e-6, 1e-3]"),
     "bins": (int, 50, "bins of the piecewise Hamiltonian estimate"),
     "candidate": (str, None, "constant | coshsinh | JSON file"),
     "system": (str, None, "constant | coshsinh | JSON file"),
@@ -135,8 +135,9 @@ class Options:
                 raise UsageError(f"{flag} must not be negative, got {v!r}")
             self.values[name] = v
         max_step = self.get("max_step")
-        if not 0 < max_step <= canonical.DEFAULT_MAX_STEP:
-            raise UsageError(f"--max-step {max_step!r} is outside (0, {canonical.DEFAULT_MAX_STEP:g}]")
+        if not canonical.MIN_MAX_STEP <= max_step <= canonical.DEFAULT_MAX_STEP:
+            raise UsageError(f"--max-step {max_step!r} is outside "
+                             f"[{canonical.MIN_MAX_STEP:g}, {canonical.DEFAULT_MAX_STEP:g}]")
 
     def get(self, name, default=None):
         """The resolved value; ``default``, if given, replaces the one in OPTIONS."""
@@ -469,10 +470,9 @@ def _suite_section5(opt: Options, checks: CheckList):
     checks.checks[-1]["matched_variant"] = (
         "divided" if err_div <= err_raw else "raw")
 
-    a_col = grid_vals[:, None]
-    b_row = grid_vals[None, :]
-    sine = np.sin((a_col - b_row) / 2.0) / np.where(offdiag, a_col - b_row, 1.0)
-    sine = np.where(offdiag, sine, 0.5)
+    # at V = 0 the limit is the sine kernel of rho = 1/(2 pi), w = 1/pi: sin((a-b)/2)/(a-b)
+    a_col, b_row = grid_vals[:, None], grid_vals[None, :]
+    sine = cdkernel.sine_kernel(a_col, b_row, 1.0 / (2.0 * math.pi), 1.0 / math.pi)
     v0 = models.modified_sine_kernel(0.0, a_col, b_row)
     checks.add("v0_reduction", float(np.max(np.abs(v0 - sine))), 1e-12)
 

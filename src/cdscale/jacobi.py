@@ -205,25 +205,6 @@ class AlternatingSignModel(CoefficientModel):
         return {"kind": "alternating-v", "v": self.v}
 
 
-class CustomModel(CoefficientModel):
-    """Wrap a callable j -> (a_j, b_j), or (n, j) -> (a_j, b_j) if n-dependent."""
-
-    def __init__(self, fn, description: str, n_dependent: bool = False):
-        self.fn = fn
-        self.description = description
-        self.n_dependent = n_dependent
-
-    def coeff_at(self, j, n=None):
-        if self.n_dependent and n is None:
-            raise InvalidCoefficient("order context n is required for an n-dependent model")
-        pairs = [self._validate(*(self.fn(n, k) if self.n_dependent else self.fn(k)), k)
-                 for k in j.tolist()]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-    def describe(self):
-        return {"kind": "custom", "description": self.description}
-
-
 def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
                consume=None) -> tuple[np.ndarray, np.ndarray] | None:
     """The recurrence at many points: P[ell, i] = p_ell(xs[i]), Q likewise.
@@ -354,16 +335,14 @@ def scaled_zeros(model: CoefficientModel, n: int, x0: float, window: float) -> S
     diag, off = truncated_tridiagonal(model, n)
     lo = x0 - window / n
     hi = x0 + window / n
-    eigs = tridiagonal_eigs_in(diag, off, lo, hi)
-    return SpectrumSlice(x0=x0, n=n, scaled_zeros=n * (eigs - x0))
-
-
-def all_scaled_zeros(model: CoefficientModel, n: int, x0: float = 0.0) -> SpectrumSlice:
-    """Every zero of p_n, via a Gershgorin bracket around the full spectrum."""
-    diag, off = truncated_tridiagonal(model, n)
-    pad = 2.0 * (np.max(np.abs(off)) if off.size else 0.0) + 1.0
-    window = n * max(abs(float(np.min(diag) - pad) - x0), abs(float(np.max(diag) + pad) - x0))
-    return scaled_zeros(model, n, x0, window)
+    scaled = n * (tridiagonal_eigs_in(diag, off, lo, hi) - x0)
+    # distinct eigenvalues can round to one double, before or after the scaling
+    same = np.flatnonzero(np.diff(scaled) <= 0)
+    if same.size:
+        value = float(scaled[same[0]])
+        raise ArithmeticError(f"scaled zeros coincide at {value!r} in floating point "
+                              f"(n = {n}, x0 = {x0})")
+    return SpectrumSlice(x0=x0, n=n, scaled_zeros=scaled)
 
 
 def gauss_quadrature(model: CoefficientModel, m: int,

@@ -120,15 +120,6 @@ def _h_partials(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
     return out
 
 
-def cesaro_limit(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
-    """Running average (1/n) sum_{j < n} H_j."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > len(h_seq):
-        raise ValueError("h sequence too short")
-    return _h_partials(h_seq, n)[n] / n
-
-
 def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> CanonicalSystem:
     """Piecewise-constant Hamiltonian estimate with ``bins`` equal time bins.
 

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .canonical import _generator
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      PeriodicModel, TableModel)
 from .limits import BulkPointData
@@ -64,12 +65,6 @@ def lambda_pm(v: float, n: int) -> tuple[float, float]:
     return lam_plus, lam_minus
 
 
-def two_step_factor(v: float, n: int) -> np.ndarray:
-    """Product of one upper and one lower shear: ((1 + v^2, v), (v, 1)), v = V/n."""
-    vn = v / n
-    return np.array([[1.0 + vn * vn, vn], [vn, 1.0]])
-
-
 def u_matrix(v: float, n: int) -> np.ndarray:
     """Eigenvector matrix of the two-step factor, columns for (lambda-, lambda+)."""
     vn = v / n
@@ -98,23 +93,6 @@ def qhat_closed(v: float, n: int, ell) -> np.ndarray:
     return np.where(odd, np.array([[1.0, 0.0], [vn, 1.0]]) @ core, core)
 
 
-def limit_coefficient(v: float, s: float) -> np.ndarray:
-    """Limit of the diagonalized-frame coefficients: ((0, -e^{sV}/2), (e^{-sV}/2, 0))."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    return np.array([[0.0, -0.5 * math.exp(s * v)], [0.5 * math.exp(-s * v), 0.0]])
-
-
-def limit_coefficient_integral(v: float, t: float) -> np.ndarray:
-    """Exact int_0^t of the limit coefficient."""
-    if v == 0.0:
-        top, bot = -0.5 * t, 0.5 * t
-    else:
-        top = -(math.exp(t * v) - 1.0) / (2.0 * v)
-        bot = (1.0 - math.exp(-t * v)) / (2.0 * v)
-    return np.array([[0.0, top], [bot, 0.0]])
-
-
 def alternating_coefficient_matrices(v: float, n: int) -> np.ndarray:
     """Exact diagonalized-frame coefficients A_0..A_{n-1}, shape (n, 2, 2).
 
@@ -122,14 +100,7 @@ def alternating_coefficient_matrices(v: float, n: int) -> np.ndarray:
     values at 0, so the odd-step remainder beyond the leading closed form is
     carried exactly rather than modeled.
     """
-    seq = h_sequence(alternating_model(v), 0.0, n - 1, n)
-    p, q = seq.ps, seq.qs
-    # J^{-1} H_ell = ((-pq, q^2), (-p^2, pq))
-    g = np.empty((n, 2, 2))
-    g[:, 0, 0] = -p * q
-    g[:, 0, 1] = q * q
-    g[:, 1, 0] = -p * p
-    g[:, 1, 1] = p * q
+    g = _generator(h_sequence(alternating_model(v), 0.0, n - 1, n).entry_arrays())
     u = u_matrix(v, n)
     uinv = np.linalg.inv(u)
     return -np.einsum("ij,ljk,km->lim", uinv, g, u)
@@ -140,8 +111,9 @@ def alternating_coefficient_deviation(v: float, n: int) -> float:
     mats = alternating_coefficient_matrices(v, n)
     partials = np.zeros((n + 1, 2, 2))
     np.cumsum(mats, axis=0, out=partials[1:])
-    # limit_coefficient_integral at t = m/n over Python floats; math.exp, because
-    # np.exp can differ from it in the last bit
+    # int_0^t of the limit coefficient ((0, -e^{sV}/2), (e^{-sV}/2, 0)) at t = m/n over
+    # Python floats, as tests/references.py's limit_coefficient_integral; math.exp,
+    # because np.exp can differ from it in the last bit
     ts = [m / n for m in range(n + 1)]
     targets = np.zeros((n + 1, 2, 2))
     if v == 0.0:
@@ -208,11 +180,7 @@ def modified_sine_kernel(v: float, a, b):
     a_arr = np.atleast_1d(np.asarray(a, dtype=complex))
     b_arr = np.atleast_1d(np.asarray(b, dtype=complex))
     a_b, b_b = np.broadcast_arrays(a_arr, b_arr)
-    wa = v * v - a_b * a_b
-    wb = v * v - b_b * b_b
-    sa, ca = _sinh_half_over(wa), _cosh_half(wa)
-    sb, cb = _sinh_half_over(wb), _cosh_half(wb)
-    raw = (a_b - v) * sa * cb + (v - b_b) * sb * ca
+    raw = raw_limit_formula(v, a_arr, b_arr)
     diff = a_b - b_b
     coincident = np.abs(diff) < 1e-12 * np.maximum(1.0, np.maximum(np.abs(a_b), np.abs(b_b)))
     out = np.divide(raw, diff, out=np.zeros_like(raw), where=~coincident)
@@ -238,16 +206,6 @@ def raw_limit_formula(v: float, a, b):
     if np.isscalar(a) and np.isscalar(b):
         return complex(raw.reshape(-1)[0])
     return raw
-
-
-def limit_kernel_candidate(v: float, a, b) -> tuple[complex, complex]:
-    """(raw, divided) candidate values of the limiting scaled kernel at (a, b)."""
-    a_c, b_c = complex(a), complex(b)
-    if a_c == b_c:
-        raise ValueError("the raw formula requires a != b; "
-                         "use modified_sine_kernel for the diagonal")
-    raw = raw_limit_formula(v, a_c, b_c)
-    return raw, raw / (a_c - b_c)
 
 
 MODEL_NAMES = ("free", "alternating-v", "periodic", "table")

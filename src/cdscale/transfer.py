@@ -160,13 +160,14 @@ def h_sequence(model: CoefficientModel, x0: float, up_to: int,
     return DiscreteHSequence(x0, P[:, 0], Q[:, 0])
 
 
-def _snapshot_indices(n: int, t_grid) -> list[int]:
+def _check_t_grid(t_grid) -> list:
+    """The times as a list, after checking that they are sorted and lie in [0, 1]."""
     ts = list(t_grid)
     if any(t < 0.0 or t > 1.0 for t in ts):
         raise ValueError("t grid must lie in [0, 1]")
     if sorted(ts) != ts:
         raise ValueError("t grid must be sorted")
-    return [int(np.floor(t * n)) for t in ts]
+    return ts
 
 
 def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
@@ -179,7 +180,7 @@ def q_trajectory_direct(model: CoefficientModel, n: int, x0: float, a_values,
     1e-9 relative to ||T(x0)|| min_a ||T(x0 + a/n)||. Returns shape
     (len(t_grid), len(a_values), 2, 2), like q_snapshots.
     """
-    ells = _snapshot_indices(n, t_grid)
+    ells = [int(np.floor(t * n)) for t in _check_t_grid(t_grid)]
     a_arr = np.atleast_1d(np.asarray(a_values))
     with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
         T = transfer_matrices(model, np.concatenate([[x0], x0 + a_arr / n]), ells, n)
@@ -208,7 +209,7 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
     Needs H_0..H_{max[tn]-1}. Real offsets run in real arithmetic. Returns
     complex values of shape (len(t_values), len(a_values), 2, 2).
     """
-    _snapshot_indices(n, sorted(t_values))  # checks that every t is in [0, 1]
+    _check_t_grid(sorted(t_values))  # every t in [0, 1]; any order
     ells = np.floor(np.asarray(t_values, dtype=float) * n).astype(np.int64)
     a = np.asarray(a_values)
     z = a.astype(complex if np.iscomplexobj(a) else float) / n

@@ -16,19 +16,30 @@ iteration, as before ``sturm_count`` ran a scalar loop per shift, and
 ``alternating_deviation_stack`` is ``alternating_coefficient_deviation`` as
 it was when it stacked one ``limit_coefficient_integral`` matrix per step,
 before it filled the targets from two lists.
+
+Independent oracles that no command reaches:
+``CallableHamiltonian`` wraps any smooth t -> H(t), checked per call, and
+``CustomModel`` any j -> (a_j, b_j). ``kernel_integral_form`` (Simpson's
+rule between breakpoints) and ``hb_kernel`` (through the Hermite-Biehler
+function ``hermite_biehler``) are the two kernel forms that check
+``kernel_grid``'s determinant form. ``all_scaled_zeros`` is every zero of
+p_n, by a Gershgorin window. ``two_step_factor`` is the alternating family's
+factor that ``u_matrix`` diagonalizes, and ``limit_coefficient`` with
+``limit_coefficient_integral`` is that family's limit in the diagonalized frame.
 """
 
 import math
 
 import numpy as np
 
-from cdscale.canonical import (DEFAULT_MAX_STEP, CallableHamiltonian, _generator,
-                               _integration_path, _step_coefficients, _step_grid)
-from cdscale.cdkernel import _num
-from cdscale.jacobi import poly_table
+from cdscale.canonical import (DEFAULT_MAX_STEP, PSD_SAMPLE_TOL, CanonicalSystem,
+                               _as_matrix, _check_psd, _generator, _integration_path,
+                               _step_coefficients, _step_grid, solve_ode_batch)
+from cdscale.cdkernel import _check_distinct, _num
+from cdscale.errors import InvalidCoefficient
+from cdscale.jacobi import CoefficientModel, poly_table, scaled_zeros, truncated_tridiagonal
 from cdscale.mat2 import operator_norm
-from cdscale.models import (alternating_coefficient_matrices,
-                            limit_coefficient_integral)
+from cdscale.models import alternating_coefficient_matrices
 
 
 def poly_table_loop(model, xs, up_to, n=None):
@@ -189,3 +200,140 @@ def alternating_deviation_stack(v, n):
     np.cumsum(mats, axis=0, out=partials[1:])
     targets = np.stack([limit_coefficient_integral(v, m / n) for m in range(n + 1)])
     return float(np.max(operator_norm(partials / n - targets)))
+
+
+class CallableHamiltonian(CanonicalSystem):
+    """Wrap an arbitrary (smooth) t -> 2x2 PSD matrix; values checked per call."""
+
+    def __init__(self, fn, description: str, quad_points: int = 2000):
+        self.fn = fn
+        self.description = description
+        self.quad_points = quad_points
+
+    def H(self, t):
+        if np.ndim(t):
+            return np.array([self.H(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (2, 2))
+        return _check_psd(_as_matrix(self.fn(t)), PSD_SAMPLE_TOL, f" at t = {t}")
+
+    def integral(self, t):
+        if np.ndim(t):
+            return np.array([self.integral(s) for s in np.ravel(t)]).reshape(np.shape(t) + (2, 2))
+        if t == 0.0:
+            return np.zeros((2, 2))
+        m = self.quad_points + (self.quad_points % 2)
+        ts = np.linspace(0.0, t, m + 1)
+        vals = self.H(ts)
+        wts = _simpson_weights(m, t / m)
+        return np.tensordot(wts, vals, axes=(0, 0))
+
+    def to_dict(self):
+        return {"kind": "callable", "description": self.description}
+
+
+def _simpson_weights(m: int, h: float) -> np.ndarray:
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
+def kernel_integral_form(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
+    """Kernel as the H-weighted pairing int_0^1 (u(t, conj(a)))^* H(t) u(t, b) dt.
+
+    Composite Simpson, applied piece by piece between Hamiltonian
+    breakpoints so discontinuities never sit inside a panel; valid on the
+    diagonal directly. For the real built-in Hamiltonians this equals the
+    determinant form.
+    """
+    path = [0.0] + [t for t in sorted(system.breakpoints()) if 0.0 < t < 1.0] + [1.0]
+    ts = []
+    weights = []
+    hs = []
+    for lo, hi in zip(path[:-1], path[1:]):
+        m = math.ceil((hi - lo) / max_step)
+        m += m % 2
+        seg = np.linspace(lo, hi, m + 1)
+        ts.append(seg)
+        weights.append(_simpson_weights(m, (hi - lo) / m))
+        hs.append(system.stage_value(lo, hi, seg))
+    ts = np.concatenate(ts)
+    weights = np.concatenate(weights)
+    hs = np.concatenate(hs)
+    qs = solve_ode_batch(system, [np.conj(complex(a)), complex(b)], ts, max_step)
+    ua = np.conj(qs[:, 0, :, 0])
+    ub = qs[:, 1, :, 0]
+    integrand = np.einsum("ti,tij,tj->t", ua, hs, ub)
+    return complex(np.dot(weights, integrand))
+
+
+def hermite_biehler(system, z, max_step=DEFAULT_MAX_STEP) -> complex:
+    """E(z) = u1(1, z) + i u2(1, z); entire and zero free in the upper half plane."""
+    u = solve_ode_batch(system, [complex(z)], [1.0], max_step)[0, 0, :, 0]
+    return complex(u[0] + 1j * u[1])
+
+
+def hb_kernel(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
+    """Kernel through the Hermite-Biehler function of the system.
+
+    Evaluates (conj(E(conj(a))) E(b) - E(a) conj(E(conj(b)))) / (2i (a - b)),
+    the de Branges kernel at (z, zeta) = (conj(a), b). For real Hamiltonians
+    this equals the determinant form.
+    """
+    a = complex(a)
+    b = complex(b)
+    _check_distinct(a, b)
+    e_abar = hermite_biehler(system, np.conj(a), max_step)
+    e_a = hermite_biehler(system, a, max_step)
+    e_b = hermite_biehler(system, b, max_step)
+    e_bbar = hermite_biehler(system, np.conj(b), max_step)
+    return (np.conj(e_abar) * e_b - e_a * np.conj(e_bbar)) / (2j * (a - b))
+
+
+class CustomModel(CoefficientModel):
+    """Wrap a callable j -> (a_j, b_j), or (n, j) -> (a_j, b_j) if n-dependent."""
+
+    def __init__(self, fn, description: str, n_dependent: bool = False):
+        self.fn = fn
+        self.description = description
+        self.n_dependent = n_dependent
+
+    def coeff_at(self, j, n=None):
+        if self.n_dependent and n is None:
+            raise InvalidCoefficient("order context n is required for an n-dependent model")
+        pairs = [self._validate(*(self.fn(n, k) if self.n_dependent else self.fn(k)), k)
+                 for k in j.tolist()]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+    def describe(self):
+        return {"kind": "custom", "description": self.description}
+
+
+def all_scaled_zeros(model, n, x0=0.0):
+    """Every zero of p_n, via a Gershgorin bracket around the full spectrum."""
+    diag, off = truncated_tridiagonal(model, n)
+    pad = 2.0 * (np.max(np.abs(off)) if off.size else 0.0) + 1.0
+    window = n * max(abs(float(np.min(diag) - pad) - x0), abs(float(np.max(diag) + pad) - x0))
+    return scaled_zeros(model, n, x0, window)
+
+
+def two_step_factor(v, n):
+    """Product of one upper and one lower shear: ((1 + v^2, v), (v, 1)), v = V/n."""
+    vn = v / n
+    return np.array([[1.0 + vn * vn, vn], [vn, 1.0]])
+
+
+def limit_coefficient(v, s):
+    """Limit of the diagonalized-frame coefficients: ((0, -e^{sV}/2), (e^{-sV}/2, 0))."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("s must lie in [0, 1]")
+    return np.array([[0.0, -0.5 * math.exp(s * v)], [0.5 * math.exp(-s * v), 0.0]])
+
+
+def limit_coefficient_integral(v, t):
+    """Exact int_0^t of the limit coefficient."""
+    if v == 0.0:
+        top, bot = -0.5 * t, 0.5 * t
+    else:
+        top = -(math.exp(t * v) - 1.0) / (2.0 * v)
+        bot = (1.0 - math.exp(-t * v)) / (2.0 * v)
+    return np.array([[0.0, top], [bot, 0.0]])

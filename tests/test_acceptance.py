@@ -11,8 +11,7 @@ import numpy as np
 
 from cdscale.canonical import (ConstantHamiltonian, CoshSinhHamiltonian,
                                constant_solution_batch, discrete_to_jacobi,
-                               hb_kernel, kernel_grid, kernel_integral_form,
-                               rs_from_model, solve_ode_batch)
+                               kernel_grid, rs_from_model, solve_ode_batch)
 from cdscale.cdkernel import (kernel_cd, kernel_det_q, kernel_sum, scaled_grid,
                               sine_compare, sine_kernel)
 from cdscale.jacobi import (ConstantModel, TableModel, poly_table, scaled_zeros)
@@ -23,7 +22,7 @@ from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             raw_limit_formula)
 from cdscale.transfer import (h_sequence, one_step, q_snapshots,
                               q_trajectory_direct, transfer_product)
-from references import transfer_from_polys
+from references import hb_kernel, kernel_integral_form, transfer_from_polys
 
 FREE = ConstantModel(1.0, 0.0)
 RHO0 = 1.0 / (2.0 * math.pi)

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from cdscale import canonical
 from cdscale.canonical import (BLOCK_STEPS, DEFAULT_MAX_STEP, REDUCTION_PAIRS,
-                               STEP_BLOCK_VALUES, CallableHamiltonian,
-                               ConstantHamiltonian, CoshSinhHamiltonian,
-                               PiecewiseConstantHamiltonian, RSSequence,
-                               constant_solution_batch, discrete_to_jacobi,
-                               hb_kernel, hermite_biehler, kernel_grid,
-                               kernel_integral_form, polys_from_rs,
+                               STEP_BLOCK_VALUES, ConstantHamiltonian,
+                               CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
+                               RSSequence, constant_solution_batch,
+                               discrete_to_jacobi, kernel_grid, polys_from_rs,
                                rs_from_model, solve_ode_batch,
                                system_from_dict, _integration_path,
                                _step_coefficients, _step_grid)
@@ -23,7 +21,8 @@ from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import operator_norm
 
-from references import coshsinh_math, rk4_step_loop, step_coefficients_loop
+from references import (CallableHamiltonian, coshsinh_math, hb_kernel, hermite_biehler,
+                        kernel_integral_form, rk4_step_loop, step_coefficients_loop)
 
 FREE = ConstantModel(1.0, 0.0)
 HALF_ID = np.eye(2) / 2
@@ -310,6 +309,9 @@ def test_solver_rejects_bad_grids():
         solve_ode_batch(sysc, [1.0], [1.2])
     with pytest.raises(ValueError):
         solve_ode_batch(sysc, [1.0], [1.0], max_step=5e-3)
+    for max_step in (0.0, 1e-300, 0.5 * canonical.MIN_MAX_STEP, math.nan):
+        with pytest.raises(ValueError, match="MIN_MAX_STEP"):
+            solve_ode_batch(sysc, [1.0], [1.0], max_step=max_step)
 
 
 def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):

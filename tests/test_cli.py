@@ -228,6 +228,11 @@ def test_table_model_via_cli(tmp_path):
      "--reference", "canonical", "--max-step", "0.01"],
     ["verify", "section5", "--v", "1", "--n", "50", "--max-step", "0"],
     ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "2e-3"],
+    # below MIN_MAX_STEP: the step count would wrap negative or exhaust memory
+    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "1e-300"],
+    ["kernel", "--model", "alternating-v", "--v", "1", "--n", "7", "--reference", "canonical",
+     "--max-step", "1e-300"],
+    ["verify", "section5", "--n", "7", "--max-step", "1e-300"],
     # non-finite numbers and values the library refuses are usage errors too
     ["zeros", "--model", "free", "--n", "100", "--x0", "nan"],
     ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--x0", "inf"],
@@ -282,6 +287,9 @@ def test_thm25_off_center_passes(tmp_path):
       "--t-grid", "0:1:3"], "solution.csv"),
     (["canonical-solve", "--system", "coshsinh", "--v", "800", "--z", "1",
       "--t-grid", "0:1:3"], "solution.csv"),
+    # distinct eigenvalues near +-1.43e199 that are equal in floating point
+    (["zeros", "--model", "alternating-v", "--v", "1e200", "--n", "7", "--window", "1e300"],
+     "zeros.csv"),
 ])
 def test_non_finite_results_exit_1(tmp_path, capsys, recwarn, argv, output):
     # off the bulk the polynomials overflow; no output may carry NaN

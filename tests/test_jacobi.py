@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from cdscale import jacobi
 from cdscale.errors import IndexOutOfRange, InvalidCoefficient
-from cdscale.jacobi import (AlternatingSignModel, ConstantModel, CustomModel,
-                            PeriodicModel, TableModel, all_scaled_zeros,
-                            gauss_quadrature, poly_table, scaled_zeros,
-                            sturm_count, truncated_tridiagonal)
-from references import poly_table_loop, sturm_count_loop
+from cdscale.jacobi import (AlternatingSignModel, ConstantModel, PeriodicModel,
+                            TableModel, gauss_quadrature, poly_table,
+                            scaled_zeros, sturm_count, truncated_tridiagonal)
+from references import CustomModel, all_scaled_zeros, poly_table_loop, sturm_count_loop
 
 FREE = ConstantModel(1.0, 0.0)
 # lengths around the block edges of the scan (blocks of isqrt(L) steps)
@@ -195,6 +194,12 @@ def test_scaled_zeros_unchanged_from_row_loop(monkeypatch, model):
     for (x0, window), new in zip(cases, got):
         old = scaled_zeros(model, n, x0, window).scaled_zeros
         assert new.tobytes() == old.tobytes()
+
+
+def test_scaled_zeros_names_zeros_that_coincide_in_floating_point():
+    # distinct eigenvalues near +-1.43e199, equal in floating point
+    with pytest.raises(ArithmeticError, match=r"coincide at .* \(n = 7, x0 = 0.0\)"):
+        scaled_zeros(AlternatingSignModel(1e200), 7, 0.0, 1e300)
 
 
 def test_zero_count_equals_degree():

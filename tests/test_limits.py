@@ -6,8 +6,8 @@ import pytest
 
 from cdscale.canonical import ConstantHamiltonian, CoshSinhHamiltonian
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, TableModel
-from cdscale.limits import (BulkPointData, cesaro_limit, check_equivalence,
-                            diagnostics, flow_deviation, piecewise_estimate)
+from cdscale.limits import (BulkPointData, check_equivalence, diagnostics,
+                            flow_deviation, piecewise_estimate)
 from cdscale.mat2 import operator_norm
 from cdscale.models import free_bulk_data, free_model
 from cdscale.transfer import h_sequence
@@ -76,14 +76,14 @@ def test_diagnostics_decay_profile_bounded_for_bounded_sequences():
 def test_cesaro_free():
     n = 10 ** 4
     seq = h_sequence(FREE, 0.0, n)
-    ces = cesaro_limit(seq, n)
+    ces = diagnostics(seq, n).cesaro_h
     assert operator_norm(ces - np.eye(2) / 2) <= 1e-3
 
 
 def test_cesaro_single_term():
     for model in (FREE, bounded_model(53)):
         seq = h_sequence(model, 0.0, 1)
-        assert np.array_equal(cesaro_limit(seq, 1), [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(diagnostics(seq, 1).cesaro_h, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_cesaro_alternating_matches_time_average_not_endpoint():
@@ -92,7 +92,7 @@ def test_cesaro_alternating_matches_time_average_not_endpoint():
     v = 1.0
     n = 10 ** 4
     seq = h_sequence(AlternatingSignModel(v), 0.0, n, n)
-    ces = cesaro_limit(seq, n)
+    ces = diagnostics(seq, n).cesaro_h
     assert abs(ces[0, 0] - math.sinh(v) / (2 * v)) <= 1e-3
     assert abs(ces[0, 1] - (math.cosh(v) - 1.0) / (2 * v)) <= 1e-3
     # and differs from the endpoint value cosh(V)/2
@@ -114,7 +114,7 @@ def test_piecewise_estimate_single_bin_is_cesaro():
     n = 997
     seq = h_sequence(model, 0.0, n)
     est = piecewise_estimate(seq, n, 1)
-    np.testing.assert_allclose(est.H(0.5), cesaro_limit(seq, n),
+    np.testing.assert_allclose(est.H(0.5), diagnostics(seq, n).cesaro_h,
                                atol=1e-14)
 
 
@@ -186,6 +186,6 @@ def test_report_serialization():
 @pytest.mark.parametrize("x0", [0.3, -1.0])
 def test_free_cesaro_mean_matches_bulk_hamiltonian(x0):
     n = 16000
-    mean = cesaro_limit(h_sequence(free_model(), x0, n, n), n)
+    mean = diagnostics(h_sequence(free_model(), x0, n, n), n).cesaro_h
     h = free_bulk_data(x0).hamiltonian()
     assert operator_norm(mean - h) <= 1e-3

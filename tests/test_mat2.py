@@ -1,4 +1,5 @@
 import ast
+import collections
 import math
 import pathlib
 
@@ -13,6 +14,7 @@ DET_MULT_RTOL = 1e-12
 INV_ATOL = 1e-10
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdscale"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def rand_unimodular(rng, size=()):
@@ -160,3 +162,22 @@ def test_mat2_named_only_by_the_scalar_reference():
     assert sorted(m for m, names in named.items() if "Mat2" in names) == [
         "__init__", "mat2", "transfer"]
     assert [m for m, names in named.items() if "operator_norm_array" in names] == []
+
+
+def test_every_public_definition_is_reached_outside_tests():
+    # a public top-level function or class is named by another module, by its own
+    # module beyond its definition, or by bench/; oracles that only tests use
+    # belong in tests/references.py. main dispatches the cmd_* handlers by name.
+    modules = {path.stem: path for path in SRC.glob("*.py") if path.stem != "__init__"}
+    named = {m: collections.Counter(identifiers(path)) for m, path in modules.items()}
+    in_bench = {name for path in BENCH.rglob("*.py") for name in identifiers(path)}
+    unreached = []
+    for module, path in modules.items():
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith(("_", "cmd_"))):
+                continue
+            if not (named[module][node.name] > 1 or node.name in in_bench
+                    or any(node.name in named[m] for m in modules if m != module)):
+                unreached.append(f"{module}.{node.name}")
+    assert unreached == []

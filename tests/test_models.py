@@ -12,12 +12,10 @@ from cdscale.mat2 import inverse_unimodular, operator_norm
 from cdscale.models import (alternating_coefficient_deviation,
                             alternating_coefficient_matrices,
                             alternating_model, free_bulk_data, free_model,
-                            lambda_pm, limit_coefficient,
-                            limit_coefficient_integral,
-                            limit_kernel_candidate, make_model,
-                            modified_sine_kernel, qhat_closed,
-                            raw_limit_formula, two_step_factor, u_matrix)
+                            lambda_pm, make_model, modified_sine_kernel,
+                            qhat_closed, raw_limit_formula, u_matrix)
 from cdscale.transfer import transfer_product
+from references import limit_coefficient, limit_coefficient_integral, two_step_factor
 
 QHAT_ATOL = 1e-9
 
@@ -175,14 +173,13 @@ def test_modified_sine_entire_in_omega_squared():
 
 
 def test_limit_kernel_candidate_variants():
-    raw, div = limit_kernel_candidate(0.0, 1.3, -0.4)
+    # the raw candidate and the divided one, modified_sine_kernel, off the diagonal
+    raw, div = raw_limit_formula(0.0, 1.3, -0.4), modified_sine_kernel(0.0, 1.3, -0.4)
     assert abs(raw - math.sin((1.3 + 0.4) / 2)) <= 1e-14
     assert abs(div - math.sin((1.3 + 0.4) / 2) / 1.7) <= 1e-14
-    raw, div = limit_kernel_candidate(1.0, 1.0, -1.0)
+    raw, div = raw_limit_formula(1.0, 1.0, -1.0), modified_sine_kernel(1.0, 1.0, -1.0)
     assert abs(raw - 1.0) <= 1e-12  # omega_a = 0 point: (V - b) S(0) C(0) * 2
     assert abs(div - 0.5) <= 1e-12
-    with pytest.raises(ValueError):
-        limit_kernel_candidate(1.0, 0.5, 0.5)
 
 
 def test_exactly_one_variant_matches_numerics():
