@@ -15,6 +15,11 @@ binned estimate) and checks the equivalence between sine-kernel asymptotics
 of the scaled CD kernel and convergence of Q_[tn](a/n) to the constant-H
 rotation flow determined by the bulk data (w, rho, Re F) at the point.
 
+Beyond the h sequence itself, the diagnostics hold the (n + 1, 2, 2) partial
+sums S_m = sum_{j < m} H_j and a few 1-D arrays of length n: each entry of
+S_m is one cumsum of p^2, -pq or q^2, and the candidate is compared in blocks
+of CONV_ROWS grid points.
+
 Boundedness of the generating polynomial values is a hypothesis of the
 compactness machinery, not something finite data can certify; the reports
 expose sup ||H_ell|| as a heuristic proxy only. The sine-kernel equivalence
@@ -36,6 +41,9 @@ from .transfer import DiscreteHSequence, h_sequence, q_snapshots
 
 BPD_WTILDE_TOL = 1e-12
 BPD_DET_TOL = 1e-10
+# Grid points of the candidate comparison evaluated at once in diagnostics;
+# its temporaries stay near 1 MB whatever n is.
+CONV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -113,10 +121,13 @@ class DiagnosticsReport:
 
 
 def _h_partials(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
-    """Partial sums S_m = sum_{j < m} H_j for m = 0..n, shape (n+1, 2, 2)."""
-    entries = h_seq.entry_arrays()[:n]
+    """Partial sums S_m = sum_{j < m} H_j for m = 0..n, shape (n+1, 2, 2), one cumsum per entry."""
+    p, q = h_seq.ps[:n], h_seq.qs[:n]
     out = np.zeros((n + 1, 2, 2))
-    np.cumsum(entries, axis=0, out=out[1:])
+    np.cumsum(p * p, out=out[1:, 0, 0])
+    np.cumsum(-p * q, out=out[1:, 0, 1])
+    out[1:, 1, 0] = out[1:, 0, 1]
+    np.cumsum(q * q, out=out[1:, 1, 1])
     return out
 
 
@@ -140,7 +151,11 @@ def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> Canonical
 def diagnostics(h_seq: DiscreteHSequence, n: int,
                 candidate: CanonicalSystem | None = None,
                 L_list=(2, 5, 10, 50)) -> DiagnosticsReport:
-    """Evaluate the convergence-hypothesis statistics on H_0..H_{n-1}."""
+    """Evaluate the convergence-hypothesis statistics on H_0..H_{n-1}.
+
+    The candidate comparison runs over blocks of CONV_ROWS grid points; a NaN
+    in any block makes matrix_conv NaN, as one max over all points would.
+    """
     if n > len(h_seq):
         raise ValueError("h sequence too short")
     norms = h_seq.norms()[:n]
@@ -160,11 +175,15 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
     cand_dict = None
     if candidate is not None:
         cand_dict = candidate.to_dict()
-        try:
-            cand = candidate.integral(np.arange(n + 1) / n)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"candidate {cand_dict} overflows on [0, 1]: {exc}") from None
-        matrix_conv = float(np.max(operator_norm(partials / n - cand)))
+        block_max = []
+        for lo in range(0, n + 1, CONV_ROWS):
+            hi = min(lo + CONV_ROWS, n + 1)
+            try:
+                cand = candidate.integral(np.arange(lo, hi) / n)
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"candidate {cand_dict} overflows on [0, 1]: {exc}") from None
+            block_max.append(np.max(operator_norm(partials[lo:hi] / n - cand)))
+        matrix_conv = float(np.max(block_max))
     return DiagnosticsReport(
         n=n, x0=h_seq.x0, avg_norm=avg_norm, max_over_n=sup_norm / n,
         sup_norm=sup_norm, decay_profile=profile, matrix_conv=matrix_conv,

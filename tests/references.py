@@ -16,6 +16,10 @@ iteration, as before ``sturm_count`` ran a scalar loop per shift, and
 ``alternating_deviation_stack`` is ``alternating_coefficient_deviation`` as
 it was when it stacked one ``limit_coefficient_integral`` matrix per step,
 before it filled the targets from two lists.
+``h_partials_whole`` and ``matrix_conv_whole`` are ``limits.diagnostics``'
+partial sums and candidate distance as they were before it compared in row
+blocks: one cumsum over the (n, 2, 2) entry array, and one norm over all
+n + 1 grid points.
 
 Independent oracles that no command reaches:
 ``CallableHamiltonian`` wraps any smooth t -> H(t), checked per call, and
@@ -200,6 +204,19 @@ def alternating_deviation_stack(v, n):
     np.cumsum(mats, axis=0, out=partials[1:])
     targets = np.stack([limit_coefficient_integral(v, m / n) for m in range(n + 1)])
     return float(np.max(operator_norm(partials / n - targets)))
+
+
+def h_partials_whole(h_seq, n):
+    """Partial sums S_0..S_n of H_j, one cumsum over the (n, 2, 2) entry array."""
+    out = np.zeros((n + 1, 2, 2))
+    np.cumsum(h_seq.entry_arrays()[:n], axis=0, out=out[1:])
+    return out
+
+
+def matrix_conv_whole(h_seq, n, candidate):
+    """sup_m || S_m / n - int_0^(m/n) H ||, every grid point at once."""
+    cand = candidate.integral(np.arange(n + 1) / n)
+    return float(np.max(operator_norm(h_partials_whole(h_seq, n) / n - cand)))
 
 
 class CallableHamiltonian(CanonicalSystem):

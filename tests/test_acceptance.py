@@ -189,9 +189,12 @@ def test_criterion_5_section5_closed_forms():
     free = free_model()
     alt = alternating_model(v)
     qhat_worst = 0.0
+    # T_ell = S_ell T_{ell-1}: the same products transfer_product forms, one step per ell
+    t0 = tn = Mat2.identity()
     for ell in range(0, 501):
-        t0 = transfer_product(free, ell, 0.0)
-        tn = transfer_product(alt, ell, 0.0, n)
+        if ell:
+            t0 = one_step(free, ell, 0.0) @ t0
+            tn = one_step(alt, ell, 0.0, n) @ tn
         prod = inverse_unimodular(t0) @ tn
         qhat_worst = max(qhat_worst, operator_norm(prod - qhat_closed(v, n, ell)))
     report(5, "qhat_closed_vs_product", qhat_worst, 1e-9)

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdscale import transfer
 from cdscale.cli import _join_value_flags, build_parser, main
@@ -351,6 +356,45 @@ def test_diagnostics_candidate_overflow_names_candidate(tmp_path, capsys):
     assert "cosh-sinh" in err and "800" in err
     assert "off the bulk" not in err
     assert not (tmp_path / "diagnostics.json").exists()
+
+
+def _flag(name, values, invalid):
+    """An optional flag: absent, or one of ``values`` (drawn three times as often) or ``invalid``."""
+    return st.sampled_from([[]] + [[name, v] for v in 3 * values + invalid])
+
+
+_RUN = itertools.count()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=st.sampled_from(2 * ["free", "alternating-v"] + ["periodic", "table"]),
+       flags=st.tuples(
+           _flag("--n", ["1", "2", "7", "100", "4096", "5000"], ["0", "-3", "1e300", "nan"]),
+           _flag("--x0", ["0", "-0.5", "0.3", "2.05", "3", "-3", "1e300", "-1e300"], ["nan"]),
+           _flag("--v", ["0", "0.5", "1", "2.5", "800", "1e300"], ["-1", "nan"]),
+           _flag("--candidate", ["constant", "coshsinh"], ["missing.json"]),
+           _flag("--h11", ["0", "0.5", "1", "-1", "1e300"], ["nan"]),
+           _flag("--h22", ["0", "0.5", "1", "-1", "1e300"], ["nan"]),
+           _flag("--bins", ["1", "7", "50", "5000"], ["0", "-1", "1e300", "nan"])))
+def test_diagnostics_exit_code_contract(tmp_path_factory, model, flags):
+    # 0 with finite JSON, 1 with one cdscale message, or 2 with nothing written
+    out = tmp_path_factory.getbasetemp() / f"diagnostics-contract-{next(_RUN)}"
+    argv = ["diagnostics", "--model", model, *itertools.chain(*flags), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed numbers itself
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        for name in ("diagnostics.json", "manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {name}"))
+    elif code == 1:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("numerical check failed: ") for line in lines) == 1, argv
+    else:
+        assert not out.exists(), argv
 
 
 def run_fresh(tmp_path, commands):

@@ -1,16 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cdscale.canonical import ConstantHamiltonian, CoshSinhHamiltonian
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, TableModel
-from cdscale.limits import (BulkPointData, check_equivalence, diagnostics,
-                            flow_deviation, piecewise_estimate)
+from cdscale.limits import (CONV_ROWS, BulkPointData, _h_partials, check_equivalence,
+                            diagnostics, flow_deviation, piecewise_estimate)
 from cdscale.mat2 import operator_norm
 from cdscale.models import free_bulk_data, free_model
-from cdscale.transfer import h_sequence
+from cdscale.transfer import DiscreteHSequence, h_sequence
+from references import h_partials_whole, matrix_conv_whole
 
 FREE = ConstantModel(1.0, 0.0)
 PI = math.pi
@@ -139,6 +141,50 @@ def test_matrix_conv_self_consistency():
     assert rep_exact.matrix_conv <= 1e-12
     rep_const = diagnostics(seq, n, candidate=ConstantHamiltonian(np.eye(2) / 2))
     assert rep_exact.matrix_conv <= rep_const.matrix_conv
+
+
+@pytest.mark.parametrize("n", [1, CONV_ROWS - 2, CONV_ROWS - 1, CONV_ROWS])
+def test_diagnostics_bit_identical_to_whole_array_forms(n):
+    # n + 1 grid rows: one, then one row short of a block, a full block, one row over
+    seq = h_sequence(AlternatingSignModel(1.0), 0.0, n, n)
+    partials = _h_partials(seq, n)
+    assert partials.tobytes() == h_partials_whole(seq, n).tobytes()
+    for candidate in (CoshSinhHamiltonian(1.0), ConstantHamiltonian(np.eye(2) / 2)):
+        rep = diagnostics(seq, n, candidate=candidate)
+        whole = matrix_conv_whole(seq, n, candidate)
+        assert np.float64(rep.matrix_conv).tobytes() == np.float64(whole).tobytes()
+        assert rep.cesaro_h.tobytes() == (partials[n] / n).tobytes()
+
+
+def test_diagnostics_off_the_bulk_stays_nan():
+    n = 2 * CONV_ROWS
+    candidate = ConstantHamiltonian(np.eye(2) / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = h_sequence(free_model(), 3.0, n, n)
+        rep = diagnostics(seq, n, candidate=candidate)
+        assert _h_partials(seq, n).tobytes() == h_partials_whole(seq, n).tobytes()
+        assert math.isnan(matrix_conv_whole(seq, n, candidate))
+    assert math.isnan(rep.matrix_conv)
+    # a NaN in the last block alone still wins over the finite blocks before it
+    n = CONV_ROWS + 5
+    ps = np.ones(n)
+    ps[-1] = np.nan
+    seq = DiscreteHSequence(0.0, ps, np.zeros(n))
+    assert math.isnan(diagnostics(seq, n, candidate=candidate).matrix_conv)
+
+
+def test_diagnostics_memory_bounded():
+    # beyond the h sequence: the (n + 1, 2, 2) partial sums and three 1-D arrays
+    n = 2 ** 16
+    seq = h_sequence(AlternatingSignModel(1.0), 0.0, n, n)
+    tracemalloc.start()
+    try:
+        diagnostics(seq, n, candidate=CoshSinhHamiltonian(1.0))
+        piecewise_estimate(seq, n, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * n + 2 ** 20
 
 
 def test_check_equivalence_free():
