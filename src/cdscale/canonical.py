@@ -362,10 +362,14 @@ def _u_final_batch(system, zs, max_step) -> np.ndarray:
     return qs[0, :, :, 0]  # first columns, shape (nz, 2)
 
 
-def _diagonal_kernel_batch(system, zs, max_step,
+def _diagonal_kernel_batch(system, zs, max_step, u0=None,
                            fd_step: float = CONFLUENT_FD_STEP) -> np.ndarray:
-    """K(z, z) = det(u'(z), u(z)) via Richardson-extrapolated central differences."""
-    u0 = _u_final_batch(system, zs, max_step)
+    """K(z, z) = det(u'(z), u(z)) via Richardson-extrapolated central differences.
+
+    ``u0``, if given, is the solution u(1, zs) already solved for this batch.
+    """
+    if u0 is None:
+        u0 = _u_final_batch(system, zs, max_step)
     d_full = (_u_final_batch(system, zs + fd_step, max_step)
               - _u_final_batch(system, zs - fd_step, max_step)) / (2.0 * fd_step)
     d_half = (_u_final_batch(system, zs + 0.5 * fd_step, max_step)
@@ -399,7 +403,9 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     values = np.divide(det, diff, out=np.zeros_like(det), where=~coincident)
     per_row = coincident.sum(axis=1)
     if per_row.any():
-        diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], max_step)
+        # on equal grids every point is a diagonal one, and ua is their solve
+        diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], max_step,
+                                      ua if ub is ua else None)
         values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
     return values
 

@@ -417,10 +417,10 @@ def _suite_kernel(opt: Options, checks: CheckList):
     nk = min(n, 40)
     # the Gauss rule of the measure of coefficient family nk, the family the kernel uses
     nodes, weights = jacobi.gauss_quadrature(model, 4 * nk, nk)
+    xy = x0 + rng.uniform(-0.5, 0.5, (3, 2))
+    at_nodes = cdkernel.kernel_sum(model, nk, xy.reshape(-1, 1), nodes).reshape(3, 2, -1)
     worst_rep = 0.0
-    for _ in range(3):
-        x, y = x0 + rng.uniform(-0.5, 0.5, 2)
-        kxz, kyz = cdkernel.kernel_sum(model, nk, np.array([[x], [y]]), nodes)
+    for (x, y), (kxz, kyz) in zip(xy.tolist(), at_nodes):
         integral = float(np.dot(weights, kxz * kyz))
         direct = float(cdkernel.kernel_sum(model, nk, x, y))
         worst_rep = max(worst_rep, abs(integral - direct) / max(1.0, abs(direct)))
@@ -569,18 +569,25 @@ def cmd_canonical_solve(opt: Options) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when one is named.
+
+    Either parses that command's argv to the same namespace; building one
+    command's options costs a fraction of building them all.
+    """
     ap = argparse.ArgumentParser(prog="cdscale", description=__doc__)
     ap.add_argument("--version", action="version", version=f"cdscale {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (summary, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        if command == "verify":
+    for name, (summary, names) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        if name == "verify":
             p.add_argument("suite", help=" | ".join(SUITES))
-        for name in names:
-            kind, _, text = OPTIONS[name]
+        for option in names:
+            kind, _, text = OPTIONS[option]
             choices = kind if isinstance(kind, tuple) else None
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=text,
+            p.add_argument("--" + option.replace("_", "-"), dest=option, help=text,
                            type=None if choices else kind, choices=choices)
     return ap
 
@@ -605,7 +612,8 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_value_flags(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_value_flags(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         opt = Options(args)
         # looked up when called, so a wrapper bound to a cmd_* name later is the one run

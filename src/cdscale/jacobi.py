@@ -17,11 +17,11 @@ count the eigenvalues below a shift exactly, which selects the ones in a
 window around a point; LAPACK ?stebz bisects those, also by Sturm counts,
 without computing the rest of the spectrum.
 
-scipy is imported only inside the two functions that call LAPACK,
-tridiagonal_eigs_in and gauss_quadrature. Loading scipy.linalg takes longer
-than most CLI commands compute, and only ``zeros`` and ``verify
-kernel-identities`` reach those functions; every other command runs on numpy
-alone.
+scipy is imported only inside tridiagonal_eigs_in, which needs LAPACK ?stebz
+(numpy has no selective tridiagonal eigensolver). Loading scipy.linalg takes
+longer than most CLI commands compute, and only ``zeros`` reaches that
+function; every other command, ``verify kernel-identities`` and its Gauss
+rule included, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -347,16 +347,15 @@ def scaled_zeros(model: CoefficientModel, n: int, x0: float, window: float) -> S
 
 def gauss_quadrature(model: CoefficientModel, m: int,
                      n_ctx: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights from the m x m truncation.
+    """Gauss nodes and weights from the m x m truncation (Golub & Welsch 1969).
 
     Nodes are the truncation's eigenvalues; weights are squared first
     components of the normalized eigenvectors. The rule integrates
     polynomials of degree < 2m exactly against the orthogonality measure
-    (normalized to total mass 1).
+    (normalized to total mass 1). numpy's eigh solves the dense truncation,
+    an O(m^3) solve; its one CLI caller, ``verify kernel-identities``, uses
+    m <= 160.
     """
     diag, off = truncated_tridiagonal(model, m, n_ctx)
-    if m == 1:
-        return diag.copy(), np.ones(1)
-    import scipy.linalg  # see the module docstring
-    w, v = scipy.linalg.eigh_tridiagonal(diag, off)
+    w, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return w, v[0, :] ** 2

@@ -326,10 +326,10 @@ def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):
 
     monkeypatch.setattr(canonical, "_u_final_batch", counted)
     shared = kernel_grid(system, g, g)
-    assert solved == [13] * 6  # u at g, then u and four finite-difference solves for the diagonal
+    assert solved == [13] * 5  # u at g, then four finite-difference solves for the diagonal
     # rows against a copy of g, each side from its own solve
     split = np.vstack([kernel_grid(system, g[:5], g.copy()), kernel_grid(system, g[5:], g.copy())])
-    assert solved[6:] == [5, 13, 5, 5, 5, 5, 5, 8, 13, 8, 8, 8, 8, 8]
+    assert solved[5:] == [5, 13, 5, 5, 5, 5, 5, 8, 13, 8, 8, 8, 8, 8]
     assert np.array_equal(shared, split)
     assert np.array_equal(shared, kernel_grid(system, g + 0j, g + 0j))  # real run = complex run
 

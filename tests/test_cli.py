@@ -413,7 +413,8 @@ def run_fresh(tmp_path, commands):
 
 
 def test_commands_without_lapack_never_import_scipy(tmp_path):
-    # scipy.linalg takes longer to import than these commands take to run
+    # scipy.linalg takes longer to import than these commands take to run; the Gauss
+    # rule of kernel-identities is a dense numpy solve
     modules = run_fresh(tmp_path, [
         ["kernel", "--model", "free", "--n", "50", "--grid", "-2:2:5", "--reference", "sine",
          "--rho", repr(1 / (2 * math.pi)), "--w", repr(1 / math.pi)],
@@ -423,6 +424,8 @@ def test_commands_without_lapack_never_import_scipy(tmp_path):
          "--candidate", "coshsinh"],
         ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--t-grid", "0:1:3"],
         ["verify", "transfer-identities", "--model", "free", "--n", "100"],
+        ["verify", "kernel-identities", "--model", "periodic", "--period-a", "1.0,1.05",
+         "--period-b", "0.2,0.2", "--n", "200"],
         ["verify", "section5", "--v", "1", "--n", "400", "--grid", "-2:2:5"],
         ["verify", "appendix-roundtrip", "--seed", "7", "--n", "20"],
         ["verify", "thm25", "--n-list", "100,200", "--grid", "-2:2:5"],
@@ -448,4 +451,26 @@ def test_readme_cli_examples_parse():
     examples = [shlex.split(line)[1:] for line in lines if line.startswith("cdscale ")]
     assert len(examples) == 10
     for argv in examples:
-        build_parser().parse_args(_join_value_flags(argv))
+        argv = _join_value_flags(argv)
+        # main builds the named command's options alone; they parse as the full parser does
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "periodic", "--period-a", "1,2", "--grid", "-1:1:3", "--bgrid", "-2:2:5",
+     "--reference", "sine", "--rho", "0.1", "--w", "0.3", "--re-f", "0.2", "--max-step", "1e-4",
+     "--tol", "0.1", "--config", "c.txt"],
+    ["diagnostics", "--model", "table", "--table", "t.csv", "--n", "9", "--x0", "0.5",
+     "--bins", "7", "--candidate", "constant", "--h11", "1", "--h12", "0.1", "--h22", "2"],
+    ["zeros", "--model", "free", "--n", "7", "--x0", "0.1", "--window", "3"],
+    ["verify", "thm25", "--model", "alternating-v", "--v", "2", "--seed", "3", "--t-grid", "0:1:3",
+     "--n-list", "10,20", "--rho", "0.2"],
+    ["canonical-solve", "--system", "constant", "--h11", "1", "--h22", "1", "--z", "-1,-2"],
+])
+def test_one_command_parser_matches_the_full_parser(argv):
+    argv = _join_value_flags(argv)
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    # an option that only another command has is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--seed", "1"] if argv[0] == "zeros" else ["--window", "1"]))
+    assert exc.value.code == 2

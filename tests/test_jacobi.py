@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,6 +269,18 @@ def test_gauss_quadrature_orthonormality():
     P, _ = poly_table(model, nodes, 12)
     gram = (P * weights) @ P.T
     np.testing.assert_allclose(gram, np.eye(13), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 160, 400])
+@pytest.mark.parametrize("model, n_ctx", [(FREE, None), (PeriodicModel([1.0, 1.05], [0.2, 0.2]), None),
+                                          (AlternatingSignModel(1.0), 40)])
+def test_gauss_quadrature_matches_tridiagonal_solver(model, n_ctx, m):
+    # the dense solve against LAPACK's tridiagonal one
+    diag, off = truncated_tridiagonal(model, m, n_ctx)
+    ref_nodes, vectors = scipy.linalg.eigh_tridiagonal(diag, off)
+    nodes, weights = gauss_quadrature(model, m, n_ctx)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 4 * np.spacing(np.max(np.abs(ref_nodes)))
+    assert np.max(np.abs(weights - vectors[0] ** 2)) <= 4 * np.spacing(1.0)
 
 
 def test_invalid_scaled_zero_arguments():
