@@ -12,16 +12,15 @@ from .mat2 import Mat2, inverse_unimodular, multiply, operator_norm
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      PeriodicModel, SpectrumSlice, TableModel, gauss_quadrature,
                      poly_table, scaled_zeros)
-from .transfer import (DiscreteHSequence, h_sequence, one_step, q_snapshots,
+from .transfer import (DiscreteHSequence, discrete_to_jacobi, h_sequence,
+                       one_step, polys_from_h, q_snapshots,
                        q_trajectory_direct, transfer_matrices,
                        transfer_product)
 from .cdkernel import (KernelGrid, kernel_cd, kernel_det_q, kernel_sum,
                        scaled_grid, sine_compare, sine_kernel)
 from .canonical import (CanonicalSystem, ConstantHamiltonian,
                         CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
-                        RSSequence, constant_solution_batch,
-                        discrete_to_jacobi, kernel_grid, rs_from_model,
-                        solve_ode_batch)
+                        constant_solution_batch, kernel_grid, solve_ode_batch)
 from .limits import (BulkPointData, DiagnosticsReport, EquivalenceReport,
                      check_equivalence, diagnostics, piecewise_estimate)
 from .models import (alternating_model, free_bulk_data, free_model, lambda_pm,

@@ -34,19 +34,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cdkernel import _check_distinct
-from .errors import NotPSD, WronskianViolation
-from .jacobi import TableModel, poly_table
+from .errors import NotPSD
+# not used here; bench/tests asserts that its tracer rebinds canonical.poly_table
+from .jacobi import poly_table  # noqa: F401
 from .mat2 import symmetric_eig_bounds
 from .transfer import _check_t_grid
 
 PSD_SAMPLE_TOL = 1e-12
 SOLVE_CONSTANT_PSD_TOL = 1e-10
-WRONSKIAN_TOL = 1e-10
 DEFAULT_MAX_STEP = 1e-3
 # smallest max_step: 10^6 steps per unit t, since the step grid is allocated whole
 MIN_MAX_STEP = 1e-6
@@ -408,91 +407,3 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
                                       ua if ub is ua else None)
         values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
     return values
-
-
-@dataclass(frozen=True)
-class RSSequence:
-    """Real sequences (r_ell, s_ell) with discrete Wronskian 1/a_ell.
-
-    ``a[0]`` is the normalization a_0 = 1; ``a[ell]`` for ell >= 1 are the
-    off-diagonal coefficients of the Jacobi matrix the sequence encodes.
-    """
-
-    r: np.ndarray
-    s: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        if not (len(r) == len(s) == len(a)):
-            raise ValueError("r, s, a must have equal length")
-        if len(a) == 0 or a[0] != 1.0:
-            raise ValueError("need a_0 = 1")
-        if np.any(a <= 0):
-            raise ValueError("off-diagonal coefficients must be positive")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
-        res = self.wronskian_residual()
-        if res > WRONSKIAN_TOL:
-            raise WronskianViolation(
-                f"max |s_l r_(l-1) - r_l s_(l-1) - 1/a_l| = {res:.3e} > {WRONSKIAN_TOL:g}")
-
-    def __len__(self) -> int:
-        return len(self.r)
-
-    def wronskian_residual(self) -> float:
-        if len(self) < 2:
-            return 0.0
-        lhs = self.s[1:] * self.r[:-1] - self.r[1:] * self.s[:-1]
-        return float(np.max(np.abs(lhs - 1.0 / self.a[1:])))
-
-
-def rs_from_model(model, up_to: int, n: int | None = None) -> RSSequence:
-    """The pair (p_ell(0), q_ell(0)) of a model, packaged with its a-coefficients."""
-    P, Q = poly_table(model, np.array([0.0]), up_to, n)
-    a, _ = model.coeff_arrays(up_to, n)
-    return RSSequence(r=P[:, 0], s=Q[:, 0], a=np.concatenate([[1.0], a]))
-
-
-def discrete_to_jacobi(rs: RSSequence) -> TableModel:
-    """Jacobi matrix encoded by an (r, s) pair.
-
-    Off-diagonals are the given a_ell; diagonals come from
-    b_ell = a_ell a_{ell-1} (r_ell s_{ell-2} - s_ell r_{ell-2}), where the
-    ell = 1 case uses the initial data (r_{-1}, s_{-1}) = (0, -1/a_0) implied
-    by r_0 = 1.
-    """
-    m = len(rs) - 1  # number of coefficient pairs recoverable
-    if m < 1:
-        raise ValueError("need at least (r_0, r_1) to recover coefficients")
-    b = np.empty(m)
-    b[0] = -rs.a[1] * rs.r[1] * rs.a[0]
-    for ell in range(2, m + 1):
-        b[ell - 1] = rs.a[ell] * rs.a[ell - 1] * (
-            rs.r[ell] * rs.s[ell - 2] - rs.s[ell] * rs.r[ell - 2])
-    return TableModel(rs.a[1:m + 1], b)
-
-
-def polys_from_rs(rs: RSSequence, x, up_to: int | None = None) -> np.ndarray:
-    """Orthonormal polynomial values rebuilt from the discrete canonical system.
-
-    Solves J (u_{ell+1} - u_ell) = x Hhat_ell u_ell with u_0 = (1, 0)^t and
-    the rank-one coefficients built from (r_ell, s_ell), then evaluates
-    p_ell(x) = r_ell u_{ell,1} - s_ell u_{ell,2}.
-    """
-    if up_to is None:
-        up_to = len(rs) - 1
-    x = complex(x)
-    u1, u2 = 1.0 + 0.0j, 0.0j
-    out = np.empty(up_to + 1, dtype=complex)
-    out[0] = rs.r[0] * u1 - rs.s[0] * u2
-    for ell in range(up_to):
-        r, s = rs.r[ell], rs.s[ell]
-        nu1 = u1 + x * (-r * s * u1 + s * s * u2)
-        nu2 = u2 + x * (-r * r * u1 + r * s * u2)
-        u1, u2 = nu1, nu2
-        out[ell + 1] = rs.r[ell + 1] * u1 - rs.s[ell + 1] * u2
-    return out

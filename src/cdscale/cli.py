@@ -228,7 +228,7 @@ def _bulk_data(opt: Options, rho, w) -> limits.BulkPointData:
     try:
         if rho is None or w is None:
             return models.free_bulk_data(x0)
-        return limits.BulkPointData.from_densities(x0, w, rho, opt.get("re_f"))
+        return limits.BulkPointData(x0, w, rho, opt.get("re_f"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -490,15 +490,15 @@ def _suite_appendix(opt: Options, checks: CheckList):
         rng = np.random.default_rng(seed + k)
         a = rng.uniform(0.8, 1.25, n)
         b = rng.uniform(-0.3, 0.3, n)
-        model = jacobi.TableModel(a, b)
-        rs = canonical.rs_from_model(model, n)
-        worst_wr = max(worst_wr, rs.wronskian_residual())
-        rec = canonical.discrete_to_jacobi(rs)
-        worst_b = max(worst_b, float(np.max(np.abs(rec.b_list - b))))
         x = rng.uniform(-0.5, 0.5)
-        ps = canonical.polys_from_rs(rs, x)
-        truth = jacobi.poly_table(model, np.array([x]), n)[0][:, 0]
-        worst_p = max(worst_p, float(np.max(np.abs(ps - truth))))
+        # point by point, so each column has the bits of its own run
+        P, Q = jacobi.poly_table(jacobi.TableModel(a, b), np.array([0.0, x]), n)
+        h_seq = transfer.DiscreteHSequence(0.0, P[:, 0], Q[:, 0])
+        worst_wr = max(worst_wr, h_seq.wronskian_residual(a))
+        rec = transfer.discrete_to_jacobi(h_seq, a)
+        worst_b = max(worst_b, float(np.max(np.abs(rec.b_list - b))))
+        ps = transfer.polys_from_h(h_seq, x)[:, 0]
+        worst_p = max(worst_p, float(np.max(np.abs(ps - P[:, 1]))))
     checks.add("wronskian_identity", worst_wr, 1e-10)
     checks.add("b_recovery", worst_b, 1e-9)
     checks.add("poly_reconstruction", worst_p, 1e-9)
@@ -618,10 +618,7 @@ def main(argv=None) -> int:
         opt = Options(args)
         # looked up when called, so a wrapper bound to a cmd_* name later is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](opt)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidCoefficient, IndexOutOfRange, FileNotFoundError) as exc:
+    except (UsageError, InvalidCoefficient, IndexOutOfRange, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, errors.CoincidentArguments, errors.NotPSD,

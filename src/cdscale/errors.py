@@ -22,7 +22,7 @@ class NotPSD(ValueError):
 
 
 class WronskianViolation(ValueError):
-    """An (r, s) sequence pair violates the discrete Wronskian identity."""
+    """A pair (p_ell(x0), q_ell(x0)) violates the discrete Wronskian identity."""
 
 
 class ConditioningWarning(RuntimeWarning):

@@ -7,7 +7,8 @@ machinery into measured statistics on a concrete coefficient sequence:
 
   * avg_norm       mean of ||H_ell|| over ell < n,
   * max_over_n     max ||H_ell|| / n (must vanish for bounded sequences),
-  * decay_profile  worst windowed average over n/L-length blocks, per L,
+  * decay_profile  per L, the largest sum of ||H_j|| / n over L windows of
+                   about n/L indices, neighbours sharing one (DiagnosticsReport),
   * matrix_conv    sup_t || int_0^t (H_[ns] - A(s)) ds || against a candidate.
 
 It also builds the candidate limits themselves (Cesaro mean, piecewise
@@ -39,7 +40,6 @@ from .canonical import (CanonicalSystem, PiecewiseConstantHamiltonian,
 from .mat2 import operator_norm
 from .transfer import DiscreteHSequence, h_sequence, q_snapshots
 
-BPD_WTILDE_TOL = 1e-12
 BPD_DET_TOL = 1e-10
 # Grid points of the candidate comparison evaluated at once in diagnostics;
 # its temporaries stay near 1 MB whatever n is.
@@ -51,37 +51,31 @@ class BulkPointData:
     """Strong-Lebesgue-point data (x0, w, rho, Re F) and the derived w-tilde.
 
     w is the a.c. density at x0, rho the limiting zero density, reF the real
-    part of the boundary Stieltjes transform. The second-kind density obeys
+    part of the boundary Stieltjes transform. The second-kind density is
     wtilde = w / (pi^2 w^2 + reF^2), and the implied constant Hamiltonian
 
         H = ((rho/w, reF rho/w), (reF rho/w, rho/wtilde))
 
-    always has det H = (pi rho)^2.
+    has det H = (pi rho)^2 up to rounding, which is checked.
     """
 
     x0: float
     w: float
     rho: float
-    reF: float
-    wtilde: float
+    reF: float = 0.0
 
     def __post_init__(self):
-        if self.w <= 0 or self.rho <= 0:
+        if not (self.w > 0 and self.rho > 0):  # NaN too
             raise ValueError("w and rho must be positive")
-        expected = self.w / (math.pi ** 2 * self.w ** 2 + self.reF ** 2)
-        if abs(self.wtilde - expected) > BPD_WTILDE_TOL * max(1.0, abs(expected)):
-            raise ValueError(
-                f"wtilde = {self.wtilde} inconsistent with w/(pi^2 w^2 + reF^2) = {expected}")
         h = self.hamiltonian()
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         target = (math.pi * self.rho) ** 2
-        if abs(det - target) > BPD_DET_TOL * max(1.0, target):
+        if not abs(det - target) <= BPD_DET_TOL * max(1.0, target):
             raise ValueError(f"det H = {det} violates (pi rho)^2 = {target}")
 
-    @classmethod
-    def from_densities(cls, x0: float, w: float, rho: float, reF: float = 0.0) -> "BulkPointData":
-        wtilde = w / (math.pi ** 2 * w ** 2 + reF ** 2)
-        return cls(x0=x0, w=w, rho=rho, reF=reF, wtilde=wtilde)
+    @property
+    def wtilde(self) -> float:
+        return self.w / (math.pi ** 2 * self.w ** 2 + self.reF ** 2)
 
     def hamiltonian(self) -> np.ndarray:
         off = self.reF * self.rho / self.w
@@ -94,14 +88,18 @@ class BulkPointData:
 
 @dataclass
 class DiagnosticsReport:
-    """Measured convergence statistics for one coefficient sequence."""
+    """Measured convergence statistics for one coefficient sequence.
+
+    Window k < L of decay_profile sums ||H_j|| over j = floor(nk/L)..floor(n(k+1)/L),
+    both ends included and the last clipped to n - 1.
+    """
 
     n: int
     x0: float
     avg_norm: float
     max_over_n: float
     sup_norm: float  # boundedness heuristic: sup of p^2 + q^2 over ell < n
-    decay_profile: list  # of (L, worst windowed average)
+    decay_profile: list  # of (L, largest window sum / n)
     matrix_conv: float | None
     cesaro_h: np.ndarray  # shape (2, 2)
     candidate: dict | None = None

@@ -46,7 +46,7 @@ def free_bulk_data(x0: float = 0.0) -> BulkPointData:
     if not -2.0 < x0 < 2.0:
         raise ValueError("bulk points of the free model lie in (-2, 2)")
     s = math.sqrt(4.0 - x0 * x0)
-    return BulkPointData.from_densities(
+    return BulkPointData(
         x0=x0, w=s / (2.0 * math.pi), rho=1.0 / (math.pi * s), reF=-x0 / 2.0)
 
 

@@ -22,6 +22,9 @@ direct product and the recursion are first-class here and must agree; both
 return arrays of shape (len(t), len(a), 2, 2). Both step loops, like the
 polynomial recurrence, run as a blocked scan (``scan``): about 3 sqrt(n)
 vectorized steps in place of n.
+
+The pair (p_ell(x0), q_ell(x0)) alone gives back the Jacobi matrix
+(discrete_to_jacobi) and its polynomials (polys_from_h, by the recursion of Q).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import warnings
 
 import numpy as np
 
-from .errors import ConditioningWarning
-from .jacobi import CoefficientModel, poly_table
+from .errors import ConditioningWarning, WronskianViolation
+from .jacobi import CoefficientModel, TableModel, poly_table
 from .mat2 import IDENTITY, Mat2, inverse_unimodular, operator_norm
 from .scan import blocked_scan
 
@@ -39,6 +42,7 @@ from .scan import blocked_scan
 # too many digits. transfer_product measures size by the spectral norm,
 # transfer_matrices by the largest entry modulus, which is within a factor 2.
 DIRECT_COND_LIMIT = 1e12
+WRONSKIAN_TOL = 1e-10
 
 
 class DiscreteHSequence:
@@ -72,6 +76,12 @@ class DiscreteHSequence:
         h[:, 1, 0] = -p * q
         h[:, 1, 1] = q * q
         return h
+
+    def wronskian_residual(self, a) -> float:
+        """max |q_ell p_{ell-1} - p_ell q_{ell-1} - 1/a_ell| over ell >= 1; ``a`` is a_1..a_m."""
+        p, q = self.ps, self.qs
+        lhs = q[1:] * p[:-1] - p[1:] * q[:-1]
+        return float(np.max(np.abs(lhs - 1.0 / np.asarray(a, dtype=float)), initial=0.0))
 
 
 def one_step(model: CoefficientModel, ell: int, x, n: int | None = None) -> Mat2:
@@ -212,7 +222,11 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
     _check_t_grid(sorted(t_values))  # every t in [0, 1]; any order
     ells = np.floor(np.asarray(t_values, dtype=float) * n).astype(np.int64)
     a = np.asarray(a_values)
-    z = a.astype(complex if np.iscomplexobj(a) else float) / n
+    return _q_at_steps(h_seq, a.astype(complex if np.iscomplexobj(a) else float) / n, ells)
+
+
+def _q_at_steps(h_seq: DiscreteHSequence, z: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """Q_ell(x0 + z) at each step in ``ells`` (any order) for the real or complex z; see q_snapshots."""
     max_ell = int(ells.max(initial=0))
     if max_ell > len(h_seq):
         raise ValueError(f"h sequence of length {len(h_seq)} does not cover index {max_ell - 1}")
@@ -228,3 +242,36 @@ def q_snapshots(h_seq: DiscreteHSequence, n: int, a_values,
     with np.errstate(over="ignore", invalid="ignore"):
         Q = blocked_scan(max_ell, start, increment, (h_seq.ps, h_seq.qs), ells, increment=True)
     return Q.astype(complex, copy=False)
+
+
+def polys_from_h(h_seq: DiscreteHSequence, x) -> np.ndarray:
+    """p_0(x)..p_m(x) rebuilt from the discrete canonical system alone, shape (m + 1, len(x)).
+
+    p_ell(x) = p_ell(x0) Q_ell[0, 0] - q_ell(x0) Q_ell[1, 0], with Q at z = x - x0
+    and every step a snapshot.
+    """
+    x = np.atleast_1d(np.asarray(x))
+    z = x.astype(complex if np.iscomplexobj(x) else float) - h_seq.x0
+    Q = _q_at_steps(h_seq, z, np.arange(len(h_seq)))
+    return h_seq.ps[:, None] * Q[:, :, 0, 0] - h_seq.qs[:, None] * Q[:, :, 1, 0]
+
+
+def discrete_to_jacobi(h_seq: DiscreteHSequence, a) -> TableModel:
+    """The Jacobi matrix with off-diagonals ``a`` = a_1..a_m whose polynomials at x0 are h_seq's.
+
+    Needs m = len(h_seq) - 1 and raises WronskianViolation when the discrete
+    Wronskian misses 1/a_ell by more than WRONSKIAN_TOL. The diagonal is
+    b_ell = x0 + a_ell a_{ell-1} (p_ell q_{ell-2} - q_ell p_{ell-2}), with a_0 = 1
+    and the initial data (p_{-1}, q_{-1}) = (0, -1) implied by p_0 = 1.
+    """
+    a = np.asarray(a, dtype=float)
+    if len(h_seq) < 2 or a.shape != (len(h_seq) - 1,):
+        raise ValueError(f"need a_1..a_m, m >= 1, for a sequence of m + 1 = {len(h_seq)} terms")
+    res = h_seq.wronskian_residual(a)
+    if res > WRONSKIAN_TOL:
+        raise WronskianViolation(
+            f"max |s_l r_(l-1) - r_l s_(l-1) - 1/a_l| = {res:.3e} > {WRONSKIAN_TOL:g}")
+    p = np.concatenate([[0.0], h_seq.ps])  # p_{-1}..p_m
+    q = np.concatenate([[-1.0], h_seq.qs])
+    b = h_seq.x0 + a * np.concatenate([[1.0], a[:-1]]) * (p[2:] * q[:-2] - q[2:] * p[:-2])
+    return TableModel(a, b)

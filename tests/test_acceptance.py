@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from cdscale.canonical import (ConstantHamiltonian, CoshSinhHamiltonian,
-                               constant_solution_batch, discrete_to_jacobi,
-                               kernel_grid, rs_from_model, solve_ode_batch)
+                               constant_solution_batch, kernel_grid, solve_ode_batch)
 from cdscale.cdkernel import (kernel_cd, kernel_det_q, kernel_sum, scaled_grid,
                               sine_compare, sine_kernel)
 from cdscale.jacobi import (ConstantModel, TableModel, poly_table, scaled_zeros)
@@ -20,7 +19,7 @@ from cdscale.mat2 import Mat2, inverse_unimodular, operator_norm
 from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             lambda_pm, modified_sine_kernel, qhat_closed,
                             raw_limit_formula)
-from cdscale.transfer import (h_sequence, one_step, q_snapshots,
+from cdscale.transfer import (discrete_to_jacobi, h_sequence, one_step, q_snapshots,
                               q_trajectory_direct, transfer_product)
 from references import hb_kernel, kernel_integral_form, transfer_from_polys
 
@@ -231,7 +230,7 @@ def test_criterion_6_canonical_kernel_identities():
     worst = 0.0
     det_worst = 0.0
     for w, rho, re_f in ((W0, RHO0, 0.0), (0.23, 0.4, -0.6), (1.1, 0.2, 0.35)):
-        bpd = BulkPointData.from_densities(0.0, w, rho, re_f)
+        bpd = BulkPointData(0.0, w, rho, re_f)
         h = bpd.hamiltonian()
         det_worst = max(det_worst, abs(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
                                        - (math.pi * rho) ** 2))
@@ -257,9 +256,9 @@ def test_criterion_7_inverse_map_round_trip():
         n = 50
         a = rng.uniform(0.8, 1.25, n)
         b = rng.uniform(-0.3, 0.3, n)
-        rs = rs_from_model(TableModel(a, b), n)
-        worst_wr = max(worst_wr, rs.wronskian_residual())
-        rec = discrete_to_jacobi(rs)
+        h_seq = h_sequence(TableModel(a, b), 0.0, n)
+        worst_wr = max(worst_wr, h_seq.wronskian_residual(a))
+        rec = discrete_to_jacobi(h_seq, a)
         worst_b = max(worst_b, float(np.max(np.abs(rec.b_list - b))))
     report(7, "b_recovery", worst_b, 1e-9)
     report(7, "wronskian_identity", worst_wr, 1e-10)

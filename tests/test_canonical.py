@@ -11,15 +11,14 @@ from cdscale import canonical
 from cdscale.canonical import (BLOCK_STEPS, DEFAULT_MAX_STEP, REDUCTION_PAIRS,
                                STEP_BLOCK_VALUES, ConstantHamiltonian,
                                CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
-                               RSSequence, constant_solution_batch,
-                               discrete_to_jacobi, kernel_grid, polys_from_rs,
-                               rs_from_model, solve_ode_batch,
+                               constant_solution_batch, kernel_grid, solve_ode_batch,
                                system_from_dict, _integration_path,
                                _step_coefficients, _step_grid)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import operator_norm
+from cdscale.transfer import DiscreteHSequence, discrete_to_jacobi, h_sequence, polys_from_h
 
 from references import (CallableHamiltonian, coshsinh_math, hb_kernel, hermite_biehler,
                         kernel_integral_form, rk4_step_loop, step_coefficients_loop)
@@ -335,15 +334,14 @@ def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):
 
 
 def test_rs_sequence_free_values():
-    rs = rs_from_model(FREE, 6)
-    assert rs.wronskian_residual() <= 1e-15
-    # explicit check at the first step: s1 r0 - r1 s0 = 1 = 1/a1
-    assert rs.s[1] * rs.r[0] - rs.r[1] * rs.s[0] == 1.0
+    h_seq = h_sequence(FREE, 0.0, 6)
+    assert h_seq.wronskian_residual(np.ones(6)) <= 1e-15
+    # explicit check at the first step: q1 p0 - p1 q0 = 1 = 1/a1
+    assert h_seq.qs[1] * h_seq.ps[0] - h_seq.ps[1] * h_seq.qs[0] == 1.0
 
 
 def test_discrete_to_jacobi_free_recovery():
-    rs = rs_from_model(FREE, 10)
-    rec = discrete_to_jacobi(rs)
+    rec = discrete_to_jacobi(h_sequence(FREE, 0.0, 10), np.ones(10))
     np.testing.assert_allclose(rec.b_list, np.zeros(10), atol=1e-14)
     np.testing.assert_allclose(rec.a_list, np.ones(10), atol=0)
 
@@ -355,9 +353,9 @@ def test_discrete_to_jacobi_round_trip_random():
         a = rng.uniform(0.8, 1.25, n)
         b = rng.uniform(-0.3, 0.3, n)
         model = TableModel(a, b)
-        rs = rs_from_model(model, n)
-        assert rs.wronskian_residual() <= 1e-10
-        rec = discrete_to_jacobi(rs)
+        h_seq = h_sequence(model, 0.0, n)
+        assert h_seq.wronskian_residual(a) <= 1e-10
+        rec = discrete_to_jacobi(h_seq, a)
         np.testing.assert_allclose(rec.b_list, b, atol=1e-9)
         np.testing.assert_allclose(rec.a_list, a, atol=0)
 
@@ -366,40 +364,40 @@ def test_polys_from_rs_reconstruction():
     rng = np.random.default_rng(42)
     n = 40
     model = TableModel(rng.uniform(0.8, 1.2, n), rng.uniform(-0.2, 0.2, n))
-    rs = rs_from_model(model, n)
+    h_seq = h_sequence(model, 0.0, n)
     for x in (0.0, 0.31, -0.77, 0.2 + 0.1j):
-        got = polys_from_rs(rs, x)
+        got = polys_from_h(h_seq, x)[:, 0]
         ref = poly_table(model, [x], n)[0][:, 0]
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 # coefficients close enough to 1 that the polynomials at 0 stay moderate for
-# 40 steps, so the absolute Wronskian check of RSSequence holds
+# 40 steps, so the absolute Wronskian check of discrete_to_jacobi holds
 TABLES = st.lists(st.tuples(st.floats(0.8, 1.25), st.floats(-0.3, 0.3)), min_size=1, max_size=40)
 
 
-def rs_of_table(coeffs):
+def h_of_table(coeffs):
     a, b = map(np.array, zip(*coeffs))
-    rs = rs_from_model(TableModel(a, b), len(a))
-    # rounding grows with the sequence length and with the largest product r s
-    bound = 4 * len(a) * np.finfo(float).eps * np.max(np.abs(rs.r) + np.abs(rs.s)) ** 2
-    return a, b, rs, bound
+    h_seq = h_sequence(TableModel(a, b), 0.0, len(a))
+    # rounding grows with the sequence length and with the largest product p q
+    bound = 4 * len(a) * np.finfo(float).eps * np.max(np.abs(h_seq.ps) + np.abs(h_seq.qs)) ** 2
+    return a, b, h_seq, bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(coeffs=TABLES)
 def test_rs_from_model_wronskian(coeffs):
-    a, _, rs, bound = rs_of_table(coeffs)
-    lhs = rs.s[1:] * rs.r[:-1] - rs.r[1:] * rs.s[:-1]
+    a, _, h_seq, bound = h_of_table(coeffs)
+    lhs = h_seq.qs[1:] * h_seq.ps[:-1] - h_seq.ps[1:] * h_seq.qs[:-1]
     assert np.max(np.abs(lhs - 1.0 / a)) <= bound
-    assert rs.wronskian_residual() <= bound
+    assert h_seq.wronskian_residual(a) <= bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(coeffs=TABLES)
 def test_discrete_to_jacobi_inverts_rs_from_model(coeffs):
-    a, b, rs, bound = rs_of_table(coeffs)
-    rec = discrete_to_jacobi(rs)
+    a, b, h_seq, bound = h_of_table(coeffs)
+    rec = discrete_to_jacobi(h_seq, a)
     assert np.array_equal(rec.a_list, a)
     assert np.max(np.abs(rec.b_list - b)) <= bound
 
@@ -434,8 +432,8 @@ def test_kernel_reproduces_itself_under_gauss_rule(coeffs, data):
 
 def test_rs_sequence_rejects_broken_wronskian():
     with pytest.raises(WronskianViolation):
-        RSSequence(r=np.array([1.0, 0.5]), s=np.array([0.0, 0.5]),
-                   a=np.array([1.0, 1.0]))
+        discrete_to_jacobi(DiscreteHSequence(0.0, np.array([1.0, 0.5]), np.array([0.0, 0.5])),
+                           np.array([1.0]))
 
 
 def test_batch_solver_matches_scalar():

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdscale import transfer
@@ -260,6 +260,9 @@ def test_table_model_via_cli(tmp_path):
     # suites that compare distinct grid points
     ["verify", "section5", "--v", "1", "--n", "100", "--grid", "0:0:1"],
     ["verify", "thm25", "--n-list", "500,1000", "--grid", "0:0:1"],
+    # bulk data whose Hamiltonian misses det H = (pi rho)^2: 9.859 against 9.870
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical",
+     "--rho", "1", "--w", "1e-3", "--re-f", "1e4"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
@@ -366,6 +369,32 @@ def _flag(name, values, invalid):
 _RUN = itertools.count()
 
 
+def check_exit_code_contract(out, argv, outputs):
+    """Run ``argv`` into ``out``: 0 with finite outputs, 1 with one cdscale message and no
+    output, or 2 with nothing written. ``outputs`` are the command's files besides the manifest."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects malformed numbers itself
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        for name in ("manifest.json", *outputs):
+            text = (out / name).read_text()
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {name}: {argv}"))
+            else:  # a CSV of numbers under one header line
+                cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+                assert all(math.isfinite(float(cell)) for cell in cells), (name, argv)
+    elif code == 1:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("numerical check failed: ") for line in lines) == 1, argv
+        assert not any((out / name).exists() for name in outputs), argv
+    else:
+        assert not out.exists(), argv
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(model=st.sampled_from(2 * ["free", "alternating-v"] + ["periodic", "table"]),
        flags=st.tuples(
@@ -377,24 +406,51 @@ _RUN = itertools.count()
            _flag("--h22", ["0", "0.5", "1", "-1", "1e300"], ["nan"]),
            _flag("--bins", ["1", "7", "50", "5000"], ["0", "-1", "1e300", "nan"])))
 def test_diagnostics_exit_code_contract(tmp_path_factory, model, flags):
-    # 0 with finite JSON, 1 with one cdscale message, or 2 with nothing written
     out = tmp_path_factory.getbasetemp() / f"diagnostics-contract-{next(_RUN)}"
-    argv = ["diagnostics", "--model", model, *itertools.chain(*flags), "--out", str(out)]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects malformed numbers itself
-            code = exc.code
-    assert code in (0, 1, 2), argv
-    if code == 0:
-        for name in ("diagnostics.json", "manifest.json"):
-            json.loads((out / name).read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {name}"))
-    elif code == 1:
-        lines = err.getvalue().splitlines()
-        assert sum(line.startswith("numerical check failed: ") for line in lines) == 1, argv
-    else:
-        assert not out.exists(), argv
+    argv = ["diagnostics", "--model", model, *itertools.chain(*flags)]
+    check_exit_code_contract(out, argv, ["diagnostics.json"])
+
+
+_ENTRY = ["0", "0.5", "1", "-1", "1e300"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=st.sampled_from(2 * ["constant", "coshsinh"] + ["missing.json"]),
+       flags=st.tuples(
+           _flag("--z", ["0", "1", "-3.5", "2,1", "0,-1", "40", "1e3", "1e200", "1e300,1e300"],
+                 ["nan", "1,nan", "inf", "1,2,3", "i"]),
+           _flag("--v", ["0", "0.5", "1", "5", "800", "1e300"], ["-1", "nan"]),
+           _flag("--h11", _ENTRY, ["nan"]),
+           _flag("--h12", _ENTRY, ["nan"]),
+           _flag("--h22", _ENTRY, ["nan"]),
+           # one point, reversed, and grids that leave [0, 1]
+           _flag("--t-grid", ["0:1:3", "0:1:101", "0.5:0.5:1", "1:1:1", "0:0.25:2", "0.9:1:4"],
+                 ["1:0:5", "-0.5:1:3", "0:2:3", "0:1:0", "nan:1:3", "0:1"]),
+           # valid steps from the two coarsest, so that no solve takes seconds
+           _flag("--max-step", 2 * ["1e-3", "2.5e-4"],
+                 ["0", "-1e-3", "1e-300", "nan", "5e-07", "2e-3"])))
+# a step count that would wrap negative
+@example(system="coshsinh", flags=(["--z", "1"], ["--v", "1"], [], [], [], [], ["--max-step", "1e-300"]))
+def test_canonical_solve_exit_code_contract(tmp_path_factory, system, flags):
+    out = tmp_path_factory.getbasetemp() / f"canonical-solve-contract-{next(_RUN)}"
+    argv = ["canonical-solve", "--system", system, *itertools.chain(*flags)]
+    check_exit_code_contract(out, argv, ["solution.csv"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=st.sampled_from(2 * ["free", "alternating-v"] + ["periodic", "table"]),
+       flags=st.tuples(
+           _flag("--n", ["1", "2", "7", "100", "500"], ["0", "-3", "1e300", "nan"]),
+           _flag("--x0", ["0", "-0.5", "0.3", "1.99", "2.05", "3", "-3", "1e300", "-1e300"],
+                 ["nan"]),
+           _flag("--v", ["0", "0.5", "1", "2.5", "1e200", "1e300"], ["-1", "nan"]),
+           _flag("--window", ["1", "5", "40", "1e300"], ["0", "-1", "nan"])))
+# distinct zeros near +-1.4e199 that coincide in floating point once scaled
+@example(model="alternating-v", flags=(["--n", "7"], [], ["--v", "1e200"], ["--window", "1e300"]))
+def test_zeros_exit_code_contract(tmp_path_factory, model, flags):
+    out = tmp_path_factory.getbasetemp() / f"zeros-contract-{next(_RUN)}"
+    argv = ["zeros", "--model", model, *itertools.chain(*flags)]
+    check_exit_code_contract(out, argv, ["zeros.csv"])
 
 
 def run_fresh(tmp_path, commands):

@@ -31,7 +31,7 @@ def test_bulk_point_data_invariants_random():
         w = rng.uniform(0.05, 2.0)
         rho = rng.uniform(0.05, 2.0)
         re_f = rng.uniform(-2.0, 2.0)
-        bpd = BulkPointData.from_densities(0.0, w, rho, re_f)
+        bpd = BulkPointData(0.0, w, rho, re_f)
         assert abs(bpd.wtilde - w / (PI ** 2 * w ** 2 + re_f ** 2)) <= 1e-12
         h = bpd.hamiltonian()
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
@@ -40,9 +40,10 @@ def test_bulk_point_data_invariants_random():
 
 def test_bulk_point_data_rejects_inconsistent_wtilde():
     with pytest.raises(ValueError):
-        BulkPointData(x0=0.0, w=1.0, rho=1.0, reF=0.0, wtilde=0.2)
-    with pytest.raises(ValueError):
-        BulkPointData.from_densities(0.0, -1.0, 1.0)
+        BulkPointData(0.0, -1.0, 1.0)
+    for args in [(math.nan, 1.0), (1.0, math.nan), (1.0, 1.0, math.nan)]:  # w, rho, reF
+        with pytest.raises(ValueError):
+            BulkPointData(0.0, *args)
 
 
 def test_free_bulk_point_is_half_identity():
@@ -204,7 +205,7 @@ def test_flow_deviation_zero_offset_column():
 
 
 def test_flow_deviation_detects_wrong_density():
-    bad = BulkPointData.from_densities(0.0, w=1.0 / PI, rho=1.0 / PI)  # rho doubled
+    bad = BulkPointData(0.0, w=1.0 / PI, rho=1.0 / PI)  # rho doubled
     dev = flow_deviation(free_model(), 2000, 0.0, bad.hamiltonian(),
                          np.linspace(-5, 5, 41), np.linspace(0, 1, 41))
     assert dev >= 0.1

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdscale.errors import ConditioningWarning
-from cdscale.jacobi import ConstantModel, PeriodicModel, TableModel
+from cdscale.jacobi import ConstantModel, PeriodicModel, TableModel, poly_table
 from cdscale.mat2 import Mat2, inverse_unimodular, operator_norm
-from cdscale.transfer import (h_sequence, one_step, q_snapshots,
-                              q_trajectory_direct, transfer_matrices,
+from cdscale.transfer import (discrete_to_jacobi, h_sequence, one_step, polys_from_h,
+                              q_snapshots, q_trajectory_direct, transfer_matrices,
                               transfer_product)
 from references import poly_table_loop, q_snapshots_loop, transfer_from_polys
 
@@ -196,6 +196,21 @@ def test_one_step_conjugation_identity():
             got = inverse_unimodular(one_step(model, ell, x0)) @ np.asarray(one_step(model, ell, x))
             expect = np.array([[1.0, 0.0], [x0 - x, 1.0]])
             assert max_entry(got - expect) <= 1e-12 * max(1.0, abs(x0 - x))
+
+
+def test_inverse_map_round_trip_off_zero():
+    # the pair (p_l, q_l) at x0 = 0.3 gives back the coefficients and the polynomials
+    model, m = PeriodicModel([1.0, 1.05], [0.2, 0.2]), 40
+    a, b = model.coeff_arrays(m, None)
+    h_seq = h_sequence(model, 0.3, m)
+    assert h_seq.wronskian_residual(a) <= 1e-12
+    rec = discrete_to_jacobi(h_seq, a)
+    assert np.array_equal(rec.a_list, a)
+    assert np.max(np.abs(rec.b_list - b)) <= 1e-12
+    xs = np.array([0.3, 0.0, -0.77, 0.2 + 0.1j])
+    got = polys_from_h(h_seq, xs)
+    assert got.shape == (m + 1, len(xs))
+    assert np.max(np.abs(got - poly_table(model, xs, m)[0])) <= 1e-12
 
 
 def test_rotation_limit_free_model():
