@@ -494,6 +494,42 @@ def test_zeros_imports_scipy_linalg(tmp_path):
     assert "scipy.linalg" in modules
 
 
+MAPPED_BLOCKS = """
+import ctypes, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from cdscale.cli import main
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+if sys.argv[3] == "main":
+    main(["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--t-grid", "0:1:3",
+          "--out", sys.argv[2]])
+big = np.ones(20 << 17)  # 20 MiB, mapped; freeing it raises glibc's dynamic threshold
+del big
+before = mallinfo2().hblks
+grid = np.ones(5 << 17)
+print(mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator")
+def test_main_keeps_large_arrays_mapped(tmp_path):
+    # after main, a 5 MiB array is mapped even once a larger mapped block was freed;
+    # without main, glibc's dynamic threshold puts it on the heap
+    counts = {}
+    for mode in ("main", "bare"):
+        done = subprocess.run([sys.executable, "-c", MAPPED_BLOCKS, str(SRC), str(tmp_path), mode],
+                              capture_output=True, text=True, timeout=120)
+        if "mallinfo2" in done.stderr:
+            pytest.skip("no glibc mallinfo2")
+        assert done.returncode == 0, done.stderr
+        counts[mode] = int(done.stdout.split()[-1])
+    assert counts == {"main": 1, "bare": 0}
+
+
 @pytest.mark.parametrize("v", ["1", "3"])
 def test_kernel_identities_n_dependent_model(tmp_path, v):
     # the Gauss rule must come from the coefficient family of the kernel
