@@ -21,8 +21,8 @@ from .cdkernel import (KernelGrid, kernel_cd, kernel_det_q, kernel_sum,
 from .canonical import (CanonicalSystem, ConstantHamiltonian,
                         CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
                         constant_solution_batch, kernel_grid, solve_ode_batch)
-from .limits import (BulkPointData, DiagnosticsReport, EquivalenceReport,
-                     check_equivalence, diagnostics, piecewise_estimate)
+from .limits import (BulkPointData, DiagnosticsReport, check_equivalence,
+                     diagnostics, piecewise_estimate)
 from .models import (alternating_model, free_bulk_data, free_model, lambda_pm,
                      make_model, modified_sine_kernel, qhat_closed)
 

@@ -89,7 +89,7 @@ def kernel_det_q(qa, qb, a, b):
 
 
 def sine_kernel(a, b, rho: float, w: float):
-    """sin(pi rho (b - a)) / (pi w (b - a)) with the entire value rho/w at a = b."""
+    """sin(pi rho (b - a)) / (pi w (b - a)), entire in a and b, with the value rho/w at a = b."""
     xi = rho * (np.asarray(b) - np.asarray(a))
     return (rho / w) * np.sinc(xi)
 
@@ -103,10 +103,6 @@ class KernelGrid:
     a_values: np.ndarray
     b_values: np.ndarray
     values: np.ndarray  # shape (len(a_values), len(b_values))
-
-    def is_real(self) -> bool:
-        return (not np.iscomplexobj(self.a_values)
-                and not np.iscomplexobj(self.b_values))
 
     def to_csv(self, path) -> None:
         """Rows (a, b, re, im), a-major, shortest round-trip decimals."""
@@ -211,11 +207,7 @@ def _first_separated_pair(a_arr, b_arr):
     return None
 
 
-def sine_compare(grid: KernelGrid, rho: float, w: float) -> float:
-    """Sup distance of a real grid to the sine kernel with parameters (rho, w)."""
-    if rho <= 0 or w <= 0:
-        raise ValueError("rho and w must be positive")
-    if not grid.is_real():
-        raise ValueError("sine comparison requires real grids")
-    ref = sine_kernel(grid.a_values[:, None], grid.b_values[None, :], rho, w)
+def sine_compare(grid: KernelGrid, bulk) -> float:
+    """Sup distance of a grid to the sine kernel of ``bulk``, a limits.BulkPointData."""
+    ref = sine_kernel(grid.a_values[:, None], grid.b_values[None, :], bulk.rho, bulk.w)
     return float(np.max(np.abs(grid.values - ref)))

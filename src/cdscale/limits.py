@@ -56,7 +56,8 @@ class BulkPointData:
 
         H = ((rho/w, reF rho/w), (reF rho/w, rho/wtilde))
 
-    has det H = (pi rho)^2 up to rounding, which is checked.
+    has det H = (pi rho)^2 up to rounding. Data whose wtilde or H is not a
+    finite float, or whose det H misses (pi rho)^2, raise ValueError.
     """
 
     x0: float
@@ -67,9 +68,15 @@ class BulkPointData:
     def __post_init__(self):
         if not (self.w > 0 and self.rho > 0):  # NaN too
             raise ValueError("w and rho must be positive")
-        h = self.hamiltonian()
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        target = (math.pi * self.rho) ** 2
+        try:
+            (h11, h12), (h21, h22) = self._entries()
+            target = (math.pi * self.rho) ** 2
+        except (OverflowError, ZeroDivisionError):  # a square overflows, or wtilde is 0
+            h11 = h12 = h21 = h22 = target = math.inf
+        if not all(map(math.isfinite, (h11, h12, h22, target))):  # NaN too
+            raise ValueError(f"bulk data w = {self.w!r}, rho = {self.rho!r}, reF = {self.reF!r} "
+                             "admit no finite Hamiltonian of det (pi rho)^2")
+        det = h11 * h22 - h12 * h21
         if not abs(det - target) <= BPD_DET_TOL * max(1.0, target):
             raise ValueError(f"det H = {det} violates (pi rho)^2 = {target}")
 
@@ -77,13 +84,14 @@ class BulkPointData:
     def wtilde(self) -> float:
         return self.w / (math.pi ** 2 * self.w ** 2 + self.reF ** 2)
 
-    def hamiltonian(self) -> np.ndarray:
+    def _entries(self):
+        # Python floats: the check allocates no array, whose small data block, cached
+        # by numpy, could sit above a freed kernel grid on the heap and strand it
         off = self.reF * self.rho / self.w
-        return np.array([[self.rho / self.w, off], [off, self.rho / self.wtilde]])
+        return (self.rho / self.w, off), (off, self.rho / self.wtilde)
 
-    def to_dict(self) -> dict:
-        return {"x0": self.x0, "w": self.w, "rho": self.rho,
-                "reF": self.reF, "wtilde": self.wtilde}
+    def hamiltonian(self) -> np.ndarray:
+        return np.array(self._entries())
 
 
 @dataclass
@@ -189,29 +197,6 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
         candidate=cand_dict)
 
 
-@dataclass
-class EquivalenceReport:
-    """Per-order statistics for the two faces of the scaled-limit equivalence.
-
-    ``kernel_stat`` is the sup distance of the scaled CD kernel grid to the
-    sine kernel; ``flow_stat`` is the sup over (t, a) of the operator-norm
-    distance between Q_[tn](a/n) and the constant-H canonical flow.
-    """
-
-    n_list: list
-    kernel_stat: list
-    flow_stat: list
-    bulk: dict
-
-    @property
-    def kernel_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.kernel_stat, self.kernel_stat[1:]))
-
-    @property
-    def flow_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.flow_stat, self.flow_stat[1:]))
-
-
 def flow_deviation(model, n: int, x0: float, h: np.ndarray, a_grid, t_grid) -> float:
     """sup_(t, a) || Q_[tn](x0 + a/n) - exp(a t J^{-1} H) || for a constant candidate.
 
@@ -231,18 +216,13 @@ def flow_deviation(model, n: int, x0: float, h: np.ndarray, a_grid, t_grid) -> f
     return float(np.max(dev))
 
 
-def check_equivalence(model, n_list, x0: float, bpd: BulkPointData,
-                      a_grid=None, t_grid=None) -> EquivalenceReport:
-    """Measure both equivalence statistics across a list of truncation orders.
+def check_equivalence(model, n_list, x0: float, bpd: BulkPointData, a_grid, t_grid):
+    """Both equivalence statistics at each order of ``n_list``: (kernel_stat, flow_stat).
 
-    The rotation flow reference is the closed-form solution of the constant
-    system built from the bulk data. Default grids are 101 uniform points on
-    [-5, 5] for a and on [0, 1] for t.
+    kernel_stat[i] is the sup distance of the scaled CD kernel on a_grid x a_grid
+    to the sine kernel of the bulk data; flow_stat[i] the sup over (t, a) of the
+    distance of Q_[tn](x0 + a/n) to the closed-form flow of its constant Hamiltonian.
     """
-    if a_grid is None:
-        a_grid = np.linspace(-5.0, 5.0, 101)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 101)
     a_grid = np.asarray(a_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     h = bpd.hamiltonian()
@@ -250,7 +230,6 @@ def check_equivalence(model, n_list, x0: float, bpd: BulkPointData,
     flow_stat = []
     for n in n_list:
         grid = cdkernel.scaled_grid(model, int(n), x0, a_grid, a_grid)
-        kernel_stat.append(cdkernel.sine_compare(grid, bpd.rho, bpd.w))
+        kernel_stat.append(cdkernel.sine_compare(grid, bpd))
         flow_stat.append(flow_deviation(model, int(n), x0, h, a_grid, t_grid))
-    return EquivalenceReport(n_list=list(n_list), kernel_stat=kernel_stat,
-                             flow_stat=flow_stat, bulk=bpd.to_dict())
+    return kernel_stat, flow_stat

@@ -133,38 +133,34 @@ def _cosh_half(w2: np.ndarray) -> np.ndarray:
     return np.cosh(0.5 * s)
 
 
-def _sinh_half_over(w2: np.ndarray) -> np.ndarray:
-    """sinh(omega/2)/omega as an entire function of omega^2."""
+# Taylor coefficients in omega^2, highest power first, for np.polyval:
+# sinh(omega/2)/omega, and (sinh(omega/2)/omega - cosh(omega/2)/2) / omega^2
+_SINH_HALF_OVER_SERIES = [1.0 / (2.0 * 4.0 ** k * math.factorial(2 * k + 1))
+                          for k in reversed(range(_SERIES_TERMS))]
+_ENTIRE_D_SERIES = [-(2.0 * k / (2.0 * k + 1.0)) / (2.0 * 4.0 ** k * math.factorial(2 * k))
+                    for k in reversed(range(1, _SERIES_TERMS + 1))]
+
+
+def _entire(w2: np.ndarray, closed, series) -> np.ndarray:
+    """closed(w2) where |w2| >= ENTIRE_SERIES_RADIUS, the Taylor ``series`` in w2 inside."""
     w2 = w2.astype(complex)
     small = np.abs(w2) < ENTIRE_SERIES_RADIUS
     out = np.empty_like(w2)
     if np.any(~small):
-        s = np.sqrt(w2[~small])
-        out[~small] = np.sinh(0.5 * s) / s
+        out[~small] = closed(w2[~small])
     if np.any(small):
-        acc = np.zeros_like(w2[small])
-        for k in reversed(range(_SERIES_TERMS)):
-            c = 1.0 / (2.0 * 4.0 ** k * math.factorial(2 * k + 1))
-            acc = acc * w2[small] + c
-        out[small] = acc
+        out[small] = np.polyval(series, w2[small])
     return out
+
+
+def _sinh_half_over(w2: np.ndarray) -> np.ndarray:
+    """sinh(omega/2)/omega as an entire function of omega^2."""
+    return _entire(w2, lambda w: np.sinh(0.5 * np.sqrt(w)) / np.sqrt(w), _SINH_HALF_OVER_SERIES)
 
 
 def _entire_d(w2: np.ndarray) -> np.ndarray:
     """(sinh(omega/2)/omega - cosh(omega/2)/2) / omega^2, entire in omega^2."""
-    w2 = w2.astype(complex)
-    small = np.abs(w2) < ENTIRE_SERIES_RADIUS
-    out = np.empty_like(w2)
-    if np.any(~small):
-        w = w2[~small]
-        out[~small] = (_sinh_half_over(w) - 0.5 * _cosh_half(w)) / w
-    if np.any(small):
-        acc = np.zeros_like(w2[small])
-        for k in reversed(range(1, _SERIES_TERMS + 1)):
-            c = -(2.0 * k / (2.0 * k + 1.0)) / (2.0 * 4.0 ** k * math.factorial(2 * k))
-            acc = acc * w2[small] + c
-        out[small] = acc
-    return out
+    return _entire(w2, lambda w: (_sinh_half_over(w) - 0.5 * _cosh_half(w)) / w, _ENTIRE_D_SERIES)
 
 
 def modified_sine_kernel(v: float, a, b):

@@ -121,7 +121,7 @@ def test_criterion_2_free_sine_universality():
     errs = []
     for n in (500, 1000, 2000, 4000):
         grid = scaled_grid(FREE, n, 0.0, GRID51, GRID51)
-        errs.append(sine_compare(grid, RHO0, W0))
+        errs.append(sine_compare(grid, BulkPointData(0.0, W0, RHO0)))
     report(2, "sup_error_n4000", errs[-1], 0.02)
     report(2, "strictly_decreasing", 0.0, 1.0,
            ok=all(b < a for a, b in zip(errs, errs[1:])))

@@ -12,6 +12,7 @@ from cdscale.errors import CoincidentArguments
 from cdscale import cdkernel
 from cdscale.jacobi import (AlternatingSignModel, ConstantModel, PeriodicModel,
                             TableModel, gauss_quadrature, poly_table)
+from cdscale.limits import BulkPointData
 from cdscale.transfer import q_trajectory_direct
 from references import kernel_csv_per_cell
 
@@ -201,16 +202,18 @@ def test_scaled_grid_memory_holds_no_table():
 def test_scaled_grid_free_matches_sine():
     vals = np.linspace(-5, 5, 51)
     grid = scaled_grid(FREE, 4000, 0.0, vals, vals)
-    err = sine_compare(grid, 1.0 / (2.0 * math.pi), 1.0 / math.pi)
+    err = sine_compare(grid, BulkPointData(0.0, 1.0 / math.pi, 1.0 / (2.0 * math.pi)))
     assert err <= 0.02
 
 
 def test_sine_compare_exact_grid_is_zero():
-    vals = np.linspace(-5, 5, 21)
     rho, w = 0.2, 0.45
-    ref = sine_kernel(vals[:, None], vals[None, :], rho, w)
-    grid = KernelGrid(x0=0.0, n=10, a_values=vals, b_values=vals, values=ref)
-    assert sine_compare(grid, rho, w) == 0.0
+    # the sine kernel is entire in a and b, so complex grids compare too
+    for a_vals, b_vals in [(np.linspace(-5, 5, 21),) * 2,
+                           (np.linspace(-2, 2, 5) + 0.5j, np.linspace(-2, 2, 5) - 0.5j)]:
+        ref = sine_kernel(a_vals[:, None], b_vals[None, :], rho, w)
+        grid = KernelGrid(x0=0.0, n=10, a_values=a_vals, b_values=b_vals, values=ref)
+        assert sine_compare(grid, BulkPointData(0.0, w, rho)) == 0.0
 
 
 def test_sine_kernel_diagonal_value():
@@ -220,7 +223,7 @@ def test_sine_kernel_diagonal_value():
 def test_alternating_grid_far_from_sine():
     vals = np.linspace(-5, 5, 26)
     grid = scaled_grid(AlternatingSignModel(1.0), 2000, 0.0, vals, vals)
-    err = sine_compare(grid, 1.0 / (2.0 * math.pi), 1.0 / math.pi)
+    err = sine_compare(grid, BulkPointData(0.0, 1.0 / math.pi, 1.0 / (2.0 * math.pi)))
     assert err >= 0.05
 
 

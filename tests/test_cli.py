@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from cdscale import transfer
 from cdscale.cli import _join_value_flags, build_parser, main
+from cdscale.errors import ConditioningWarning
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -263,6 +265,20 @@ def test_table_model_via_cli(tmp_path):
     # bulk data whose Hamiltonian misses det H = (pi rho)^2: 9.859 against 9.870
     ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical",
      "--rho", "1", "--w", "1e-3", "--re-f", "1e4"],
+    # bulk data with no finite Hamiltonian: every sine and canonical reference refuses them
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "sine",
+     "--rho", "1", "--w", "0"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "sine",
+     "--rho", "1", "--w", "-1"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "sine",
+     "--rho", "1e300", "--w", "1e-300"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical",
+     "--rho", "1", "--w", "1e-300"],
+    ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--reference", "canonical",
+     "--rho", "1", "--w", "1", "--re-f", "1e160"],
+    ["verify", "thm25", "--n-list", "50,100", "--grid", "-1:1:3", "--rho", "1", "--w", "1e-200"],
+    ["verify", "thm25", "--n-list", "50,100", "--grid", "-1:1:3", "--rho", "1", "--w", "1",
+     "--re-f", "1e160"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
@@ -280,6 +296,7 @@ def test_usage_errors_exit_2(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects unknown flags itself
         code = exc.code
     assert code == 2
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_thm25_off_center_passes(tmp_path):
@@ -343,8 +360,9 @@ def test_transfer_determinant_overflow_is_named(tmp_path, capsys, monkeypatch):
     # still names the first step whose determinant overflows, before any check
     monkeypatch.setattr(transfer, "q_trajectory_direct",
                         lambda model, n, x0, offsets, tgrid: np.zeros((len(tgrid), len(offsets), 2, 2)))
-    assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
-                 "--x0", "2.05", "--out", str(tmp_path)]) == 1
+    with pytest.warns(ConditioningWarning, match="at step 58"):
+        assert main(["verify", "transfer-identities", "--model", "free", "--n", "2000",
+                     "--x0", "2.05", "--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert "numerical check failed: transfer products at step 1582 overflow" in err
     assert "[FAIL]" not in out and "[PASS]" not in out
@@ -370,16 +388,22 @@ _RUN = itertools.count()
 
 
 def check_exit_code_contract(out, argv, outputs):
-    """Run ``argv`` into ``out``: 0 with finite outputs, 1 with one cdscale message and no
-    output, or 2 with nothing written. ``outputs`` are the command's files besides the manifest."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    """Run ``argv`` into ``out``: 0 with finite outputs; 1 with a [FAIL] line and finite
+    outputs, or with one cdscale message and no output; or 2 with nothing written.
+    ``outputs`` are the command's files besides the manifest."""
+    err, std = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(std), \
+            warnings.catch_warnings():
+        # cdscale's own warning may speak off the bulk; any other RuntimeWarning is an error
+        warnings.simplefilter("ignore", ConditioningWarning)
         try:
             code = main(argv + ["--out", str(out)])
         except SystemExit as exc:  # argparse rejects malformed numbers itself
             code = exc.code
     assert code in (0, 1, 2), argv
-    if code == 0:
+    failed = any(line.startswith("[FAIL] ") for line in std.getvalue().splitlines())
+    assert not (failed and code != 1), argv
+    if code == 0 or failed:
         for name in ("manifest.json", *outputs):
             text = (out / name).read_text()
             if name.endswith(".json"):
@@ -451,6 +475,34 @@ def test_zeros_exit_code_contract(tmp_path_factory, model, flags):
     out = tmp_path_factory.getbasetemp() / f"zeros-contract-{next(_RUN)}"
     argv = ["zeros", "--model", model, *itertools.chain(*flags)]
     check_exit_code_contract(out, argv, ["zeros.csv"])
+
+
+_BULK = ["0", "-1", "1e300", "1e-300", "1e160", "nan"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=st.sampled_from(3 * ["free", "alternating-v"] + ["periodic", "table"]),
+       flags=st.tuples(
+           _flag("--n", ["1", "2", "7", "100", "500"], ["0", "-3", "1e300", "nan"]),
+           _flag("--x0", ["0", "-0.5", "0.3", "2.05", "3", "1e300"], ["nan"]),
+           _flag("--v", ["0", "0.5", "1", "2.5", "1e300"], ["-1", "nan"]),
+           # one point, reversed, and grids of two to five points
+           _flag("--grid", ["0:0:1", "-1:1:2", "-5:5:3", "-2:3:5"], ["1:-1:3", "nan:1:3", "0:1:0"]),
+           _flag("--bgrid", ["0.5:0.5:1", "-1:1:2", "-4:4:5"], ["2:1:4", "0:inf:2"]),
+           _flag("--reference", ["sine", "modified-sine", "canonical"], []),
+           _flag("--rho", ["0.15915494309189535", "0.3", "1", "2"], _BULK),
+           _flag("--w", ["0.3183098861837907", "0.3", "1", "2"], _BULK),
+           _flag("--re-f", ["0", "0.5", "-1"], ["1e300", "1e-300", "1e160", "nan"]),
+           # the one valid step, drawn twice as often as the invalid ones: a finer one
+           # makes each canonical reference slower
+           _flag("--max-step", 4 * ["1e-3"], ["0", "-1e-3", "1e-300", "nan", "2e-3", "5e-07"])))
+# rho / w overflows: the sine reference was infinite and its sup_error Infinity
+@example(model="free", flags=([], [], [], ["--grid", "0:1:3"], [], ["--reference", "sine"],
+                              ["--rho", "1e300"], ["--w", "1e-300"], [], []))
+def test_kernel_exit_code_contract(tmp_path_factory, model, flags):
+    out = tmp_path_factory.getbasetemp() / f"kernel-contract-{next(_RUN)}"
+    argv = ["kernel", "--model", model, *itertools.chain(*flags)]
+    check_exit_code_contract(out, argv, ["kernel.csv"])
 
 
 def run_fresh(tmp_path, commands):
