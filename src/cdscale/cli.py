@@ -249,24 +249,25 @@ def _system_from(opt: Options, spec: str) -> canonical.CanonicalSystem:
         raise UsageError(str(exc)) from None
 
 
-def _reference_values(opt: Options, model, a_vals, b_vals):
-    """Reference kernel values and a label, per --reference."""
+def _reference(opt: Options, model):
+    """--reference and a function of the a, b grids giving its values; refusals come first."""
     ref = opt.get("reference")
     if ref is None:
         return None, None
     if ref == "modified-sine":
         if not isinstance(model, jacobi.AlternatingSignModel):
             raise UsageError("--reference modified-sine requires --model alternating-v")
-        return ref, models.modified_sine_kernel(model.v, a_vals[:, None], b_vals[None, :])
+        return ref, lambda a, b: models.modified_sine_kernel(model.v, a[:, None], b[None, :])
     # OPTIONS admits two more values: "sine" and "canonical"
+    max_step = opt.get("max_step")
     if ref == "canonical" and isinstance(model, jacobi.AlternatingSignModel):
-        system = canonical.CoshSinhHamiltonian(model.v)
-    else:
-        bpd = _bulk_data(opt, opt.require("rho"), opt.require("w"))
-        if ref == "sine":
-            return ref, cdkernel.sine_kernel(a_vals[:, None], b_vals[None, :], bpd.rho, bpd.w)
-        system = canonical.ConstantHamiltonian(bpd.hamiltonian())
-    return ref, canonical.kernel_grid(system, a_vals, b_vals, max_step=opt.get("max_step"))
+        return ref, lambda a, b: canonical.kernel_grid(canonical.CoshSinhHamiltonian(model.v),
+                                                       a, b, max_step=max_step)
+    bpd = _bulk_data(opt, opt.require("rho"), opt.require("w"))
+    if ref == "sine":
+        return ref, lambda a, b: cdkernel.sine_kernel(a[:, None], b[None, :], bpd.rho, bpd.w)
+    return ref, lambda a, b: canonical.kernel_grid(canonical.ConstantHamiltonian(bpd.hamiltonian()),
+                                                   a, b, max_step=max_step)
 
 
 def cmd_kernel(opt: Options) -> int:
@@ -276,8 +277,10 @@ def cmd_kernel(opt: Options) -> int:
     a_vals = _parse_grid(opt.get("grid"))
     b_vals = _parse_grid(opt.get("bgrid")) if opt.get("bgrid") else a_vals
     tol = opt.get("tol")
+    ref_name, reference = _reference(opt, model)
     grid = cdkernel.scaled_grid(model, n, x0, a_vals, b_vals)
-    ref_name, ref_vals = _reference_values(opt, model, a_vals, b_vals)
+    # formed after the grid, so that the two grids are not held at once while it runs
+    ref_vals = reference(a_vals, b_vals) if reference is not None else None
     out = _out_dir(opt)
     grid.to_csv(os.path.join(out, "kernel.csv"))
     sup_error = None
@@ -345,15 +348,23 @@ def cmd_zeros(opt: Options) -> int:
 
 
 class CheckList:
+    """A suite's checks, printed once all are formed; a non-finite one is a numerical failure."""
+
     def __init__(self):
         self.checks = []
 
     def add(self, name: str, measured: float, bound: float, ok=None):
+        if not math.isfinite(measured):
+            raise ArithmeticError(f"check {name} measured {float(measured)!r}")
         if ok is None:
             ok = bool(measured <= bound)
         self.checks.append({"name": name, "measured": float(measured),
                             "bound": float(bound), "pass": bool(ok)})
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: measured={measured:.6g} bound={bound:g}")
+
+    def report(self) -> None:
+        for c in self.checks:
+            print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
+                  f"measured={c['measured']:.6g} bound={c['bound']:g}")
 
     @property
     def all_pass(self) -> bool:
@@ -365,21 +376,26 @@ def _suite_transfer(opt: Options, checks: CheckList):
     n = opt.require("n")
     x0 = opt.get("x0")
     x = x0 + 0.7 / n + 0.3j / n
-    P, Q = jacobi.poly_table(model, np.array([complex(x)]), n, n)
-    a_arr, _ = model.coeff_arrays(n, n)
-    T = transfer.transfer_matrices(model, [x], range(1, n + 1), n)[:, 0]
-    seq = transfer.h_sequence(model, x0, n, n)
     tgrid = np.linspace(0.0, 1.0, 11)
     offsets = (2.0 + 0.0j, -3.0 + 1.0j)
-    recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
-    direct = transfer.q_trajectory_direct(model, n, x0, offsets, tgrid)
     # every product is formed before the first check, so an overflow is named, not failed
     with np.errstate(over="ignore", invalid="ignore"):
+        P, Q = jacobi.poly_table(model, np.array([complex(x)]), n, n)
+        a_arr, _ = model.coeff_arrays(n, n)
+        T = transfer.transfer_matrices(model, [x], range(1, n + 1), n)[:, 0]
+        seq = transfer.h_sequence(model, x0, n, n)
+        recursive = transfer.q_snapshots(seq, n, offsets, tgrid)
+        direct = transfer.q_trajectory_direct(model, n, x0, offsets, tgrid)
         det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
     finite = np.isfinite(det)
     if not finite.all():
         raise ArithmeticError(f"transfer products at step {int(np.argmin(finite)) + 1} overflow "
                               f"(x = {x}, n = {n})")
+    finite = np.isfinite(recursive).all(axis=(1, 2, 3))
+    if not finite.all():
+        t = float(tgrid[np.argmin(finite)])
+        raise ArithmeticError(f"recursive trajectory at t = {t:.6g} (step {math.floor(t * n)}) "
+                              f"overflows (x0 = {x0}, n = {n})")
 
     checks.add("det_transfer", float(np.max(np.abs(det - 1.0))), 1e-8)
     ref = np.empty_like(T)
@@ -406,8 +422,9 @@ def _suite_kernel(opt: Options, checks: CheckList):
     rng = np.random.default_rng(opt.get("seed"))
     a, b = np.array([rng.uniform(-5, 5, 2) + 1j * rng.uniform(-1, 1, 2)
                      for _ in range(20)]).T
-    ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n)
-    kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
+        ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n)
+        kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n)
     q = transfer.q_trajectory_direct(model, n, x0, np.concatenate([a, b]), [1.0])[0]
     kd = cdkernel.kernel_det_q(q[:len(a)], q[len(a):], a, b)
     checks.add("sum_vs_cd", float(np.max(np.abs(ks - kc) / np.maximum(1.0, np.abs(ks)))), 1e-8)
@@ -433,6 +450,10 @@ def _suite_section5(opt: Options, checks: CheckList):
     tol = opt.get("tol")
     grid_vals = _pair_grid(opt, "section5")
     alt = models.alternating_model(v)  # rejects a bad coupling before the first check
+    try:  # coefficient_deviation forms the limit coefficient exp(V t)/2 for t up to 1
+        math.exp(v)
+    except OverflowError:
+        raise UsageError(f"verify section5 needs a finite exp(V), got --v {v!r}") from None
     lam_p, lam_m = models.lambda_pm(v, n)
     checks.add("lambda_product", abs(lam_p * lam_m - 1.0), 1e-14)
 
@@ -541,6 +562,7 @@ def cmd_verify(opt: Options) -> int:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     checks = CheckList()
     SUITES[suite](opt, checks)
+    checks.report()
     out = _out_dir(opt)
     _write_manifest(out, {"command": "verify", "suite": suite,
                           "checks": checks.checks,

@@ -212,7 +212,8 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
     Shapes are (up_to + 1, len(xs)). The dtype follows xs: real points give
     exactly real values. Complex points are supported; the polynomials are
     entire, so no restriction on the argument applies. Its blocked scan
-    (``scan``) steps read views of the coefficients (b, a_prev, a).
+    (``scan``) steps read views of the coefficients (b, a_prev, a); a_prev
+    and a are two views of one array (1, a_1, .., a_up_to).
 
     With ``consume``, no table is allocated, the scan carries the p column
     alone and None is returned: ``consume(rows)`` receives every row p_ell,
@@ -232,7 +233,7 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
         Q = np.empty_like(P)
         result = P, Q
 
-        def visit(x, steps):  # every rerun step fills its rows of the tables; padding never reaches here
+        def visit(x, steps):  # every rerun step fills its rows of the tables
             P[steps], Q[steps] = x[0]
     else:
         result, start = None, start[:, :1]
@@ -247,7 +248,7 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
     if np.any(a <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         bad = int(np.argmax((a <= 0) | ~np.isfinite(a) | ~np.isfinite(b))) + 1
         raise InvalidCoefficient(f"invalid coefficient pair at index {bad}")
-    a_prev = np.concatenate([[1.0], a[:-1]])
+    a = np.concatenate([[1.0], a])  # a_0 = 1, then a_1..a_up_to
 
     # the new row is formed in place of the oldest, as (-a_prev y_{ell-1} + shift y_ell) / a_ell
     def step(x, bl, ap, al):
@@ -257,7 +258,7 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
         prev /= al
         return x[::-1]
 
-    blocked_scan(up_to, start, step, (b, a_prev, a), visit=visit)
+    blocked_scan(up_to, start, step, (b, a[:-1], a[1:]), visit=visit)
     return result
 
 

@@ -16,10 +16,11 @@ binned estimate) and checks the equivalence between sine-kernel asymptotics
 of the scaled CD kernel and convergence of Q_[tn](a/n) to the constant-H
 rotation flow determined by the bulk data (w, rho, Re F) at the point.
 
-Beyond the h sequence itself, the diagnostics hold the (n + 1, 2, 2) partial
-sums S_m = sum_{j < m} H_j and a few 1-D arrays of length n: each entry of
-S_m is one cumsum of p^2, -pq or q^2, and the candidate is compared in blocks
-of CONV_ROWS grid points.
+Beyond the h sequence itself, the diagnostics hold two 1-D arrays of length n
+for the norm profile, freed before the partial sums S_m = sum_{j < m} H_j are
+taken in blocks of CONV_ROWS rows: each entry of S_m is a running sum of p^2,
+-pq or q^2 that carries on from the block before, and the candidate is
+compared block by block.
 
 Boundedness of the generating polynomial values is a hypothesis of the
 compactness machinery, not something finite data can certify; the reports
@@ -126,15 +127,28 @@ class DiagnosticsReport:
         }
 
 
-def _h_partials(h_seq: DiscreteHSequence, n: int) -> np.ndarray:
-    """Partial sums S_m = sum_{j < m} H_j for m = 0..n, shape (n+1, 2, 2), one cumsum per entry."""
+def _h_partial_blocks(h_seq: DiscreteHSequence, n: int):
+    """Partial sums S_m = sum_{j < m} H_j for m = 0..n, as (lo, S[lo:hi]) of CONV_ROWS rows.
+
+    Each entry is a running sum of p^2, -pq or q^2 that carries on from the last
+    row of the block before, so every row has the bits of one cumsum over all n.
+    """
     p, q = h_seq.ps[:n], h_seq.qs[:n]
-    out = np.zeros((n + 1, 2, 2))
-    np.cumsum(p * p, out=out[1:, 0, 0])
-    np.cumsum(-p * q, out=out[1:, 0, 1])
-    out[1:, 1, 0] = out[1:, 0, 1]
-    np.cumsum(q * q, out=out[1:, 1, 1])
-    return out
+    last = None
+    for lo in range(0, n + 1, CONV_ROWS):
+        hi = min(lo + CONV_ROWS, n + 1)
+        s = np.zeros((hi - lo, 2, 2))
+        # row k is S_(lo + k) = S_(lo + k - 1) + H_(lo + k - 1); the first block starts
+        # from S_0 = 0 and S_1 = H_0 itself, as a cumsum does (0.0 + -0.0 is +0.0)
+        k = 1 if last is None else 0
+        ps, qs = p[lo + k - 1:hi - 1], q[lo + k - 1:hi - 1]
+        for (i, j), h in (((0, 0), ps * ps), ((0, 1), -ps * qs), ((1, 1), qs * qs)):
+            if last is not None:
+                h[0] += last[i, j]
+            np.cumsum(h, out=s[k:, i, j])
+        s[:, 1, 0] = s[:, 0, 1]
+        last = s[-1].copy()
+        yield lo, s
 
 
 def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> CanonicalSystem:
@@ -146,10 +160,12 @@ def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> Canonical
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    partials = _h_partials(h_seq, n)
-    edges_j = [int(math.floor(n * k / bins)) for k in range(bins + 1)]
-    mats = [(partials[edges_j[k + 1]] - partials[edges_j[k]]) * (bins / n)
-            for k in range(bins)]
+    edges_j = np.array([int(math.floor(n * k / bins)) for k in range(bins + 1)])
+    at_edges = np.empty((bins + 1, 2, 2))
+    for lo, s in _h_partial_blocks(h_seq, n):
+        inside = (edges_j >= lo) & (edges_j < lo + len(s))
+        at_edges[inside] = s[edges_j[inside] - lo]
+    mats = [(at_edges[k + 1] - at_edges[k]) * (bins / n) for k in range(bins)]
     edges_t = np.arange(bins + 1) / bins
     return PiecewiseConstantHamiltonian(edges_t, mats)
 
@@ -159,13 +175,15 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
                 L_list=(2, 5, 10, 50)) -> DiagnosticsReport:
     """Evaluate the convergence-hypothesis statistics on H_0..H_{n-1}.
 
-    The candidate comparison runs over blocks of CONV_ROWS grid points; a NaN
-    in any block makes matrix_conv NaN, as one max over all points would.
+    The candidate comparison runs over the blocks of CONV_ROWS partial sums; a
+    NaN in any block makes matrix_conv NaN, as one max over all points would.
     """
     if n > len(h_seq):
         raise ValueError("h sequence too short")
     norms = h_seq.norms()[:n]
-    cum_norms = np.concatenate([[0.0], np.cumsum(norms)])
+    cum_norms = np.empty(n + 1)
+    cum_norms[0] = 0.0
+    np.cumsum(norms, out=cum_norms[1:])
     avg_norm = float(cum_norms[n] / n)
     sup_norm = float(np.max(norms))
     profile = []
@@ -176,24 +194,21 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
             hi = min(int(math.floor(n * (k + 1) / L)), n - 1)
             worst = max(worst, float(cum_norms[hi + 1] - cum_norms[lo]) / n)
         profile.append((int(L), worst))
-    partials = _h_partials(h_seq, n)
-    matrix_conv = None
-    cand_dict = None
-    if candidate is not None:
-        cand_dict = candidate.to_dict()
-        block_max = []
-        for lo in range(0, n + 1, CONV_ROWS):
-            hi = min(lo + CONV_ROWS, n + 1)
+    del norms, cum_norms
+    cand_dict = candidate.to_dict() if candidate is not None else None
+    block_max = []
+    for lo, s in _h_partial_blocks(h_seq, n):
+        if candidate is not None:
             try:
-                cand = candidate.integral(np.arange(lo, hi) / n)
+                cand = candidate.integral(np.arange(lo, lo + len(s)) / n)
             except ArithmeticError as exc:
                 raise ArithmeticError(f"candidate {cand_dict} overflows on [0, 1]: {exc}") from None
-            block_max.append(np.max(operator_norm(partials[lo:hi] / n - cand)))
-        matrix_conv = float(np.max(block_max))
+            block_max.append(np.max(operator_norm(s / n - cand)))
     return DiagnosticsReport(
         n=n, x0=h_seq.x0, avg_norm=avg_norm, max_over_n=sup_norm / n,
-        sup_norm=sup_norm, decay_profile=profile, matrix_conv=matrix_conv,
-        cesaro_h=partials[n] / n,
+        sup_norm=sup_norm, decay_profile=profile,
+        matrix_conv=float(np.max(block_max)) if candidate is not None else None,
+        cesaro_h=s[-1] / n,
         candidate=cand_dict)
 
 

@@ -279,6 +279,13 @@ def test_table_model_via_cli(tmp_path):
     ["verify", "thm25", "--n-list", "50,100", "--grid", "-1:1:3", "--rho", "1", "--w", "1e-200"],
     ["verify", "thm25", "--n-list", "50,100", "--grid", "-1:1:3", "--rho", "1", "--w", "1",
      "--re-f", "1e160"],
+    # a refused reference is refused before the grid, which overflows off the bulk
+    ["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5",
+     "--reference", "sine", "--rho", "1", "--w", "-1"],
+    ["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5",
+     "--reference", "canonical", "--rho", "1", "--w", "-1"],
+    ["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5",
+     "--reference", "modified-sine"],
 ])
 def test_usage_errors_exit_2(tmp_path, argv):
     table = tmp_path / "short.csv"
@@ -503,6 +510,37 @@ def test_kernel_exit_code_contract(tmp_path_factory, model, flags):
     out = tmp_path_factory.getbasetemp() / f"kernel-contract-{next(_RUN)}"
     argv = ["kernel", "--model", model, *itertools.chain(*flags)]
     check_exit_code_contract(out, argv, ["kernel.csv"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(suite=st.sampled_from(["transfer-identities", "kernel-identities", "section5",
+                              "appendix-roundtrip", "thm25"]),
+       model=_flag("--model", 2 * ["free", "alternating-v"] + ["periodic"], ["table"]),
+       flags=st.tuples(
+           _flag("--n", ["1", "2", "7", "50", "200"], ["0", "-3", "1e300", "nan"]),
+           _flag("--x0", ["0", "-0.5", "0.3", "2.05", "3", "1e300"], ["nan"]),
+           _flag("--v", ["0", "0.5", "1", "2.5", "709", "800", "1e300"], ["-1", "nan"]),
+           _flag("--seed", ["0", "7"], ["-1"]),
+           _flag("--bins", ["1", "7", "50"], ["0", "nan"]),
+           _flag("--grid", ["-1:1:2", "-5:5:3"], ["0:0:1", "1:-1:3"]),
+           _flag("--t-grid", ["0:1:3", "0:1:11"], ["0:2:3"]),
+           _flag("--n-list", ["50,100", "7,50,500"], ["0,100", "50,x"]),
+           _flag("--rho", ["0.15915494309189535", "0.3"], ["0", "1e300", "nan"]),
+           _flag("--w", ["0.3183098861837907", "0.3"], ["0", "1e-300", "nan"]),
+           _flag("--max-step", 4 * ["1e-3"], ["0", "2e-3"])))
+# the recursive trajectory overflows off the bulk: the manifest read "measured": NaN
+@example(suite="transfer-identities", model=["--model", "free"],
+         flags=(["--x0", "2.05"], ["--n", "200"]))
+# numpy's overflow warnings came before cdscale's message
+@example(suite="transfer-identities", model=["--model", "free"], flags=(["--x0", "1e300"], ["--n", "50"]))
+@example(suite="kernel-identities", model=["--model", "free"], flags=(["--x0", "1e300"], ["--n", "50"]))
+# exp(V t) overflows: [FAIL] lines came before "math range error"
+@example(suite="section5", model=[], flags=(["--n", "7"], ["--v", "800"]))
+@example(suite="section5", model=[], flags=(["--v", "1e300"], ["--n", "50"]))
+def test_verify_exit_code_contract(tmp_path_factory, suite, model, flags):
+    out = tmp_path_factory.getbasetemp() / f"verify-contract-{next(_RUN)}"
+    argv = ["verify", suite, *model, *itertools.chain(*flags)]
+    check_exit_code_contract(out, argv, [])
 
 
 def run_fresh(tmp_path, commands):

@@ -323,3 +323,16 @@ def test_poly_table_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (P.nbytes + Q.nbytes) + 2 ** 20
+
+
+def test_one_point_poly_table_memory_bounded():
+    # beyond its two tables: the coefficients b and (1, a_1, .., a_n), and while the
+    # model forms them, its index array; a padded or shifted copy of one is 8 more bytes per n
+    n = 64000
+    tracemalloc.start()
+    try:
+        P, Q = poly_table(FREE, [0.3], n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.nbytes + Q.nbytes + 32 * n

@@ -7,7 +7,7 @@ import pytest
 
 from cdscale.canonical import ConstantHamiltonian, CoshSinhHamiltonian
 from cdscale.jacobi import AlternatingSignModel, ConstantModel, TableModel
-from cdscale.limits import (CONV_ROWS, BulkPointData, _h_partials, check_equivalence,
+from cdscale.limits import (CONV_ROWS, BulkPointData, _h_partial_blocks, check_equivalence,
                             diagnostics, flow_deviation, piecewise_estimate)
 from cdscale.mat2 import operator_norm
 from cdscale.models import free_bulk_data, free_model
@@ -147,11 +147,20 @@ def test_matrix_conv_self_consistency():
     assert rep_exact.matrix_conv <= rep_const.matrix_conv
 
 
+def blocked_partials(seq, n):
+    """The blocks of _h_partial_blocks joined, after checking where each one starts."""
+    blocks = list(_h_partial_blocks(seq, n))
+    assert [lo for lo, _ in blocks] == list(range(0, n + 1, CONV_ROWS))
+    assert all(len(s) == CONV_ROWS for _, s in blocks[:-1])
+    return np.concatenate([s for _, s in blocks])
+
+
 @pytest.mark.parametrize("n", [1, CONV_ROWS - 2, CONV_ROWS - 1, CONV_ROWS])
 def test_diagnostics_bit_identical_to_whole_array_forms(n):
-    # n + 1 grid rows: one, then one row short of a block, a full block, one row over
+    # n + 1 grid rows: one, then one row short of a block, a full block, one row over;
+    # H_0 = ((1, -0.0), (-0.0, 0)), so a first block started from 0.0 + H_0 would differ
     seq = h_sequence(AlternatingSignModel(1.0), 0.0, n, n)
-    partials = _h_partials(seq, n)
+    partials = blocked_partials(seq, n)
     assert partials.tobytes() == h_partials_whole(seq, n).tobytes()
     for candidate in (CoshSinhHamiltonian(1.0), ConstantHamiltonian(np.eye(2) / 2)):
         rep = diagnostics(seq, n, candidate=candidate)
@@ -166,7 +175,7 @@ def test_diagnostics_off_the_bulk_stays_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         seq = h_sequence(free_model(), 3.0, n, n)
         rep = diagnostics(seq, n, candidate=candidate)
-        assert _h_partials(seq, n).tobytes() == h_partials_whole(seq, n).tobytes()
+        assert blocked_partials(seq, n).tobytes() == h_partials_whole(seq, n).tobytes()
         assert math.isnan(matrix_conv_whole(seq, n, candidate))
     assert math.isnan(rep.matrix_conv)
     # a NaN in the last block alone still wins over the finite blocks before it
@@ -178,7 +187,8 @@ def test_diagnostics_off_the_bulk_stays_nan():
 
 
 def test_diagnostics_memory_bounded():
-    # beyond the h sequence: the (n + 1, 2, 2) partial sums and three 1-D arrays
+    # beyond the h sequence: the norms and their running sums, then blocks of CONV_ROWS
+    # partial sums; the whole (n + 1, 2, 2) partial sums would be 32 bytes per n
     n = 2 ** 16
     seq = h_sequence(AlternatingSignModel(1.0), 0.0, n, n)
     tracemalloc.start()
@@ -188,7 +198,7 @@ def test_diagnostics_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 56 * n + 2 ** 20
+    assert peak <= 24 * n + 2 ** 20
 
 
 def test_check_equivalence_free():

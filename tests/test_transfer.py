@@ -279,17 +279,18 @@ def test_q_snapshots_real_offsets_match_complex(n):
 
 
 def test_q_snapshots_memory_bounded():
-    n = 64000
+    n = 200000
     seq = h_sequence(ConstantModel(1.0, 0.0), 0.3, n)
-    a = np.linspace(-5.0, 5.0, 101)
+    a = np.linspace(-5.0, 5.0, 51)
     tracemalloc.start()
     try:
-        out = q_snapshots(seq, n, a, np.linspace(0.0, 1.0, 4001))
+        out = q_snapshots(seq, n, a, np.linspace(0.0, 1.0, 101))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # beyond its output, the scan holds a few (blocks, len(a)) complex arrays
-    assert peak <= out.nbytes + 32 * math.isqrt(n) * len(a) * 16
+    # beyond its output, the scan holds a few (2, 2, blocks, len(a)) real arrays, each
+    # two of the units below; one length-n copy of p or q would be 4.4 more units
+    assert peak <= out.nbytes + 12 * math.isqrt(n) * len(a) * 16
 
 
 def first_over_limit_step(x, n):
