@@ -21,19 +21,18 @@ and steps never straddle a breakpoint.
 The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
 D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
 from the step's three stage generators; H takes arrays of t, so they come for
-all steps from three calls, independently of z. The integrator cuts the steps
-into runs at the snapshots and at the edges of blocks of 64 steps, and
-multiplies each run out pairwise in increment form, (I + L)(I + R) =
-I + (L + R + L R), in real arithmetic for real z; no increment is added to I,
-where it would lose its low bits. A reduction covers a fixed budget of
-(step, z) pairs: wide z batches one block at a time, narrow ones many blocks
-at once. kernel_grid solves once when its a and b grids are equal.
+all steps from three calls, independently of z. The solution is the ordered
+product of these factors, which scan.blocked_scan forms in increment form, as
+it forms the finite-n transfer products: one scan per window of steps and
+chunk of z, whose snapshots are the t grid, in real arithmetic for real z.
+kernel_grid solves once when its a and b grids are equal.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .errors import NotPSD
 # not used here; bench/tests asserts that its tracer rebinds canonical.poly_table
 from .jacobi import poly_table  # noqa: F401
 from .mat2 import symmetric_eig_bounds
+from .scan import blocked_scan
 from .transfer import _check_t_grid
 
 PSD_SAMPLE_TOL = 1e-12
@@ -51,10 +51,7 @@ DEFAULT_MAX_STEP = 1e-3
 MIN_MAX_STEP = 1e-6
 CONFLUENT_FD_STEP = 1e-5
 STEP_BLOCK_VALUES = 4096  # steps per set of coefficients, which bounds their memory
-BLOCK_STEPS = 64  # steps per block; block edges end runs whatever the number of zs
-# (step, z) pairs per reduction: chunks of at most REDUCTION_PAIRS // BLOCK_STEPS
-# zs, each reduction as many whole blocks as the widest chunk leaves room for
-REDUCTION_PAIRS = 8192
+SCAN_PAIRS = 6144  # (block, z) pairs per RK4 scan, which bound the scan's state
 # grid rows per near-coincidence check in kernel_grid: bounds its temporaries
 COINCIDENCE_ROWS = 16
 
@@ -74,7 +71,8 @@ def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
         raise ValueError(f"Hamiltonian value{where} is not symmetric")
     lo, _ = symmetric_eig_bounds(arr)
     if not lo >= -tol:
-        raise NotPSD(f"Hamiltonian value{where} has eigenvalue {lo:.3e} < -{tol:g}")
+        raise NotPSD(f"Hamiltonian value{where} has eigenvalue {lo:.3e} < -{tol:g}"
+                     f" (largest entry {np.max(np.abs(arr)):.3e})")
     return arr
 
 
@@ -273,13 +271,6 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
     ])
 
 
-def _times(a, b):
-    """The 2x2 products a·b of arrays shaped (..., 2, 2, nz), entry by entry over z."""
-    p = a[..., :, :1, :] * b[..., :1, :, :]
-    p += a[..., :, 1:, :] * b[..., 1:, :, :]
-    return p
-
-
 def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                     max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
     """RK4 integration of J Q' = z H(t) Q for many z at once.
@@ -287,15 +278,14 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     Returns shape (len(t_grid), len(zs), 2, 2). Steps are uniform within each
     segment of the path (grid points plus Hamiltonian breakpoints) and never
     longer than ``max_step``. Step k multiplies Q by I + D_k(z), D_k(z) =
-    z C1 + z^2 C2 + z^3 C3 + z^4 C4. The zs go in balanced chunks, and a
-    reduction covers as many whole blocks of BLOCK_STEPS steps as keep it
-    within REDUCTION_PAIRS (step, z) pairs. Per reduction and chunk, one real
-    matrix product of the C_k and the powers of z gives the D_k; block edges
-    and snapshots cut the steps into runs, pairwise products reduce all runs
-    at once, and Q += P Q applies each run's product P. So a z's result does
-    not depend on the batch of two or more it is solved in. Real zs are
-    solved in real arithmetic, to the bit as in a complex run of the same
-    values, whose imaginary parts stay exactly 0.
+    z C1 + z^2 C2 + z^3 C3 + z^4 C4. Each window of STEP_BLOCK_VALUES steps
+    and balanced chunk of at most SCAN_PAIRS // isqrt(window) zs is one
+    blocked_scan in increment form, whose snapshots are the t grid's steps and
+    the window's last, which starts the next window. A scan step forms the D_k
+    of its rows by one real matrix product of their C_k, a view of the
+    window's (steps, 4, 4) array, with the powers of z. So a z's result does
+    not depend on the batch of two or more it is solved in, and real zs are
+    solved in real arithmetic, to the bit as in a complex run of the values.
     """
     if not MIN_MAX_STEP <= max_step <= DEFAULT_MAX_STEP + 1e-15:
         raise ValueError(f"max_step {max_step!r} is outside [MIN_MAX_STEP, DEFAULT_MAX_STEP]"
@@ -304,75 +294,54 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
     t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
-    cuts = sorted(ends)
     snaps = {k: slice(bisect_left(ts, t), bisect_right(ts, t)) for k, t in ends.items()}
     out = np.full((len(ts), nz, 2, 2), np.eye(2), complex)
     Q = np.eye(2, dtype=zs.dtype)[..., None].repeat(nz, axis=2)  # Q[i, j] over z
-    bounds = np.linspace(0, nz, -(-nz // (REDUCTION_PAIRS // BLOCK_STEPS)) + 1).astype(int)
-    widest = int(np.diff(bounds).max(initial=1))
-    span = BLOCK_STEPS * max(1, REDUCTION_PAIRS // (BLOCK_STEPS * widest))
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = zs * zs
         powers = np.stack([zs, z2, z2 * zs, z2 * z2])
-        # real and imaginary parts go through separate real products, so a
-        # real run forms the same increments as the complex run of its values
         re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
+
+        def increment(x, c, zc):  # D_k x from the rows' C_k, c[row, 0, entry, power]
+            # separate real products for real and imaginary parts, as in a real run
+            C = c.reshape(-1, 4)
+            d = C @ re[:, zc] if zs.dtype == float else C @ re[:, zc] + 1j * (C @ im[:, zc])
+            d = d.reshape(-1, 2, 2, d.shape[-1]).transpose(1, 2, 0, 3)  # (i, j, rows, z)
+            return d[:, :1] * x[0] + d[:, 1:] * x[1]
+
         for c0 in range(0, len(h), STEP_BLOCK_VALUES):
             c1 = min(c0 + STEP_BLOCK_VALUES, len(h))
-            # (step, entry, power), and a zero increment last, at index -1
-            rows = np.zeros((c1 - c0 + 1, 4, 4))
-            rows[:-1] = _step_coefficients(system, t_lo[c0:c1], h[c0:c1]).reshape(
-                4, -1, 4).transpose(1, 2, 0)
-            for r0 in range(c0, c1, span):
-                r1 = min(r0 + span, c1)
-                run_ends = sorted({*cuts[bisect_right(cuts, r0):bisect_left(cuts, r1)],
-                                   *range(r0 + BLOCK_STEPS, r1, BLOCK_STEPS)}) + [r1]
-                # each run padded with zero increments to 2^e slots, at a
-                # multiple of 2^e, so that no pair of slots straddles two runs
-                slots, where = [], []
-                for j, k in zip([r0, *run_ends], run_ends):
-                    e = (k - j - 1).bit_length()
-                    slots += [-1] * (-len(slots) % (1 << e))
-                    where.append((e, len(slots) >> e))
-                    slots += [*range(j - c0, k - c0), *[-1] * ((1 << e) - k + j)]
-                C = rows[slots].reshape(-1, 4)
-                for zc in map(slice, bounds[:-1], bounds[1:]):
-                    D = C @ re[:, zc] if zs.dtype == float else C @ re[:, zc] + 1j * (C @ im[:, zc])
-                    # level j holds the products of 2^j slots, in increment form
-                    levels = [D.reshape(len(slots), 2, 2, -1)]
-                    for _ in range(max(where)[0]):
-                        X = levels[-1][:len(levels[-1]) & ~1]
-                        Y = _times(X[1::2], X[::2])  # L R + L + R, summed in place
-                        Y += X[1::2]
-                        Y += X[::2]
-                        levels.append(Y)
-                    q = Q[..., zc]
-                    for (j, i), k in zip(where, run_ends):
-                        q += _times(levels[j][i], q)
-                        if k in snaps:
-                            out[snaps[k], zc] = q.transpose(2, 0, 1)
+            coeffs = _step_coefficients(system, t_lo[c0:c1], h[c0:c1])  # (4, steps, 2, 2)
+            coeffs = coeffs.reshape(4, -1, 4).transpose(1, 2, 0)  # (step, entry, power)
+            stops = [k for k in ends if c0 < k <= c1]
+            width = SCAN_PAIRS // math.isqrt(c1 - c0)  # at least 96
+            bounds = np.linspace(0, nz, -(-nz // width) + 1).astype(int)
+            for zc in map(slice, bounds[:-1], bounds[1:]):
+                got = blocked_scan(c1 - c0, Q[..., zc], partial(increment, zc=zc), (coeffs,),
+                                   [k - c0 for k in stops] + [c1 - c0], increment=True)
+                for k, q in zip(stops, got):
+                    out[snaps[k], zc] = q
+                Q[..., zc] = got[-1].transpose(1, 2, 0)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(f"RK4 solution overflows for |z| up to {np.max(np.abs(zs)):g}")
     return out
 
 
 def _u_final_batch(system, zs, max_step) -> np.ndarray:
-    qs = solve_ode_batch(system, zs, [1.0], max_step)
-    return qs[0, :, :, 0]  # first columns, shape (nz, 2)
+    return solve_ode_batch(system, zs, [1.0], max_step)[0, :, :, 0]  # u(1, zs), (nz, 2)
 
 
-def _diagonal_kernel_batch(system, zs, max_step, u0=None,
-                           fd_step: float = CONFLUENT_FD_STEP) -> np.ndarray:
+def _diagonal_kernel_batch(system, zs, max_step, u0=None) -> np.ndarray:
     """K(z, z) = det(u'(z), u(z)) via Richardson-extrapolated central differences.
 
     ``u0``, if given, is the solution u(1, zs) already solved for this batch.
     """
     if u0 is None:
         u0 = _u_final_batch(system, zs, max_step)
-    d_full = (_u_final_batch(system, zs + fd_step, max_step)
-              - _u_final_batch(system, zs - fd_step, max_step)) / (2.0 * fd_step)
-    d_half = (_u_final_batch(system, zs + 0.5 * fd_step, max_step)
-              - _u_final_batch(system, zs - 0.5 * fd_step, max_step)) / fd_step
+    # central differences of steps CONFLUENT_FD_STEP and half of it
+    d_full, d_half = ((_u_final_batch(system, zs + f * CONFLUENT_FD_STEP, max_step)
+                       - _u_final_batch(system, zs - f * CONFLUENT_FD_STEP, max_step))
+                      / (2.0 * f * CONFLUENT_FD_STEP) for f in (1.0, 0.5))
     du = (4.0 * d_half - d_full) / 3.0
     return du[:, 0] * u0[:, 1] - u0[:, 0] * du[:, 1]
 

@@ -543,8 +543,7 @@ def _suite_thm25(opt: Options, checks: CheckList):
         checks.add(f"{name}_final", stat[-1], tol)
         checks.add(f"{name}_decreasing", 0.0, 1.0,
                    ok=all(b < a for a, b in zip(stat, stat[1:])))
-    checks.checks[-1]["flow_stat"] = flow_stat
-    checks.checks[-2]["kernel_stat"] = kernel_stat
+        checks.checks[-1][name] = stat
 
 
 SUITES = {

@@ -9,10 +9,12 @@ blocks are rerun from their true starts. That is about 3 sqrt(L) vectorized
 steps in place of L, with O(sqrt(L) points) memory beyond the output. A state is
 one array of shape (2, c, rows, points), c the number of columns kept (2 for a
 matrix, 1 for a vector): a step is a few numpy calls on whole rows. Step j of
-every block reads the strided view t[j::B] of each caller's 1-D coefficient
-array t; no coefficient is copied or padded, and the last block, which may be
-short, stops at its own last step. Pass 1 forms full propagators; passes 2 and
-3 carry the c columns alone.
+every block reads the strided view t[j::B] of each caller's coefficient array
+t, indexed by step along its first axis; no coefficient is copied or padded,
+and the last block, which may be short, stops at its own last step. Pass 1
+forms full propagators; passes 2 and 3 carry the c columns alone. The finite-n
+products (jacobi.poly_table, transfer.transfer_matrices, transfer.q_snapshots)
+read 1-D coefficients; RK4 (canonical.solve_ode_batch) reads (steps, 4, 4).
 """
 
 import math
@@ -26,8 +28,8 @@ def blocked_scan(length: int, start: np.ndarray, step, coeffs, snapshots=(), vis
 
     ``start`` holds X_0, shape (2, c, points), in the dtype of all states.
     ``step(x, *t)`` returns F x for states x of shape (2, 2 or c, rows, points)
-    and may overwrite x; ``t`` are (rows, 1) arrays of ``coeffs``, 1-D arrays
-    indexed by 0-based step (at least ``length`` long), at the step of each row.
+    and may overwrite x; ``t`` are the (rows, 1, ...) entries of ``coeffs`` at
+    each row's step (0-based along their first axis, at least ``length`` long).
     With ``increment`` it returns (F - I) x, leaving x intact, and block
     propagators are kept as M - I so that small increments keep their digits.
     ``visit(x, steps)``, if given, sees the rerun of every step in block order,

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdscale import canonical
-from cdscale.canonical import (BLOCK_STEPS, DEFAULT_MAX_STEP, REDUCTION_PAIRS,
-                               STEP_BLOCK_VALUES, ConstantHamiltonian,
+from cdscale.canonical import (DEFAULT_MAX_STEP, SCAN_PAIRS, STEP_BLOCK_VALUES,
+                               ConstantHamiltonian,
                                CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
                                constant_solution_batch, kernel_grid, solve_ode_batch,
                                system_from_dict, _integration_path,
@@ -518,36 +518,57 @@ def test_solver_matches_staged_rk4(system):
     assert_matches_staged(system, zs, [0.2, 0.5, 1.0])
 
 
-@pytest.mark.parametrize("nz, t_grid, max_step", [
-    # blocks hold 64 steps whatever the number of z; steps of 2^-10 put
-    # t = 0.25 on the edge of the fourth block, t = 0.6 inside the tenth
-    # (step 615), and t = 1 alone in a last block of one step (step 1025)
-    (16, [0.25, 0.6, 1.0], 2.0 ** -10),
-    # coefficients are formed STEP_BLOCK_VALUES steps at a time: t = 0.4
-    # (step 3277) cuts a block of the first such run, the run to t = 0.75
-    # crosses into the second at step 4096, and t = 0.75 ends a last block of
-    # one step (step 6145)
-    (3, [0.4, 0.75], 0.5 / STEP_BLOCK_VALUES),
-])
-def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step):
-    assert BLOCK_STEPS == 64 and STEP_BLOCK_VALUES == 4096  # the comments above
+def snapshot_steps(system, t_grid, max_step=DEFAULT_MAX_STEP):
+    return sorted(_step_grid(_integration_path(system, t_grid), max_step)[2])
+
+
+@pytest.mark.parametrize("nz, t_grid, max_step, steps", [
+    # 1025 steps of 2^-10 make scan blocks of isqrt(1025) = 32 steps: t = 0.25
+    # ends the eighth block, t = 0.6 is inside the twentieth, and t = 1 is alone
+    # in a last block of one step; 600 zs make four chunks of at most
+    # SCAN_PAIRS // 32 = 192
+    (600, [0.25, 0.6, 1.0], 2.0 ** -10, [256, 615, 1025]),
+    # coefficients and scans go by windows of STEP_BLOCK_VALUES steps: t = 0.4
+    # is inside the 52nd block of 64 in the first window, whose last step
+    # starts the second, of 2049 steps in blocks of 45; t = 0.6 is inside its
+    # nineteenth block, and t = 0.75 ends its last block, of 24 steps. The
+    # 130 zs make two chunks in the first window and one in the second
+    (130, [0.4, 0.6, 0.75], 0.5 / STEP_BLOCK_VALUES, [3277, 4916, 6145]),
+], ids=["one-window", "two-windows"])
+def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step, steps):
+    assert SCAN_PAIRS == 6144 and STEP_BLOCK_VALUES == 4096  # the comments above
+    system = CoshSinhHamiltonian(1.0)
+    assert snapshot_steps(system, t_grid, max_step) == steps
     zs = np.linspace(-6.0, 6.0, nz) + 0.25j
-    assert_matches_staged(CoshSinhHamiltonian(1.0), zs, t_grid, max_step)
+    assert_matches_staged(system, zs, t_grid, max_step)
+
+
+@pytest.mark.parametrize("points", [1001, 4201])
+@pytest.mark.parametrize("nz", [1, 3])
+def test_solver_snapshot_at_every_step(points, nz):
+    # a t grid of steps under max_step takes a snapshot at every step, so the
+    # scan reruns every block to its end; 4200 steps cross into a second window
+    t_grid = np.linspace(0.0, 1.0, points).tolist()
+    system = CoshSinhHamiltonian(1.0)
+    assert snapshot_steps(system, t_grid) == list(range(1, points))
+    assert_matches_staged(system, np.linspace(-3.0, 7.0, nz) + 0.5j, t_grid)
 
 
 @pytest.mark.parametrize("complex_z", [False, True])
 def test_solver_result_does_not_depend_on_the_batch(complex_z):
-    # 600 zs fill several chunks of z, one block per reduction; the batches
-    # of 2, 13 and 51 zs take many blocks per reduction, whose snapshots at
-    # t = 0.25, 0.6 and 0.6005 cut runs inside and on block edges. Batches of
-    # one z are left out: numpy sends them to BLAS gemv, which rounds otherwise
+    # 600 zs fill four chunks of z, at most SCAN_PAIRS // isqrt(1001) = 198
+    # each; the batches of 2, 13 and 51 zs are one chunk. The snapshots at
+    # t = 0.248, 0.6 and 0.6005 end the eighth scan block of 31 steps and cut
+    # the twentieth. Batches of one z are left out: numpy sends them to BLAS
+    # gemv, which rounds otherwise
     rng = np.random.default_rng(11)
     zs = rng.uniform(-20.0, 20.0, 600)
     if complex_z:
         zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
-    assert zs.size > 4 * REDUCTION_PAIRS // BLOCK_STEPS
+    assert zs.size > 2 * (SCAN_PAIRS // math.isqrt(1001))
     system = CoshSinhHamiltonian(1.0)
-    t_grid = [0.25, 0.6, 0.6005, 1.0]
+    t_grid = [0.248, 0.6, 0.6005, 1.0]
+    assert snapshot_steps(system, t_grid) == [248, 600, 601, 1001]
     wide = solve_ode_batch(system, zs, t_grid)
     for picks in ([0, 599], [127, 128], rng.choice(600, 13, replace=False),
                   np.arange(200, 251)):
@@ -555,10 +576,14 @@ def test_solver_result_does_not_depend_on_the_batch(complex_z):
 
 
 def test_solver_one_step_blocks():
-    # runs of 20, 1, 1 and 42 steps fill the first block of 64 steps, and
-    # t = 0.065 ends a second block of one step; 257 z values make three chunks
-    zs = np.linspace(-20.0, 20.0, 2 * (REDUCTION_PAIRS // BLOCK_STEPS) + 1)
-    assert_matches_staged(CoshSinhHamiltonian(0.7), zs, [0.02, 0.021, 0.022, 0.065])
+    # 65 steps make scan blocks of isqrt(65) = 8 steps: runs of 20, 1, 1 and
+    # 43 steps cut the third block three times, and t = 0.065 is alone in a
+    # last block of one step; 2 * (SCAN_PAIRS // 8) + 1 zs make three chunks
+    system = CoshSinhHamiltonian(0.7)
+    t_grid = [0.02, 0.021, 0.022, 0.065]
+    assert snapshot_steps(system, t_grid) == [20, 21, 22, 65]
+    zs = np.linspace(-20.0, 20.0, 2 * (SCAN_PAIRS // 8) + 1)
+    assert_matches_staged(system, zs, t_grid)
 
 
 def rk4_rounding_bound(system, zs, t_grid, max_step):
@@ -566,11 +591,14 @@ def rk4_rounding_bound(system, zs, t_grid, max_step):
 
     Both multiply out (I + D_N)···(I + D_1) and differ only in rounding. Each
     step's increment (4 powers or Horner's 7 operations) and its share of the
-    products (the loop's update, or one pairwise product per level and one
-    update per run) round with at most 16 relative errors of size u,
-    complex arithmetic included. Measured against the products of absolute
-    values M = (I + |D_N|)···(I + |D_1|) with |D_k| = sum_j |C_j| |z|^j, the
-    two sides then differ by at most 2 · 16 · N · u · M after N steps.
+    products round with at most 16 relative errors of size u, complex
+    arithmetic included. In the loop that share is one update Q += D Q. In the
+    blocked scan it is the update of its block's propagator P - I from the
+    identity, the rerun of its step from the block's true start, and the
+    blocks' share of the ordered product of the propagators that forms those
+    starts. Measured against the products of absolute values
+    M = (I + |D_N|)···(I + |D_1|) with |D_k| = sum_j |C_j| |z|^j, the two
+    sides then differ by at most 2 · 16 · N · u · M after N steps.
     """
     scale = rk4_step_loop(system, np.abs(zs), t_grid, max_step,
                           coefficients=lambda *a: np.abs(_step_coefficients(*a)))
@@ -583,26 +611,29 @@ def solver_cases(draw):
     """A system, zs, and a sorted t grid whose snapshot steps cut uneven runs.
 
     The runs between snapshots include lengths 1, 2, 3, another odd length
-    and one longer than a propagator block; a piecewise system adds its
-    breakpoints, which may fall between steps of the grid. Over 128 zs fill
-    more than one chunk of z; fewer share reductions of several blocks.
+    and one longer than any scan block (isqrt of a window of at most
+    STEP_BLOCK_VALUES steps); a piecewise system adds its breakpoints, which
+    may fall between steps of the grid. Over SCAN_PAIRS // isqrt(steps) zs
+    fill more than one chunk of z: 96 in a window of 4096 steps, 198 in one
+    of 1000.
     """
     edges = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True))
     system = draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
         [0.0, *sorted(edges), 1.0], [random_psd(np.random.default_rng(k))
                                       for k in range(len(edges) + 1)])]))
     max_step = draw(st.sampled_from([1e-3, 2.0 ** -12, 1.0 / 4500]))
+    block = math.isqrt(STEP_BLOCK_VALUES)
     runs = draw(st.permutations([1, 2, 3, draw(st.sampled_from([5, 7, 9, 63, 65])),
-                                 draw(st.integers(BLOCK_STEPS + 1, 3 * BLOCK_STEPS)),
+                                 draw(st.integers(block + 1, 3 * block)),
                                  *draw(st.lists(st.integers(1, 200), max_size=4))]))
-    steps = np.cumsum([draw(st.integers(0, 2 * BLOCK_STEPS)), *runs])
+    steps = np.cumsum([draw(st.integers(0, 2 * block)), *runs])
     # t = 1 ends a last run that crosses many blocks, and past 4096 steps a
-    # coefficient chunk too
+    # window too
     t_grid = [t for t in (steps * max_step).tolist() if t < 1.0] + [1.0]
     if draw(st.booleans()):
         t_grid = sorted(t_grid + [b for b in system.breakpoints() if b <= t_grid[-1]])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    zs = rng.uniform(-4.0, 4.0, draw(st.integers(1, 150)))
+    zs = rng.uniform(-4.0, 4.0, draw(st.integers(1, 300)))
     if draw(st.booleans()):
         zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
     return system, zs, t_grid, max_step
@@ -622,7 +653,8 @@ def test_solver_trivial_t_grids(t_grid):
     assert_matches_staged(CoshSinhHamiltonian(1.0), [1.0, 2.0 - 1.0j], t_grid)
 
 
-@pytest.mark.parametrize("nz", [401, 20000, 51, 1])  # at 51 and 1, reductions span several blocks
+# 401 and 20000 zs make several chunks of z; 1 z takes a snapshot at every step
+@pytest.mark.parametrize("nz", [401, 20000, 51, 1])
 def test_solver_memory_bounded(nz):
     zs = np.linspace(-20.0, 20.0, nz)
     t_grid = np.linspace(0.0, 1.0, 1001) if nz == 1 else [1.0]

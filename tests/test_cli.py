@@ -309,6 +309,11 @@ def test_usage_errors_exit_2(tmp_path, argv):
 def test_thm25_off_center_passes(tmp_path):
     assert main(["verify", "thm25", "--x0", "0.3", "--n-list", "500,1000,2000",
                  "--grid", "-5:5:21", "--out", str(tmp_path)]) == 0
+    # each statistic's list goes with the check that it decreases
+    checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+    assert [sorted(c.keys() - {"name", "measured", "bound", "pass"}) for c in checks] == [
+        [], ["kernel_stat"], [], ["flow_stat"]]
+    assert [c["name"] for c in checks[1::2]] == ["kernel_stat_decreasing", "flow_stat_decreasing"]
 
 
 @pytest.mark.parametrize("argv, output", [
@@ -322,11 +327,16 @@ def test_thm25_off_center_passes(tmp_path):
     # distinct eigenvalues near +-1.43e199 that are equal in floating point
     (["zeros", "--model", "alternating-v", "--v", "1e200", "--n", "7", "--window", "1e300"],
      "zeros.csv"),
+    # finite bins of about 6e15 whose smallest eigenvalue rounds to -0.5
+    (["diagnostics", "--model", "free", "--x0", "3", "--n", "100"], "diagnostics.json"),
 ])
 def test_non_finite_results_exit_1(tmp_path, capsys, recwarn, argv, output):
     # off the bulk the polynomials overflow; no output may carry NaN
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert "numerical check failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical check failed" in err
+    # a refused Hamiltonian names its size beside the absolute tolerance
+    assert "eigenvalue" not in err or "largest entry" in err
     assert not (tmp_path / output).exists()
     # numpy's own overflow warnings stay silent; cdscale's message names the overflow
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []

@@ -108,3 +108,22 @@ def test_snapshots_match_step_loop(length, increment):
         np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         if s <= size:  # the first block reruns from the exact start with the loop's arithmetic
             assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("length", SCAN_LENGTHS)
+@pytest.mark.parametrize("increment", [False, True])
+def test_coefficients_with_trailing_axes(length, increment):
+    # a step reads (rows, 1, ...) views of arrays indexed by step along their
+    # first axis, as the RK4 steps read their (steps, 4, 4) coefficients
+    a, b = coefficients(length)
+    table = np.stack([np.stack([a, b], -1), np.stack([b, a], -1)], -2)  # (length, 2, 2)
+
+    def step(x, t):
+        assert t.shape[1:] == (1, 2, 2)
+        return STEPS[increment](x, t[..., 0, 0], t[..., 0, 1])
+
+    snaps = scan_snapshots(length)
+    for visit in (None, lambda x, steps: None):
+        got = blocked_scan(length, start_matrix(), step, (table,), snaps, visit=visit,
+                           increment=increment)
+        assert np.array_equal(got, run(length, start_matrix(), increment, snaps, visit))
