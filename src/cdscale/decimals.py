@@ -19,37 +19,32 @@ fixed-width arithmetic (Steele & White 1990; Adams 2018, "Ryu"):
     value outside the positional range (zeros, subnormals, nan, inf) are
     written by repr itself.
 
-Each value becomes a fixed-width field of WIDTH bytes (sign, 16 integer
-digits, '.', 20 fraction digits) with a mask of the bytes that are kept, and
-`write_lines` lays fields side by side into lines and writes the kept bytes.
+Each value is a field: a sign, the integer digits of the write's largest
+positional value (at least 2), '.', FRACTION digits, and a mask of kept bytes.
+`write_lines` lays lines in chunks of CHUNK_BYTES, shared cells once a write.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
-WIDTH = 38
-# lines laid out per chunk: bounds the temporaries, whatever the line count
-LINES_PER_CHUNK = 2048
+FRACTION = 20
+# bytes of lines laid out at a time: bounds the temporaries, whatever the line count
+CHUNK_BYTES = 1 << 18
 # in units of X's last digit; the arithmetic below errs by about 1e-14
 TIE_GUARD = 1e-6
 
 # the least double >= 10^j for j = -4..16 (each literal rounds up)
 _DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
 _POW10 = np.array([float(10 ** k) for k in range(21)])
-# the four ASCII digits of 0..9999, one uint32 each
+# the four ASCII digits of 0..9999, one uint32 each, and their trailing zeros
 _DIGITS4 = np.ascontiguousarray(np.moveaxis(48 + np.indices((10,) * 4, dtype=np.uint8), 0, -1)
                                 ).view(np.uint32).reshape(-1)
-_MANTISSA = np.uint64(2 ** 52 - 1)
-# keep masks of fast-path fields by (negative, integer digits - 1, fraction digits)
-_KEEP = np.empty((2, 16, 21, WIDTH), dtype=bool)
-_KEEP[..., 0] = np.arange(2)[:, None, None] == 1
-_KEEP[..., 1:17] = np.arange(16) >= 15 - np.arange(16)[:, None, None]
-_KEEP[..., 17] = True
-_KEEP[..., 18:] = np.arange(20) < np.arange(21)[:, None]
-_KEEP = _KEEP.reshape(-1, WIDTH)
+_ZEROS4 = sum(np.arange(10 ** 4) % 10 ** j == 0 for j in range(1, 5))
 
 
 def _split(a):
@@ -69,59 +64,74 @@ def _digits(x):
     mask of the values whose D and e10 are repr's.
     """
     e10 = np.searchsorted(_DECADES, np.abs(x), side="right") - 5  # nan and inf sort last
-    fast = (e10 >= -4) & (e10 <= 15) & ((x.view(np.uint64) & _MANTISSA) != 0)
+    fast = (e10 >= -4) & (e10 <= 15) & ((x.view(np.uint64) << 12) != 0)  # not a power of 2
     ax = np.where(fast, np.abs(x), 1.0)
     e10 = np.where(fast, e10, 0)
     k = 16 - e10
     # X = hi + lo exactly (Dekker's two-product); hi is an even integer below 2^57
-    hi = ax * _POW10[k]
+    scale = _POW10[k]
+    hi = ax * scale
     ah, al = _split(ax)
     bh, bl = _POW10_HI[k], _POW10_LO[k]
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
     big = hi.astype(np.int64)
-    half = 0.5 * np.spacing(ax) * _POW10[k]
+    half = 0.5 * np.spacing(ax) * scale
     # 17, 16 and 15 digits: the nearest multiple of c to X, kept when within half
     delta = np.rint(lo)
-    unsure = np.abs(np.abs(lo - delta) - 0.5) <= TIE_GUARD
-    for c in (10, 100):
-        m = big % c
-        r = m + lo  # X less the multiple of c at or below hi, to about 1e-14
-        up = np.rint(r * (1.0 / c))
-        d = np.abs(r - c * up)
-        unsure |= (np.abs(d - half) <= TIE_GUARD) | (np.abs(d - 0.5 * c) <= TIE_GUARD)
-        delta = np.where(d < half, c * up - m, delta)
+    margin = np.abs(np.abs(lo - delta) - 0.5)
+    m100 = (big % 100).astype(np.float64)
+    for c, m in ((10, m100 - 10.0 * np.floor(m100 * 0.1)), (100, m100)):
+        step = c * np.rint((m + lo) * (1.0 / c)) - m  # from hi to the nearest multiple of c
+        d = np.abs(lo - step)
+        margin = np.minimum(margin, np.minimum(np.abs(d - half), np.abs(d - 0.5 * c)))
+        delta = np.where(d < half, step, delta)
     digits = big + delta.astype(np.int64)
     # 10^17 would carry into an 18th digit; no double in the positional range rounds to it
-    return digits, e10, fast & ~unsure & (digits < 10 ** 17)
+    return digits, e10, fast & (margin > TIE_GUARD) & (digits < 10 ** 17)
+
+
+def _items(a):
+    """The last axis of a, which must be contiguous, as one void item."""
+    return a.view(f"V{a.shape[-1]}")[..., 0]
+
+
+@functools.cache
+def _keep_items(di):
+    """Keep masks of fields of di integer digits by (negative, max(e10, 0), fraction digits)."""
+    neg, e10, places, i = np.ix_(range(2), range(di), range(FRACTION + 1), range(di + FRACTION + 2))
+    return _items((i >= di - e10) & (i < di + 2 + places) | (i == 0) & (neg == 1)).reshape(-1)
 
 
 def _encode(x, chars, keep) -> None:
-    """Write repr of each value of the 1-d float array x into chars and keep, (x.size, WIDTH)."""
-    n = x.size
+    """Write repr of each value of the 1-d float array x into chars and keep, (x.size, width)."""
+    di = chars.shape[1] - FRACTION - 2  # integer digits, enough for every positional value
     digits, e10, fast = _digits(x)
-    # 60 ASCII bytes per value: 20 zeros, D zero-padded to 20 digits (its 17
-    # digits at bytes 23..39), 20 zeros; places 10^15..10^-20 start at byte 8 + e10
-    src = np.full((n, 15), _DIGITS4[0], dtype=np.uint32)
-    high, low = digits // 10 ** 8, digits % 10 ** 8
-    src[:, 5] = _DIGITS4[high // 10 ** 8]
-    src[:, 6] = _DIGITS4[high // 10 ** 4 % 10 ** 4]
-    src[:, 7] = _DIGITS4[high % 10 ** 4]
-    src[:, 8] = _DIGITS4[low // 10 ** 4]
-    src[:, 9] = _DIGITS4[low % 10 ** 4]
-    src = src.view(np.uint8)
-    # 36-byte items at every byte offset of src: one fancy index gathers them
-    items = np.ndarray(buffer=src, dtype="V36", shape=(src.size - 35,), strides=(1,))
-    window = items[np.arange(0, 60 * n, 60) + 8 + e10].view(np.uint8).reshape(n, 36)
-    chars[:, 0], chars[:, 17] = 45, 46  # '-' and '.'
-    chars[:, 1:17], chars[:, 18:] = window[:, :16], window[:, 16:]
-    zeros = np.argmax(src[:, 39:22:-1] != 48, axis=1)  # trailing ones of the 17 digits
-    places = np.maximum(16 - e10 - zeros, 1)
-    keep[...] = np.take(_KEEP, ((x < 0) * 16 + np.maximum(e10, 0)) * 21 + places, axis=0)
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        reprs = np.array([repr(v) for v in x[slow].tolist()], dtype=f"S{WIDTH}")
-        chars[slow] = reprs.view(np.uint8).reshape(-1, WIDTH)
+    high, low = np.divmod(digits, 10 ** 8)
+    top, high = np.divmod(high, 10 ** 8)
+    groups = (top, *np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))
+    # rows of ASCII zeros with D's 4-digit groups at columns col..col + 4 (its
+    # 17 digits from byte 4 col + 3 on): every value's window lies in its row
+    col = -(-di // 4)
+    src = np.full((x.size, col + (di + 26) // 4), _DIGITS4[0])
+    for j, group in enumerate(groups):
+        src[:, col + j] = _DIGITS4.take(group, mode="wrap")
+    # the integer and fraction digits at every byte offset of src: one fancy index gathers them
+    items = np.ndarray(buffer=src, dtype=f"V{di + FRACTION}", shape=(src.nbytes - di - 19,),
+                       strides=(1,))
+    window = items[np.arange(4 * col + 4 - di, src.nbytes, src.strides[0]) + e10]
+    window = window.view(np.uint8).reshape(x.size, -1)
+    chars[:, 0], chars[:, di + 1] = 45, 46  # '-' and '.'
+    _items(chars[:, 1:di + 1])[...] = _items(window[:, :di])
+    _items(chars[:, di + 2:])[...] = _items(window[:, di:])
+    zeros = _ZEROS4[groups[4]]  # trailing zeros of the 17 digits, by groups from the last
+    for k, group in enumerate(groups[3::-1], 1):
+        deep = np.flatnonzero(zeros == 4 * k)
+        zeros[deep] += _ZEROS4[group[deep]]
+    rows = ((x < 0) * di + np.maximum(e10, 0)) * 21 + np.maximum(16 - e10 - zeros, 1)
+    _items(keep)[...] = _keep_items(di)[rows]
+    if (slow := np.flatnonzero(~fast)).size:
+        reprs = np.array([repr(v) for v in x[slow].tolist()], dtype=f"S{chars.shape[1]}")
+        chars[slow] = reprs.view(np.uint8).reshape(slow.size, -1)
         keep[slow] = chars[slow] != 0
 
 
@@ -137,31 +147,36 @@ def write_lines(fh, *cells) -> None:
 
     A cell is a float array, written as repr writes each value, or a
     `text` field; a line is its cells' kept bytes end to end, so separators
-    are `text` cells too. At most LINES_PER_CHUNK lines are laid out at a
-    time: leading axes go one index at a time until the rest fits.
+    are `text` cells too. A chunk of lines fills a buffer of CHUNK_BYTES:
+    leading axes go one index at a time until the rest fits.
     """
     floats = [isinstance(c, np.ndarray) for c in cells]
-    shape = np.broadcast_shapes(*(c.shape if f else c[0].shape[:-1]
-                                  for c, f in zip(cells, floats)))
-    # each cell's shape over all the line axes, then its width
-    shapes = [(1,) * (len(shape) - c.ndim) + c.shape if f else
-              (1,) * (len(shape) + 1 - c[0].ndim) + c[0].shape for c, f in zip(cells, floats)]
-    widths = [WIDTH if f else s[-1] for s, f in zip(shapes, floats)]
-    ends = np.cumsum(widths).tolist()
-    split = next(i for i in range(len(shape)) if math.prod(shape[i + 1:]) <= LINES_PER_CHUNK)
-    step = LINES_PER_CHUNK // math.prod(shape[split + 1:])
-    for lead in np.ndindex(*shape[:split]):
-        for lo in range(0, shape[split], step):
-            at = [slice(i, i + 1) for i in lead] + [slice(lo, lo + step)]
-            lines = (1,) * split + (min(step, shape[split] - lo),) + shape[split + 1:]
-            chars = np.empty((math.prod(lines), ends[-1]), dtype=np.uint8)
-            keep = np.empty(chars.shape, dtype=bool)
-            for cell, s, f, w, end in zip(cells, shapes, floats, widths, ends):
-                index = tuple(a if n > 1 else slice(None) for a, n in zip(at, s))
-                if f:
-                    x = np.broadcast_to(np.asarray(cell, dtype=float).reshape(s)[index], lines)
-                    _encode(x.ravel(), chars[:, end - w:end], keep[:, end - w:end])
-                else:
-                    chars.reshape(lines + (-1,))[..., end - w:end] = cell[0].reshape(s)[index]
-                    keep.reshape(lines + (-1,))[..., end - w:end] = cell[1].reshape(s)[index]
-            fh.write(chars[keep])
+    shape = np.broadcast_shapes(*(c.shape if f else c[0].shape[:-1] for c, f in zip(cells, floats)))
+    if not math.prod(shape):
+        return
+    # each cell's arrays over all the line axes: a float's values, or a text field's bytes and mask
+    cells = [[np.broadcast_to(np.asarray(c, dtype=float), shape)] if f else
+             [np.broadcast_to(a, shape + a.shape[-1:]) for a in c] for c, f in zip(cells, floats)]
+    # every float field has the integer digits of the largest positional value, at least 2
+    top = max((max(np.max(c, initial=0.0, where=c < 1e16), -np.min(c, initial=0.0, where=c > -1e16))
+               for (c, *_), f in zip(cells, floats) if f), default=0.0)
+    width = FRACTION + 2 + max(int(np.searchsorted(_DECADES, top, side="right")) - 4, 2)
+    ends = np.cumsum([width if f else c[0].shape[-1] for c, f in zip(cells, floats)]).tolist()
+    slots = list(zip(cells, floats, [0] + ends[:-1], ends))
+    per_chunk = max(CHUNK_BYTES // ends[-1], 1)
+    split = next(i for i in range(len(shape)) if math.prod(shape[i + 1:]) <= per_chunk)
+    step = per_chunk // math.prod(shape[split + 1:])
+    chars = np.empty((min(step, shape[split]),) + shape[split + 1:] + (ends[-1],), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    # the first chunk lays every cell, the others only those that vary along an axis up to split
+    varying = [s for s in slots if any(s[0][0].strides[:split + 1])]
+    chunks = itertools.product(np.ndindex(*shape[:split]), range(0, shape[split], step))
+    for i, (lead, lo) in enumerate(chunks):
+        at, rows = lead + (slice(lo, lo + step),), min(step, shape[split] - lo)
+        for cell, f, start, end in varying if i else slots:
+            out = [a[:rows, ..., start:end] for a in (chars, keep)]  # (rows, ..., field width)
+            if f:  # the line axes of out merge: its reshape is a view
+                _encode(cell[0][at].reshape(-1), *(a.reshape(-1, width) for a in out))
+            else:
+                _items(out[0])[...], _items(out[1])[...] = (_items(a[at]) for a in cell)
+        fh.write(chars[:rows][keep[:rows]])

@@ -287,16 +287,18 @@ def test_grid_csv_memory_is_bounded_by_its_chunks(tmp_path):
     a = np.linspace(-20, 20, 401)
     rng = np.random.default_rng(43)
     values = rng.standard_normal((401, 401)) * 10.0 ** rng.uniform(-6, 2, (401, 401))
-    grid = KernelGrid(x0=0.0, n=1000, a_values=a, b_values=a + 0.05, values=values)
-    tracemalloc.start()
-    try:
-        grid.to_csv(tmp_path / "kernel.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the grid's text alone is about 9 MiB
-    assert peak < 2 * 2 ** 20
-    assert (tmp_path / "kernel.csv").stat().st_size > 8 * 2 ** 20
+    # a complex grid has two float fields a line, so more values a chunk
+    for grid_values in (values, values + 1j * values[::-1]):
+        grid = KernelGrid(x0=0.0, n=1000, a_values=a, b_values=a + 0.05, values=grid_values)
+        tracemalloc.start()
+        try:
+            grid.to_csv(tmp_path / "kernel.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid's text alone is about 9 MiB
+        assert peak < 2 * 2 ** 20
+        assert (tmp_path / "kernel.csv").stat().st_size > 8 * 2 ** 20
 
 
 def test_complex_labels_are_shortest_with_a_sign():

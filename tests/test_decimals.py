@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdscale import decimals
+from cdscale import canonical, decimals
+from cdscale.cdkernel import KernelGrid
+from cdscale.cli import main
+from references import kernel_csv_per_cell
 
 
 def encoded(x):
@@ -90,15 +93,106 @@ def test_decade_bounds_are_the_least_doubles_at_or_above_powers_of_ten():
         assert Fraction(bound) >= Fraction(10) ** j > Fraction(math.nextafter(bound, 0.0))
 
 
-@pytest.mark.parametrize("rows, cols", [(3 * decimals.LINES_PER_CHUNK // 50 + 1, 50),
-                                        (2, decimals.LINES_PER_CHUNK + 7)])
+class Chunks(io.BytesIO):
+    """A buffer that counts the lines of each write: write_lines writes once per chunk."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, data):
+        self.lines.append(bytes(data).count(b"\n"))
+        return super().write(data)
+
+
+# values that repr writes itself, the last inside the positional range
+FALLBACKS = [-0.0, 5e-324, 1e16, 781273394768459.25]
+
+
+def at_chunk_edges(grids, lines):
+    """A copy of each grid with FALLBACKS on the first and last lines of chunks of `lines`."""
+    ends = np.cumsum(lines)
+    edges = [0, ends[0] - 1, ends[0], ends[-1] - 1]  # first chunk, second chunk, last line
+    grids = [g.copy() for g in grids]
+    for g in grids:
+        g.flat[edges] = FALLBACKS
+    return grids
+
+
+def write_lines_at_chunk_edges(grids, write):
+    """write(*grids) with FALLBACKS first anywhere, then on chunk edges; the chunks must agree."""
+    placed = [g.copy() for g in grids]
+    for g in placed:
+        g.flat[1:1 + len(FALLBACKS)] = FALLBACKS  # the field widths depend on them
+    first = write(*placed)
+    assert len(first.lines) >= 3 and first.lines[-1] < max(first.lines)  # a short last chunk
+    placed = at_chunk_edges(grids, first.lines)
+    again = write(*placed)
+    assert again.lines == first.lines
+    return placed, again.getvalue()
+
+
+@pytest.mark.parametrize("rows, cols", [(3 * decimals.CHUNK_BYTES // (24 * 50) + 1, 50),
+                                        (2, decimals.CHUNK_BYTES // 24 + 7)],
+                         ids=["rows-per-chunk", "chunks-per-row"])
 def test_lines_broadcast_cells_and_span_chunks(rows, cols):
     a = np.arange(rows) * 0.1
     b = np.linspace(-1.0, 1.0, cols)
-    values = a[:, None] * b
-    buf = io.BytesIO()
-    decimals.write_lines(buf, decimals.text([[f"{v!r};"] for v in a.tolist()]), b,
-                         decimals.text([","]), values, decimals.text(["\n"]))
+
+    def write(values):
+        fh = Chunks()
+        decimals.write_lines(fh, decimals.text([[f"{v!r};"] for v in a.tolist()]), b,
+                             decimals.text([","]), values, decimals.text(["\n"]))
+        return fh
+
+    (values,), got = write_lines_at_chunk_edges([a[:, None] * b], write)
     want = "".join(f"{x!r};{y!r},{v!r}\n" for x, row in zip(a.tolist(), values.tolist())
                    for y, v in zip(b.tolist(), row))
-    assert buf.getvalue() == want.encode()
+    assert got == want.encode()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1500, 9000])
+def test_complex_kernel_grid_spans_chunks(tmp_path, monkeypatch, chunk_bytes):
+    # a chunk holds part of one a row, then several a rows
+    monkeypatch.setattr(decimals, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(23)
+    a, b = np.linspace(-2, 2, 29), rng.uniform(-3, 3, 23)
+    write_lines = decimals.write_lines
+
+    def write(re, im):
+        chunks = Chunks()
+
+        def counted(fh, *cells):
+            write_lines(chunks, *cells)
+            fh.write(chunks.getvalue())
+
+        monkeypatch.setattr(decimals, "write_lines", counted)
+        KernelGrid(x0=0.0, n=10, a_values=a, b_values=b, values=re + 1j * im).to_csv(
+            tmp_path / "kernel.csv")
+        return chunks
+
+    (re, im), _ = write_lines_at_chunk_edges(list(rng.standard_normal((2, 29, 23))), write)
+    grid = KernelGrid(x0=0.0, n=10, a_values=a, b_values=b, values=re + 1j * im)
+    kernel_csv_per_cell(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_canonical_solve_lines_span_chunks(tmp_path):
+    t = np.linspace(0.0, 1.0, 3001)
+    assert main(["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "2.0,0.5",
+                 "--t-grid", "0:1:3001", "--out", str(tmp_path)]) == 0
+    q = canonical.solve_ode_batch(canonical.CoshSinhHamiltonian(1.0), [2.0 + 0.5j], t)[:, 0]
+    rows = np.column_stack([t, q.reshape(-1, 4).view(float)]).tolist()
+    want = "t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows)
+    # 9 fields of at least 24 bytes a line: the 3001 lines need several chunks
+    assert 3001 * 9 * 24 > 2 * decimals.CHUNK_BYTES
+    assert (tmp_path / "solution.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 4)])
+def test_zero_length_line_axis_writes_no_line(shape):
+    buf = io.BytesIO()
+    decimals.write_lines(buf, decimals.text([["a,"]] * 3 if shape == (3, 0) else ["a,"]),
+                         np.empty(shape), decimals.text(["\n"]))
+    assert buf.getvalue() == b""
