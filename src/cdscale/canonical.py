@@ -12,11 +12,12 @@ interchangeable ways:
 kernel_grid computes the determinant form; the other two are independent
 references, in tests/references.py.
 
-Solvers: a closed-form matrix exponential for constant H (the trace-free
-generator J^{-1} H squares to -det(H) Id), and a classical fixed-step
-fourth-order Runge-Kutta integrator for t-dependent H. Fixed steps keep runs
-bit-reproducible; all built-in Hamiltonians are smooth or piecewise constant,
-and steps never straddle a breakpoint.
+Solvers: a piecewise-constant H, constant H included, is solved exactly, one
+scan.blocked_scan step per piece: on a piece of width d the flow is
+exp(d z J^{-1} H) = cos(w d z) Id + sin(w d z)/w J^{-1} H, w = sqrt(det H),
+as the trace-free J^{-1} H squares to -det(H) Id. A smooth H is solved by a
+classical fixed-step fourth-order Runge-Kutta integrator; fixed steps keep
+runs bit-reproducible.
 
 The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
 D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
@@ -88,33 +89,15 @@ class CanonicalSystem:
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior discontinuities the integrator must not step across."""
+        """Interior discontinuities of H."""
         return ()
-
-    def stage_value(self, t_lo, t_hi, tau) -> np.ndarray:
-        """H at Runge-Kutta stage points tau of the steps [t_lo, t_hi], shape tau.shape + (2, 2)."""
-        return self.H(tau)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
 
 
-class ConstantHamiltonian(CanonicalSystem):
-    def __init__(self, h):
-        self.h = _check_psd(_as_matrix(h), PSD_SAMPLE_TOL)
-
-    def H(self, t):
-        return np.broadcast_to(self.h, np.shape(t) + (2, 2))
-
-    def integral(self, t):
-        return np.multiply.outer(t, self.h)
-
-    def to_dict(self):
-        return {"kind": "constant", "h": self.h.tolist()}
-
-
 class PiecewiseConstantHamiltonian(CanonicalSystem):
-    """Constant on [t_k, t_{k+1}) for breakpoints 0 = t_0 < ... < t_K = 1."""
+    """Constant on [t_k, t_{k+1}) for breakpoints 0 = t_0 < ... < t_K = 1; solved exactly."""
 
     def __init__(self, edges, matrices):
         self.edges = np.asarray(edges, dtype=float)
@@ -125,21 +108,16 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
         self.matrices = np.stack([
             _check_psd(_as_matrix(m), PSD_SAMPLE_TOL, f" on piece {k}")
             for k, m in enumerate(matrices)])
-        widths = np.diff(self.edges)
+        self.widths = np.diff(self.edges)
         self._cum = np.concatenate([
             np.zeros((1, 2, 2)),
-            np.cumsum(widths[:, None, None] * self.matrices, axis=0)])
+            np.cumsum(self.widths[:, None, None] * self.matrices, axis=0)])
 
     def _piece(self, t):
         return np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.matrices) - 1)
 
     def H(self, t):
         return self.matrices[self._piece(t)]
-
-    def stage_value(self, t_lo, t_hi, tau):
-        # the step is inside one piece; its midpoint identifies the piece
-        # unambiguously even when tau sits on an edge
-        return self.matrices[self._piece(np.broadcast_to(0.5 * (t_lo + t_hi), np.shape(tau)))]
 
     def integral(self, t):
         k = self._piece(t)
@@ -151,6 +129,16 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
     def to_dict(self):
         return {"kind": "piecewise", "edges": self.edges.tolist(),
                 "matrices": self.matrices.tolist()}
+
+
+class ConstantHamiltonian(PiecewiseConstantHamiltonian):
+    """One piece on [0, 1]."""
+
+    def __init__(self, h):
+        super().__init__([0.0, 1.0], [h])
+
+    def to_dict(self):
+        return {"kind": "constant", "h": self.matrices[0].tolist()}
 
 
 class CoshSinhHamiltonian(CanonicalSystem):
@@ -200,27 +188,24 @@ def system_from_dict(d: dict) -> CanonicalSystem:
     raise ValueError(f"unknown canonical system kind {kind!r}")
 
 
-def constant_solution_batch(h, zs, ts) -> np.ndarray:
-    """Closed-form solutions exp(z t J^{-1} H) of a constant-coefficient system.
+def _generator(harr: np.ndarray) -> np.ndarray:
+    """J^{-1} H for symmetric 2x2 H, over leading axes."""
+    return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
+                     np.stack([-harr[..., 0, 0], -harr[..., 0, 1]], axis=-1)], axis=-2)
 
-    J^{-1} H is trace free with determinant det H >= 0, so by Cayley-Hamilton
-    exp(c J^{-1} H) = cos(w c) Id + sin(w c)/w J^{-1} H with w = sqrt(det H).
-    Returns shape (len(ts), len(zs), 2, 2) over spectral values zs and times ts.
+
+def _flow_factor(h, c) -> np.ndarray:
+    """exp(c J^{-1} H) over the broadcast axes of H (..., 2, 2) and complex c, shape (..., 2, 2).
+
+    J^{-1} H is trace free with determinant det H >= 0, so by Cayley-Hamilton this is
+    cos(w c) Id + sin(w c)/w J^{-1} H with w = sqrt(det H), and Id + c J^{-1} H for w = 0.
     """
-    arr = _check_psd(_as_matrix(h), SOLVE_CONSTANT_PSD_TOL)
-    h11, h12, h22 = arr[0, 0], arr[0, 1], arr[1, 1]
-    w = math.sqrt(max(h11 * h22 - h12 * h12, 0.0))
-    zs = np.asarray(zs, dtype=complex)
-    ts = np.asarray(ts, dtype=float)
-    c = ts[:, None] * zs[None, :]
-    if w == 0.0:
-        cos_part = np.ones_like(c)
-        sin_part = c
-    else:
-        cos_part = np.cos(w * c)
-        sin_part = np.sin(w * c) / w
+    h11, h12, h22 = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+    w = np.sqrt(np.maximum(h11 * h22 - h12 * h12, 0.0))
+    cos_part = np.where(w == 0.0, 1.0, np.cos(w * c))
+    sin_part = np.where(w == 0.0, c, np.sin(w * c) / np.where(w == 0.0, 1.0, w))
     # J^{-1} H = ((h12, h22), (-h11, -h12))
-    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out = np.empty(cos_part.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = cos_part + sin_part * h12
     out[..., 0, 1] = sin_part * h22
     out[..., 1, 0] = -sin_part * h11
@@ -228,21 +213,35 @@ def constant_solution_batch(h, zs, ts) -> np.ndarray:
     return out
 
 
-def _generator(harr: np.ndarray) -> np.ndarray:
-    """J^{-1} H for symmetric 2x2 H, over leading axes."""
-    return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
-                     np.stack([-harr[..., 0, 0], -harr[..., 0, 1]], axis=-1)], axis=-2)
+def constant_solution_batch(h, zs, ts) -> np.ndarray:
+    """Closed-form solutions exp(z t J^{-1} H) of a constant H, shape (len(ts), len(zs), 2, 2)."""
+    arr = _check_psd(_as_matrix(h), SOLVE_CONSTANT_PSD_TOL)
+    return _flow_factor(arr, np.asarray(ts, dtype=float)[:, None] * np.asarray(zs, dtype=complex))
 
 
-def _integration_path(system: CanonicalSystem, t_grid) -> list[float]:
-    ts = _check_t_grid([float(t) for t in t_grid])
-    t_max = ts[-1] if ts else 0.0
-    path = sorted({0.0, *ts, *[b for b in system.breakpoints() if b < t_max]})
-    return path
+def _exact_flow(system: PiecewiseConstantHamiltonian, zs, t_grid) -> np.ndarray:
+    """Q(t) = exp((t - t_k) z J^{-1} H_k) Q(t_k) on piece k; the Q(t_k) by one blocked_scan."""
+    ts = np.array(_check_t_grid([float(t) for t in t_grid]), dtype=float)
+    zs = np.asarray(zs, dtype=complex)
+    k = system._piece(ts)  # the piece of each t
+
+    def step(x, h, width):  # F x, for h (rows, 1, 2, 2) and width (rows, 1)
+        f = _flow_factor(h, width * zs).transpose(2, 3, 0, 1)  # (i, j, rows, z)
+        return f[:, :1] * x[0] + f[:, 1:] * x[1]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.eye(2, dtype=complex)[..., None].repeat(zs.size, axis=2)  # Q[i, j] over z
+        starts = blocked_scan(len(system.widths), start, step, (system.matrices, system.widths), k)
+        rest = (ts - system.edges[k])[:, None] * zs  # (t, z)
+        out = _flow_factor(system.matrices[k, None], rest) @ starts
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(f"exact solution overflows for |z| up to {np.max(np.abs(zs)):g}")
+    return out
 
 
-def _step_grid(path: list[float], max_step: float):
-    """Start and length of every RK4 step, and {steps taken: path point reached}."""
+def _step_grid(t_grid, max_step: float):
+    """Start and length of every RK4 step, uniform between t grid points, and {steps: t}."""
+    path = sorted({0.0, *_check_t_grid([float(t) for t in t_grid])})
     lo, hi = np.array(path[:-1]), np.array(path[1:])
     m = np.maximum(1, np.ceil((hi - lo) / max_step - 1e-12)).astype(int)
     step = (hi - lo) / m
@@ -258,8 +257,7 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
     One RK4 step with stage generators m0, m1, m2 = J^{-1} H at t, t + h/2,
     t + h is exactly Q -> Q + (z C1 + z^2 C2 + z^3 C3 + z^4 C4) Q.
     """
-    m0, m1, m2 = (_generator(system.stage_value(t_lo, t_lo + h, t_lo + f * h))
-                  for f in (0.0, 0.5, 1.0))
+    m0, m1, m2 = (_generator(system.H(t_lo + f * h)) for f in (0.0, 0.5, 1.0))
     h = h[:, None, None]
     m1m0 = m1 @ m0
     m1m1 = m1 @ m1
@@ -273,11 +271,11 @@ def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray)
 
 def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                     max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
-    """RK4 integration of J Q' = z H(t) Q for many z at once.
+    """Solutions of J Q' = z H(t) Q, Q(0) = I, for many z at once.
 
-    Returns shape (len(t_grid), len(zs), 2, 2). Steps are uniform within each
-    segment of the path (grid points plus Hamiltonian breakpoints) and never
-    longer than ``max_step``. Step k multiplies Q by I + D_k(z), D_k(z) =
+    Returns shape (len(t_grid), len(zs), 2, 2). A piecewise-constant system is
+    solved exactly (_exact_flow), others by RK4 steps of at most ``max_step``
+    (checked for all). Step k multiplies Q by I + D_k(z), D_k(z) =
     z C1 + z^2 C2 + z^3 C3 + z^4 C4. Each window of STEP_BLOCK_VALUES steps
     and balanced chunk of at most SCAN_PAIRS // isqrt(window) zs is one
     blocked_scan in increment form, whose snapshots are the t grid's steps and
@@ -290,10 +288,12 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     if not MIN_MAX_STEP <= max_step <= DEFAULT_MAX_STEP + 1e-15:
         raise ValueError(f"max_step {max_step!r} is outside [MIN_MAX_STEP, DEFAULT_MAX_STEP]"
                          f" = [{MIN_MAX_STEP:g}, {DEFAULT_MAX_STEP:g}]")
+    if isinstance(system, PiecewiseConstantHamiltonian):
+        return _exact_flow(system, zs, t_grid)
     zs = np.asarray(zs, dtype=complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
-    t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
+    t_lo, h, ends = _step_grid(ts, max_step)
     snaps = {k: slice(bisect_left(ts, t), bisect_right(ts, t)) for k, t in ends.items()}
     out = np.full((len(ts), nz, 2, 2), np.eye(2), complex)
     Q = np.eye(2, dtype=zs.dtype)[..., None].repeat(nz, axis=2)  # Q[i, j] over z

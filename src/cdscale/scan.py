@@ -14,7 +14,7 @@ t, indexed by step along its first axis; no coefficient is copied or padded,
 and the last block, which may be short, stops at its own last step. Pass 1
 forms full propagators; passes 2 and 3 carry the c columns alone. The finite-n
 products (jacobi.poly_table, transfer.transfer_matrices, transfer.q_snapshots)
-read 1-D coefficients; RK4 (canonical.solve_ode_batch) reads (steps, 4, 4).
+read 1-D coefficients; canonical's RK4 reads (steps, 4, 4), its exact flow (pieces, 2, 2).
 """
 
 import math

@@ -5,7 +5,7 @@
 ``transfer_from_polys`` is the column form of the transfer matrix. The scalar
 ``transfer.transfer_product`` is the third reference, for transfer_matrices.
 ``step_coefficients_loop`` forms the RK4 propagator coefficients from one
-scalar ``stage_value`` call per stage and step, as before H took arrays of t,
+scalar ``H`` call per stage and step, as before H took arrays of t,
 and ``rk4_step_loop`` is ``solve_ode_batch`` as it was before it multiplied
 runs of steps pairwise: Q += D(z) Q once per step, D(z) by Horner;
 ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``, and
@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from cdscale.canonical import (DEFAULT_MAX_STEP, PSD_SAMPLE_TOL, CanonicalSystem,
-                               _as_matrix, _check_psd, _generator, _integration_path,
+                               _as_matrix, _check_psd, _generator,
                                _step_coefficients, _step_grid, solve_ode_batch)
 from cdscale.cdkernel import _check_distinct, _num
 from cdscale.errors import InvalidCoefficient
@@ -113,7 +113,7 @@ def transfer_from_polys(model, ell, x, n=None) -> np.ndarray:
 
 def step_coefficients_loop(system, t_lo, h):
     """C1..C4 of the steps [t_lo, t_lo + h], stage values stacked from scalar calls."""
-    m0, m1, m2 = (_generator(np.stack([system.stage_value(t, t + s, t + f * s)
+    m0, m1, m2 = (_generator(np.stack([system.H(t + f * s)
                                         for t, s in zip(t_lo.tolist(), h.tolist())]))
                   for f in (0.0, 0.5, 1.0))
     h = h[:, None, None]
@@ -138,7 +138,7 @@ def rk4_step_loop(system, zs, t_grid, max_step=DEFAULT_MAX_STEP,
     zs = np.asarray(zs)
     zs = zs.astype(complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
-    t_lo, h, ends = _step_grid(_integration_path(system, ts), max_step)
+    t_lo, h, ends = _step_grid(ts, max_step)
     Q = np.zeros((2, 2, zs.shape[0]), dtype=zs.dtype)  # Q[i, j] over z
     Q[0, 0] = Q[1, 1] = 1.0
     q0, q1 = Q  # row views, updated in place
@@ -272,7 +272,8 @@ def kernel_integral_form(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
         seg = np.linspace(lo, hi, m + 1)
         ts.append(seg)
         weights.append(_simpson_weights(m, (hi - lo) / m))
-        hs.append(system.stage_value(lo, hi, seg))
+        # H's limit from inside the segment at its end, where a piece ends
+        hs.append(system.H(np.append(seg[:-1], np.nextafter(hi, lo))))
     ts = np.concatenate(ts)
     weights = np.concatenate(weights)
     hs = np.concatenate(hs)

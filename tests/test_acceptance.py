@@ -13,7 +13,7 @@ from cdscale.canonical import (ConstantHamiltonian, CoshSinhHamiltonian,
                                constant_solution_batch, kernel_grid, solve_ode_batch)
 from cdscale.cdkernel import (kernel_cd, kernel_det_q, kernel_sum, scaled_grid,
                               sine_compare, sine_kernel)
-from cdscale.jacobi import (ConstantModel, TableModel, poly_table, scaled_zeros)
+from cdscale.jacobi import (ConstantModel, PeriodicModel, TableModel, poly_table, scaled_zeros)
 from cdscale.limits import (BulkPointData, diagnostics, piecewise_estimate)
 from cdscale.mat2 import Mat2, inverse_unimodular, operator_norm
 from cdscale.models import (alternating_model, free_bulk_data, free_model,
@@ -21,7 +21,7 @@ from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             raw_limit_formula)
 from cdscale.transfer import (discrete_to_jacobi, h_sequence, one_step, q_snapshots,
                               q_trajectory_direct, transfer_product)
-from references import hb_kernel, kernel_integral_form, transfer_from_polys
+from references import CallableHamiltonian, hb_kernel, kernel_integral_form, transfer_from_polys
 
 FREE = ConstantModel(1.0, 0.0)
 RHO0 = 1.0 / (2.0 * math.pi)
@@ -226,10 +226,13 @@ def test_criterion_6_canonical_kernel_identities():
             mutual = max(mutual, abs(kd - ki), abs(kd - kh), abs(ki - kh))
     report(6, "three_form_agreement", mutual, 1e-6)
 
-    # the bulk-data Hamiltonian reproduces the sine kernel on all of the grid
+    # the bulk-data Hamiltonian reproduces the sine kernel on all of the grid;
+    # off the diagonal its exact solve leaves rounding alone
     worst = 0.0
+    worst_off = 0.0
     det_worst = 0.0
-    for w, rho, re_f in ((W0, RHO0, 0.0), (0.23, 0.4, -0.6), (1.1, 0.2, 0.35)):
+    off = ~np.eye(GRID51.size, dtype=bool)
+    for w, rho, re_f in ((W0, RHO0, 0.0), (0.23, 0.4, -0.6), (1.1, 0.2, 0.35), (0.23, 0.4, -3.0)):
         bpd = BulkPointData(0.0, w, rho, re_f)
         h = bpd.hamiltonian()
         det_worst = max(det_worst, abs(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
@@ -237,15 +240,43 @@ def test_criterion_6_canonical_kernel_identities():
         vals = kernel_grid(ConstantHamiltonian(h), GRID51, GRID51)
         ref = sine_kernel(GRID51[:, None], GRID51[None, :], rho, w)
         worst = max(worst, float(np.max(np.abs(vals - ref))))
+        worst_off = max(worst_off, float(np.max(np.abs(vals - ref)[off])))
     report(6, "bulk_hamiltonian_sine_kernel", worst, 1e-8)
+    report(6, "bulk_hamiltonian_sine_kernel_off_diagonal", worst_off, 1e-13)
     report(6, "det_h_pi_rho_squared", det_worst, 1e-10)
 
+    # RK4 solves smooth systems: the constant H as a callable
     ref = constant_solution_batch(np.eye(2) / 2, [10.0], [1.0])[0, 0]
-    sysc = ConstantHamiltonian(np.eye(2) / 2)
+    sysc = CallableHamiltonian(lambda t: np.eye(2) / 2, "constant 1/2")
     qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
     e1, e2 = (operator_norm(q - ref) for q in qs)
     factor = e1 / e2
     report(6, "rk4_halving_factor", factor, 20.0, ok=12.0 <= factor <= 20.0)
+
+
+def test_criterion_6_finite_n_kernel_is_a_canonical_kernel():
+    # the finite-n system solves a canonical system with n rank-one pieces
+    # (bins = n), so its kernel is the scaled CD kernel, off the diagonal up to
+    # rounding. Each side is an n-step recursion with an n-term sum or an
+    # n-factor product; to first order its rounding is n eps times the sizes
+    # of the terms: |P|^T |P| / n of the Gram sum, and |u(a)| |u(b)| / |a - b|
+    # of the determinant form. The bound takes 4 roundings a step
+    grid = np.linspace(-5.0, 5.0, 11)
+    off = ~np.eye(grid.size, dtype=bool)
+    gap = np.where(off, np.abs(grid[:, None] - grid[None, :]), 1.0)
+    worst = 0.0
+    for model, x0 in ((FREE, 0.3), (PeriodicModel((1.0, 1.05), (0.2, 0.2)), 0.0),
+                      (alternating_model(1.0), 0.0)):
+        for n in (50, 200, 1000):
+            system = piecewise_estimate(h_sequence(model, x0, n, n), n, bins=n)
+            got = kernel_grid(system, grid, grid)
+            want = scaled_grid(model, n, x0, grid, grid).values
+            P = np.abs(poly_table(model, x0 + grid / n, n - 1, n)[0])
+            u = np.abs(solve_ode_batch(system, grid, [1.0])[0, :, :, 0])
+            size = P.T @ P / n + (np.outer(u[:, 0], u[:, 1]) + np.outer(u[:, 1], u[:, 0])) / gap
+            bound = 4 * n * np.finfo(float).eps * size
+            worst = max(worst, float(np.max(np.abs(got - want)[off] / bound[off])))
+    report(6, "finite_n_kernel_vs_canonical_kernel", worst, 1.0)
 
 
 def test_criterion_7_inverse_map_round_trip():

@@ -1,9 +1,11 @@
 import cmath
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from cdscale.canonical import (DEFAULT_MAX_STEP, SCAN_PAIRS, STEP_BLOCK_VALUES,
                                ConstantHamiltonian,
                                CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
                                constant_solution_batch, kernel_grid, solve_ode_batch,
-                               system_from_dict, _integration_path,
+                               system_from_dict, _generator,
                                _step_coefficients, _step_grid)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.cdkernel import _check_distinct, kernel_sum
@@ -25,6 +27,7 @@ from references import (CallableHamiltonian, coshsinh_math, hb_kernel, hermite_b
 
 FREE = ConstantModel(1.0, 0.0)
 HALF_ID = np.eye(2) / 2
+EPS = np.finfo(float).eps
 FORMS_ATOL = 1e-6
 
 
@@ -59,6 +62,15 @@ def system_id(system):
     return type(system).__name__
 
 
+def rk4_view(system):
+    """The system itself, or a piecewise one's H as a CallableHamiltonian, which RK4 solves."""
+    if not isinstance(system, PiecewiseConstantHamiltonian):
+        return system
+    edges, pieces = system.edges.tolist(), system.matrices  # system.H, by a scalar lookup
+    return CallableHamiltonian(lambda t: pieces[min(bisect_right(edges, t), len(pieces)) - 1],
+                               type(system).__name__)
+
+
 def test_solve_constant_rotation():
     zs, ts = (0.5, 1.0, -2.3), (0.25, 1.0)
     qs = constant_solution_batch(HALF_ID, zs, ts)
@@ -85,12 +97,51 @@ def test_solve_constant_rejects_indefinite():
 
 
 def test_solve_ode_matches_closed_form():
-    sysc = ConstantHamiltonian(HALF_ID)
+    sysc = rk4_view(ConstantHamiltonian(HALF_ID))
     ts = [0.0, 0.5, 1.0]
     qs = solve_ode_batch(sysc, [1.0], ts)[:, 0]
     ref = constant_solution_batch(HALF_ID, [1.0], ts)
     for i, q in enumerate(qs):
         assert operator_norm(q - ref[i, 0]) <= 1e-10
+
+
+def piece_product(system, z, t):
+    """Q(t) for one z by scipy's expm of each piece's generator over its part of [0, t].
+
+    Also returns a rounding scale: the product of the factors' infinity norms.
+    """
+    q, scale = np.eye(2, dtype=complex), 1.0
+    for lo, hi, h in zip(system.edges[:-1].tolist(), system.edges[1:].tolist(), system.matrices):
+        if lo < t:
+            f = scipy.linalg.expm(z * (min(hi, t) - lo) * _generator(h))
+            q, scale = f @ q, scale * np.linalg.norm(f, np.inf)
+    return q, scale
+
+
+def test_exact_flow_is_the_product_of_piece_exponentials():
+    rank_one = [np.outer(v, v) for v in ([0.6, -0.8], [1.1, 0.3], [0.0, 0.9])]
+    system = PiecewiseConstantHamiltonian(
+        [0.0, 0.2, 0.45, 0.5, 0.8, 1.0],
+        [rank_one[0], np.array([[0.6, 0.1], [0.1, 0.4]]), rank_one[1], rank_one[2], HALF_ID])
+    # t = 0, inside pieces, on interior edges (0.2, 0.5, 0.8) and at 1
+    ts = [0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 0.7, 0.8, 0.95, 1.0]
+    zs = np.array([0.0, 3.0, -7.5 + 2.0j, 4.0j, 12.0 - 0.5j])
+    got = solve_ode_batch(system, zs, ts)
+    assert got.shape == (len(ts), len(zs), 2, 2)
+    assert np.array_equal(got[0], np.broadcast_to(np.eye(2), (len(zs), 2, 2)))
+    assert np.array_equal(got[4], got[5])
+    for i, t in enumerate(ts):
+        for j, z in enumerate(zs):
+            ref, scale = piece_product(system, z, t)
+            # each factor and each of up to 5 products round to a few units in the
+            # last place of the product of the factors' norms, as does expm
+            assert np.max(np.abs(got[i, j] - ref)) <= 8 * len(system.matrices) * EPS * scale
+    assert solve_ode_batch(system, zs, []).shape == (0, len(zs), 2, 2)
+    # a constant system is one piece: the flow is the closed form, value for value
+    grid = np.linspace(0.0, 1.0, 11)
+    for h in (HALF_ID, rank_one[0]):
+        assert np.array_equal(solve_ode_batch(ConstantHamiltonian(h), zs, grid),
+                              constant_solution_batch(h, zs, grid))
 
 
 def test_solve_ode_zero_is_identity():
@@ -107,7 +158,7 @@ def test_solve_ode_unimodular():
 
 def test_rk4_fourth_order_convergence():
     ref = constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0]
-    sysc = ConstantHamiltonian(HALF_ID)
+    sysc = rk4_view(ConstantHamiltonian(HALF_ID))
     qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
     e1, e2 = (operator_norm(q - ref) for q in qs)
     assert 12.0 <= e1 / e2 <= 20.0
@@ -287,17 +338,6 @@ def test_array_hamiltonian_matches_scalar_calls(system):
     assert got.shape == (2, 3, 2, 2)
     for idx in np.ndindex(ts.shape):
         assert np.array_equal(got[idx], system.H(float(ts[idx])))
-    # steps that start or end on the piecewise edges 0.3 and 0.75
-    t_lo = np.array([0.0, 0.25, 0.3, 0.7, 0.75, 0.95])
-    t_hi = t_lo + 0.05
-    for tau in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
-        ref = np.stack([system.stage_value(lo, hi, t)
-                        for lo, hi, t in zip(t_lo.tolist(), t_hi.tolist(), tau.tolist())])
-        assert np.array_equal(system.stage_value(t_lo, t_hi, tau), ref)
-    # one step's bounds with many stage points, as the Simpson nodes of the integral form
-    seg = np.linspace(0.3, 0.75, 7)
-    ref = np.stack([system.stage_value(0.3, 0.75, t) for t in seg.tolist()])
-    assert np.array_equal(system.stage_value(0.3, 0.75, seg), ref)
 
 
 def test_solver_rejects_bad_grids():
@@ -449,7 +489,7 @@ def test_batch_solver_matches_scalar():
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
 def test_step_coefficients_match_step_loop(system):
-    t_lo, h, _ = _step_grid(_integration_path(system, [0.2, 0.5, 1.0]), 1e-3)
+    t_lo, h, _ = _step_grid([0.2, 0.5, 1.0], 1e-3)
     got = _step_coefficients(system, t_lo, h)
     assert np.array_equal(got, step_coefficients_loop(system, t_lo, h))
     if isinstance(system, CoshSinhHamiltonian):
@@ -477,6 +517,9 @@ def test_solver_overflow_raises(recwarn):
     for zs in ([1e200], [1e200 + 1j]):
         with pytest.raises(ArithmeticError, match="RK4 solution overflows"):
             solve_ode_batch(CoshSinhHamiltonian(1.0), zs, [0.5, 1.0])
+    for system in built_in_systems()[::4]:  # cos(w c) overflows at |Im c| > 710 / w
+        with pytest.raises(ArithmeticError, match="exact solution overflows"):
+            solve_ode_batch(system, [1.0, 3000j], [0.5, 1.0])
     # numpy's own overflow warnings stay silent; the check above names the cause
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
@@ -485,8 +528,7 @@ def staged_rk4(system, zs, t_grid, max_step=1e-3):
     """Reference: the classical four-stage RK4 loop over (nz, 2, 2) arrays."""
     Q = np.broadcast_to(np.eye(2, dtype=complex), (len(zs), 2, 2)).copy()
     z = np.asarray(zs, dtype=complex)[:, None, None]
-    t_max = t_grid[-1] if len(t_grid) else 0.0
-    path = sorted({0.0, *t_grid, *[b for b in system.breakpoints() if b < t_max]})
+    path = sorted({0.0, *t_grid})
     snaps = {0.0: Q.copy()}
     for lo, hi in zip(path[:-1], path[1:]):
         m = max(1, math.ceil((hi - lo) / max_step - 1e-12))
@@ -494,8 +536,7 @@ def staged_rk4(system, zs, t_grid, max_step=1e-3):
         for i in range(m):
             t = lo + i * h
             m0, m1, m2 = (np.array([[g[0, 1], g[1, 1]], [-g[0, 0], -g[0, 1]]])
-                          for g in (system.stage_value(t, t + h, tau)
-                                    for tau in (t, t + 0.5 * h, t + h)))
+                          for g in (system.H(tau) for tau in (t, t + 0.5 * h, t + h)))
             k1 = z * (m0 @ Q)
             k2 = z * (m1 @ (Q + 0.5 * h * k1))
             k3 = z * (m1 @ (Q + 0.5 * h * k2))
@@ -515,11 +556,11 @@ def assert_matches_staged(system, zs, t_grid, max_step=1e-3):
 @pytest.mark.parametrize("system", built_in_systems() + [quadratic_ramp()], ids=system_id)
 def test_solver_matches_staged_rk4(system):
     zs = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j]
-    assert_matches_staged(system, zs, [0.2, 0.5, 1.0])
+    assert_matches_staged(rk4_view(system), zs, [0.2, 0.5, 1.0])
 
 
-def snapshot_steps(system, t_grid, max_step=DEFAULT_MAX_STEP):
-    return sorted(_step_grid(_integration_path(system, t_grid), max_step)[2])
+def snapshot_steps(t_grid, max_step=DEFAULT_MAX_STEP):
+    return sorted(_step_grid(t_grid, max_step)[2])
 
 
 @pytest.mark.parametrize("nz, t_grid, max_step, steps", [
@@ -538,7 +579,7 @@ def snapshot_steps(system, t_grid, max_step=DEFAULT_MAX_STEP):
 def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step, steps):
     assert SCAN_PAIRS == 6144 and STEP_BLOCK_VALUES == 4096  # the comments above
     system = CoshSinhHamiltonian(1.0)
-    assert snapshot_steps(system, t_grid, max_step) == steps
+    assert snapshot_steps(t_grid, max_step) == steps
     zs = np.linspace(-6.0, 6.0, nz) + 0.25j
     assert_matches_staged(system, zs, t_grid, max_step)
 
@@ -550,7 +591,7 @@ def test_solver_snapshot_at_every_step(points, nz):
     # scan reruns every block to its end; 4200 steps cross into a second window
     t_grid = np.linspace(0.0, 1.0, points).tolist()
     system = CoshSinhHamiltonian(1.0)
-    assert snapshot_steps(system, t_grid) == list(range(1, points))
+    assert snapshot_steps(t_grid) == list(range(1, points))
     assert_matches_staged(system, np.linspace(-3.0, 7.0, nz) + 0.5j, t_grid)
 
 
@@ -568,7 +609,7 @@ def test_solver_result_does_not_depend_on_the_batch(complex_z):
     assert zs.size > 2 * (SCAN_PAIRS // math.isqrt(1001))
     system = CoshSinhHamiltonian(1.0)
     t_grid = [0.248, 0.6, 0.6005, 1.0]
-    assert snapshot_steps(system, t_grid) == [248, 600, 601, 1001]
+    assert snapshot_steps(t_grid) == [248, 600, 601, 1001]
     wide = solve_ode_batch(system, zs, t_grid)
     for picks in ([0, 599], [127, 128], rng.choice(600, 13, replace=False),
                   np.arange(200, 251)):
@@ -581,7 +622,7 @@ def test_solver_one_step_blocks():
     # last block of one step; 2 * (SCAN_PAIRS // 8) + 1 zs make three chunks
     system = CoshSinhHamiltonian(0.7)
     t_grid = [0.02, 0.021, 0.022, 0.065]
-    assert snapshot_steps(system, t_grid) == [20, 21, 22, 65]
+    assert snapshot_steps(t_grid) == [20, 21, 22, 65]
     zs = np.linspace(-20.0, 20.0, 2 * (SCAN_PAIRS // 8) + 1)
     assert_matches_staged(system, zs, t_grid)
 
@@ -602,7 +643,7 @@ def rk4_rounding_bound(system, zs, t_grid, max_step):
     """
     scale = rk4_step_loop(system, np.abs(zs), t_grid, max_step,
                           coefficients=lambda *a: np.abs(_step_coefficients(*a)))
-    n_steps = len(_step_grid(_integration_path(system, t_grid), max_step)[1])
+    n_steps = len(_step_grid(t_grid, max_step)[1])
     return 32 * max(n_steps, 1) * 2.0 ** -53 * scale.real
 
 
@@ -612,15 +653,15 @@ def solver_cases(draw):
 
     The runs between snapshots include lengths 1, 2, 3, another odd length
     and one longer than any scan block (isqrt of a window of at most
-    STEP_BLOCK_VALUES steps); a piecewise system adds its breakpoints, which
-    may fall between steps of the grid. Over SCAN_PAIRS // isqrt(steps) zs
-    fill more than one chunk of z: 96 in a window of 4096 steps, 198 in one
-    of 1000.
+    STEP_BLOCK_VALUES steps); piecewise systems come as CallableHamiltonian
+    views of their H, which RK4 steps across the breakpoints. Over
+    SCAN_PAIRS // isqrt(steps) zs fill more than one chunk of z: 96 in a
+    window of 4096 steps, 198 in one of 1000.
     """
     edges = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True))
-    system = draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
+    system = rk4_view(draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
         [0.0, *sorted(edges), 1.0], [random_psd(np.random.default_rng(k))
-                                      for k in range(len(edges) + 1)])]))
+                                      for k in range(len(edges) + 1)])])))
     max_step = draw(st.sampled_from([1e-3, 2.0 ** -12, 1.0 / 4500]))
     block = math.isqrt(STEP_BLOCK_VALUES)
     runs = draw(st.permutations([1, 2, 3, draw(st.sampled_from([5, 7, 9, 63, 65])),
@@ -630,8 +671,6 @@ def solver_cases(draw):
     # t = 1 ends a last run that crosses many blocks, and past 4096 steps a
     # window too
     t_grid = [t for t in (steps * max_step).tolist() if t < 1.0] + [1.0]
-    if draw(st.booleans()):
-        t_grid = sorted(t_grid + [b for b in system.breakpoints() if b <= t_grid[-1]])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     zs = rng.uniform(-4.0, 4.0, draw(st.integers(1, 300)))
     if draw(st.booleans()):
