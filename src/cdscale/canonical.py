@@ -57,24 +57,31 @@ SCAN_PAIRS = 6144  # (block, z) pairs per RK4 scan, which bound the scan's state
 COINCIDENCE_ROWS = 16
 
 
-def _as_matrix(h) -> np.ndarray:
-    arr = np.array(h, dtype=float)
-    if arr.shape != (2, 2):
+def _check_psd(h, tol: float, where=lambda k: "") -> np.ndarray:
+    """The stack h (K, 2, 2) as floats, after checking each value: finite, symmetric, >= -tol.
+
+    The first failing value k is named, at where(k), with its first failing check.
+    """
+    if isinstance(h, list) and len({np.shape(v) for v in h}) > 1:  # numpy's error would not say so
         raise ValueError("Hamiltonian values must be 2x2")
-    return arr
-
-
-def _check_psd(arr: np.ndarray, tol: float, where: str = "") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NotPSD(f"Hamiltonian value{where} is not finite")
-    # both comparisons are written to fail on NaN
-    if not abs(arr[0, 1] - arr[1, 0]) <= 1e-12 * max(1.0, abs(arr[0, 1])):
-        raise ValueError(f"Hamiltonian value{where} is not symmetric")
-    lo, _ = symmetric_eig_bounds(arr)
-    if not lo >= -tol:
-        raise NotPSD(f"Hamiltonian value{where} has eigenvalue {lo:.3e} < -{tol:g}"
-                     f" (largest entry {np.max(np.abs(arr)):.3e})")
-    return arr
+    m = np.array(h, dtype=float)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise ValueError("Hamiltonian values must be 2x2")
+    with np.errstate(over="ignore", invalid="ignore"):  # the failing value is named below
+        finite = np.isfinite(m).all(axis=(1, 2))
+        # both comparisons are written to fail on NaN
+        symmetric = np.abs(m[:, 0, 1] - m[:, 1, 0]) <= 1e-12 * np.maximum(1.0, np.abs(m[:, 0, 1]))
+        lo, _ = symmetric_eig_bounds(m)
+        ok = finite & symmetric & (lo >= -tol)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if not finite[k]:
+            raise NotPSD(f"Hamiltonian value{where(k)} is not finite")
+        if not symmetric[k]:
+            raise ValueError(f"Hamiltonian value{where(k)} is not symmetric")
+        raise NotPSD(f"Hamiltonian value{where(k)} has eigenvalue {lo[k]:.3e} < -{tol:g}"
+                     f" (largest entry {np.max(np.abs(m[k])):.3e})")
+    return m
 
 
 class CanonicalSystem:
@@ -105,13 +112,10 @@ class PiecewiseConstantHamiltonian(CanonicalSystem):
             raise ValueError("need len(edges) == len(matrices) + 1")
         if self.edges[0] != 0.0 or self.edges[-1] != 1.0 or np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must increase strictly from 0 to 1")
-        self.matrices = np.stack([
-            _check_psd(_as_matrix(m), PSD_SAMPLE_TOL, f" on piece {k}")
-            for k, m in enumerate(matrices)])
+        self.matrices = _check_psd(matrices, PSD_SAMPLE_TOL, lambda k: f" on piece {k}")
         self.widths = np.diff(self.edges)
-        self._cum = np.concatenate([
-            np.zeros((1, 2, 2)),
-            np.cumsum(self.widths[:, None, None] * self.matrices, axis=0)])
+        self._cum = np.zeros((len(self.widths) + 1, 2, 2))
+        np.cumsum(self.widths[:, None, None] * self.matrices, axis=0, out=self._cum[1:])
 
     def _piece(self, t):
         return np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.matrices) - 1)
@@ -178,9 +182,9 @@ def system_from_dict(d: dict) -> CanonicalSystem:
     kind = d.get("kind")
     try:
         if kind == "constant":
-            return ConstantHamiltonian(np.asarray(d["h"]))
+            return ConstantHamiltonian(d["h"])
         if kind == "piecewise":
-            return PiecewiseConstantHamiltonian(d["edges"], [np.asarray(m) for m in d["matrices"]])
+            return PiecewiseConstantHamiltonian(d["edges"], d["matrices"])
         if kind == "cosh-sinh":
             return CoshSinhHamiltonian(d["v"])
     except KeyError as exc:
@@ -215,7 +219,7 @@ def _flow_factor(h, c) -> np.ndarray:
 
 def constant_solution_batch(h, zs, ts) -> np.ndarray:
     """Closed-form solutions exp(z t J^{-1} H) of a constant H, shape (len(ts), len(zs), 2, 2)."""
-    arr = _check_psd(_as_matrix(h), SOLVE_CONSTANT_PSD_TOL)
+    arr = _check_psd([h], SOLVE_CONSTANT_PSD_TOL)[0]
     return _flow_factor(arr, np.asarray(ts, dtype=float)[:, None] * np.asarray(zs, dtype=complex))
 
 

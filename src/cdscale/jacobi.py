@@ -82,19 +82,28 @@ class CoefficientModel:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _validate(self, a: float, b: float, j: int) -> tuple[float, float]:
-        if not (a > 0.0) or not math.isfinite(a):
-            raise InvalidCoefficient(f"a_{j} = {a!r} must be positive and finite")
-        if not math.isfinite(b):
-            raise InvalidCoefficient(f"b_{j} = {b!r} must be finite")
-        return float(a), float(b)
+
+def check_coefficients(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a_1.. and b_1.. as float arrays, after checking a_j > 0 and finite, b_j finite.
+
+    Float arrays are not copied. InvalidCoefficient names the first bad j, a_j before b_j.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bad_a = ~((0.0 < a) & (a < np.inf))  # NaN too
+    bad = bad_a | ~np.isfinite(b)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_a[k]:
+            raise InvalidCoefficient(f"a_{k + 1} = {float(a[k])!r} must be positive and finite")
+        raise InvalidCoefficient(f"b_{k + 1} = {float(b[k])!r} must be finite")
+    return a, b
 
 
 class ConstantModel(CoefficientModel):
     """a_j = a, b_j = b for all j. ``ConstantModel(1.0, 0.0)`` is the free model."""
 
     def __init__(self, a: float, b: float):
-        self.a, self.b = self._validate(a, b, 1)
+        (self.a,), (self.b,) = (x.tolist() for x in check_coefficients([a], [b]))
 
     def coeff_at(self, j, n=None):
         return np.full(len(j), self.a), np.full(len(j), self.b)
@@ -109,9 +118,7 @@ class PeriodicModel(CoefficientModel):
     def __init__(self, a_list, b_list):
         if len(a_list) != len(b_list) or not a_list:
             raise InvalidCoefficient("period lists must be nonempty and equal length")
-        pairs = [self._validate(a, b, j + 1) for j, (a, b) in enumerate(zip(a_list, b_list))]
-        self.a_list = np.array([p[0] for p in pairs])
-        self.b_list = np.array([p[1] for p in pairs])
+        self.a_list, self.b_list = check_coefficients(a_list, b_list)
 
     def coeff_at(self, j, n=None):
         k = (j - 1) % len(self.a_list)
@@ -131,9 +138,7 @@ class TableModel(CoefficientModel):
     def __init__(self, a_list, b_list, source: str | None = None):
         if len(a_list) != len(b_list):
             raise InvalidCoefficient("a and b tables must have equal length")
-        pairs = [self._validate(a, b, j + 1) for j, (a, b) in enumerate(zip(a_list, b_list))]
-        self.a_list = np.array([p[0] for p in pairs])
-        self.b_list = np.array([p[1] for p in pairs])
+        self.a_list, self.b_list = check_coefficients(a_list, b_list)
         self.source = source
 
     def __len__(self):
@@ -244,10 +249,7 @@ def poly_table(model: CoefficientModel, xs, up_to: int, n: int | None = None,
     visit(start[:, :, None], slice(0, 1))  # p_0 and q_0: the scan visits steps 1..up_to only
     if up_to == 0:
         return result
-    a, b = model.coeff_arrays(up_to, n)
-    if np.any(a <= 0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        bad = int(np.argmax((a <= 0) | ~np.isfinite(a) | ~np.isfinite(b))) + 1
-        raise InvalidCoefficient(f"invalid coefficient pair at index {bad}")
+    a, b = check_coefficients(*model.coeff_arrays(up_to, n))
     a = np.concatenate([[1.0], a])  # a_0 = 1, then a_1..a_up_to
 
     # the new row is formed in place of the oldest, as (-a_prev y_{ell-1} + shift y_ell) / a_ell

@@ -16,11 +16,10 @@ binned estimate) and checks the equivalence between sine-kernel asymptotics
 of the scaled CD kernel and convergence of Q_[tn](a/n) to the constant-H
 rotation flow determined by the bulk data (w, rho, Re F) at the point.
 
-Beyond the h sequence itself, the diagnostics hold two 1-D arrays of length n
-for the norm profile, freed before the partial sums S_m = sum_{j < m} H_j are
-taken in blocks of CONV_ROWS rows: each entry of S_m is a running sum of p^2,
--pq or q^2 that carries on from the block before, and the candidate is
-compared block by block.
+Beyond the h sequence, the diagnostics hold the norms and their running sums,
+then the partial sums S_m = sum_{j < m} H_j in blocks of CONV_ROWS rows, each
+entry a running sum of p^2, -pq or q^2 carried from block to block, to which
+the candidate is compared. piecewise_estimate sums each bin's entries directly.
 
 Boundedness of the generating polynomial values is a hypothesis of the
 compactness machinery, not something finite data can certify; the reports
@@ -133,20 +132,19 @@ def _h_partial_blocks(h_seq: DiscreteHSequence, n: int):
     Each entry is a running sum of p^2, -pq or q^2 that carries on from the last
     row of the block before, so every row has the bits of one cumsum over all n.
     """
-    p, q = h_seq.ps[:n], h_seq.qs[:n]
-    last = None
+    x = h_seq.ps[:n], -h_seq.qs[:n]  # H_j = x_j x_j^T
     for lo in range(0, n + 1, CONV_ROWS):
         hi = min(lo + CONV_ROWS, n + 1)
         s = np.zeros((hi - lo, 2, 2))
         # row k is S_(lo + k) = S_(lo + k - 1) + H_(lo + k - 1); the first block starts
         # from S_0 = 0 and S_1 = H_0 itself, as a cumsum does (0.0 + -0.0 is +0.0)
-        k = 1 if last is None else 0
-        ps, qs = p[lo + k - 1:hi - 1], q[lo + k - 1:hi - 1]
-        for (i, j), h in (((0, 0), ps * ps), ((0, 1), -ps * qs), ((1, 1), qs * qs)):
-            if last is not None:
+        k = int(lo == 0)
+        rows = slice(lo + k - 1, hi - 1)
+        for i, j in np.ndindex(2, 2):
+            h = x[i][rows] * x[j][rows]
+            if lo:  # carry on from the last row of the block before
                 h[0] += last[i, j]
             np.cumsum(h, out=s[k:, i, j])
-        s[:, 1, 0] = s[:, 0, 1]
         last = s[-1].copy()
         yield lo, s
 
@@ -154,20 +152,22 @@ def _h_partial_blocks(h_seq: DiscreteHSequence, n: int):
 def piecewise_estimate(h_seq: DiscreteHSequence, n: int, bins: int) -> CanonicalSystem:
     """Piecewise-constant Hamiltonian estimate with ``bins`` equal time bins.
 
-    Bin k holds (bins/n) sum of H_j over j in [floor(nk/bins), floor(n(k+1)/bins)).
-    Each bin matrix is an average of PSD rank-one matrices, hence PSD. With a
-    single bin this is the Cesaro mean.
+    Bin k holds (bins/n) sum of H_j over j in [floor(nk/bins), floor(n(k+1)/bins)),
+    summed entry by entry over the bin's p^2, -pq and q^2 (an empty bin is zero):
+    an average of PSD rank-one matrices, hence PSD, and H_k itself at bins = n.
+    With a single bin this is the Cesaro mean.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    edges_j = np.array([int(math.floor(n * k / bins)) for k in range(bins + 1)])
-    at_edges = np.empty((bins + 1, 2, 2))
-    for lo, s in _h_partial_blocks(h_seq, n):
-        inside = (edges_j >= lo) & (edges_j < lo + len(s))
-        at_edges[inside] = s[edges_j[inside] - lo]
-    mats = [(at_edges[k + 1] - at_edges[k]) * (bins / n) for k in range(bins)]
-    edges_t = np.arange(bins + 1) / bins
-    return PiecewiseConstantHamiltonian(edges_t, mats)
+    if not 1 <= n <= len(h_seq):
+        raise ValueError("n must be >= 1" if n < 1 else "h sequence too short")
+    edges_j = np.floor(n * np.arange(bins + 1) / bins).astype(np.int64)
+    full = edges_j[:-1] < edges_j[1:]
+    mats = np.zeros((bins, 2, 2))
+    x = h_seq.ps[:n], -h_seq.qs[:n]  # H_j = x_j x_j^T
+    for i, j in np.ndindex(2, 2):  # each nonempty bin sums up to the next one's start
+        mats[full, i, j] = np.add.reduceat(x[i] * x[j], edges_j[:-1][full])
+    return PiecewiseConstantHamiltonian(np.arange(bins + 1) / bins, mats * (bins / n))
 
 
 def diagnostics(h_seq: DiscreteHSequence, n: int,
@@ -181,19 +181,15 @@ def diagnostics(h_seq: DiscreteHSequence, n: int,
     if n > len(h_seq):
         raise ValueError("h sequence too short")
     norms = h_seq.norms()[:n]
-    cum_norms = np.empty(n + 1)
-    cum_norms[0] = 0.0
+    cum_norms = np.zeros(n + 1)
     np.cumsum(norms, out=cum_norms[1:])
     avg_norm = float(cum_norms[n] / n)
     sup_norm = float(np.max(norms))
     profile = []
     for L in L_list:
-        worst = 0.0
-        for k in range(int(L)):
-            lo = int(math.floor(n * k / L))
-            hi = min(int(math.floor(n * (k + 1) / L)), n - 1)
-            worst = max(worst, float(cum_norms[hi + 1] - cum_norms[lo]) / n)
-        profile.append((int(L), worst))
+        cuts = np.floor(n * np.arange(int(L) + 1) / L).astype(np.int64)
+        sums = cum_norms[np.minimum(cuts[1:], n - 1) + 1] - cum_norms[cuts[:-1]]
+        profile.append((int(L), float(np.fmax.reduce(sums, initial=0.0)) / n))  # NaN skipped
     del norms, cum_norms
     cand_dict = candidate.to_dict() if candidate is not None else None
     block_max = []

@@ -69,12 +69,9 @@ class DiscreteHSequence:
 
     def entry_arrays(self) -> np.ndarray:
         """All entries as an (len, 2, 2) array."""
-        p, q = self.ps, self.qs
-        h = np.empty((len(self), 2, 2))
-        h[:, 0, 0] = p * p
-        h[:, 0, 1] = -p * q
-        h[:, 1, 0] = -p * q
-        h[:, 1, 1] = q * q
+        x, h = (self.ps, -self.qs), np.empty((len(self), 2, 2))  # H_ell = x_ell x_ell^T
+        for i, j in np.ndindex(2, 2):
+            h[:, i, j] = x[i] * x[j]
         return h
 
     def wronskian_residual(self, a) -> float:
@@ -173,7 +170,7 @@ def h_sequence(model: CoefficientModel, x0: float, up_to: int,
 def _check_t_grid(t_grid) -> list:
     """The times as a list, after checking that they are sorted and lie in [0, 1]."""
     ts = list(t_grid)
-    if any(t < 0.0 or t > 1.0 for t in ts):
+    if any(not 0.0 <= t <= 1.0 for t in ts):  # NaN too
         raise ValueError("t grid must lie in [0, 1]")
     if sorted(ts) != ts:
         raise ValueError("t grid must be sorted")

@@ -22,8 +22,9 @@ blocks: one cumsum over the (n, 2, 2) entry array, and one norm over all
 n + 1 grid points.
 
 Independent oracles that no command reaches:
-``CallableHamiltonian`` wraps any smooth t -> H(t), checked per call, and
-``CustomModel`` any j -> (a_j, b_j). ``kernel_integral_form`` (Simpson's
+``CallableHamiltonian`` wraps any smooth t -> H(t), its values checked as one
+stack per call, and ``CustomModel`` any j -> (a_j, b_j), unchecked, since
+poly_table checks what it reads. ``kernel_integral_form`` (Simpson's
 rule between breakpoints) and ``hb_kernel`` (through the Hermite-Biehler
 function ``hermite_biehler``) are the two kernel forms that check
 ``kernel_grid``'s determinant form. ``all_scaled_zeros`` is every zero of
@@ -37,7 +38,7 @@ import math
 import numpy as np
 
 from cdscale.canonical import (DEFAULT_MAX_STEP, PSD_SAMPLE_TOL, CanonicalSystem,
-                               _as_matrix, _check_psd, _generator,
+                               _check_psd, _generator,
                                _step_coefficients, _step_grid, solve_ode_batch)
 from cdscale.cdkernel import _check_distinct, _num
 from cdscale.errors import InvalidCoefficient
@@ -220,7 +221,7 @@ def matrix_conv_whole(h_seq, n, candidate):
 
 
 class CallableHamiltonian(CanonicalSystem):
-    """Wrap an arbitrary (smooth) t -> 2x2 PSD matrix; values checked per call."""
+    """Wrap an arbitrary (smooth) t -> 2x2 PSD matrix; one stack check per call of H."""
 
     def __init__(self, fn, description: str, quad_points: int = 2000):
         self.fn = fn
@@ -228,9 +229,10 @@ class CallableHamiltonian(CanonicalSystem):
         self.quad_points = quad_points
 
     def H(self, t):
-        if np.ndim(t):
-            return np.array([self.H(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (2, 2))
-        return _check_psd(_as_matrix(self.fn(t)), PSD_SAMPLE_TOL, f" at t = {t}")
+        ts = np.ravel(t).tolist()
+        h = np.reshape([self.fn(s) for s in ts], (len(ts), 2, 2))
+        h = _check_psd(h, PSD_SAMPLE_TOL, lambda k: f" at t = {ts[k]}")
+        return h.reshape(np.shape(t) + (2, 2))
 
     def integral(self, t):
         if np.ndim(t):
@@ -308,7 +310,7 @@ def hb_kernel(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
 
 
 class CustomModel(CoefficientModel):
-    """Wrap a callable j -> (a_j, b_j), or (n, j) -> (a_j, b_j) if n-dependent."""
+    """Wrap a callable j -> (a_j, b_j), or (n, j) -> (a_j, b_j) if n-dependent; unchecked."""
 
     def __init__(self, fn, description: str, n_dependent: bool = False):
         self.fn = fn
@@ -318,8 +320,7 @@ class CustomModel(CoefficientModel):
     def coeff_at(self, j, n=None):
         if self.n_dependent and n is None:
             raise InvalidCoefficient("order context n is required for an n-dependent model")
-        pairs = [self._validate(*(self.fn(n, k) if self.n_dependent else self.fn(k)), k)
-                 for k in j.tolist()]
+        pairs = [self.fn(n, k) if self.n_dependent else self.fn(k) for k in j.tolist()]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def describe(self):

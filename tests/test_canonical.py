@@ -301,6 +301,36 @@ def test_piecewise_integral_exact():
     np.testing.assert_allclose(system.integral(0.0), np.zeros((2, 2)), atol=0)
 
 
+def test_psd_check_names_the_first_bad_value():
+    # an asymmetric piece ahead of a NaN piece and a negative one: the first is named
+    edges = np.linspace(0.0, 1.0, 5)
+    asym, nan, neg = np.array([[1.0, 0.5], [0.0, 1.0]]), np.full((2, 2), np.nan), -np.eye(2)
+    cases = [([HALF_ID, asym, nan, neg], ValueError, "on piece 1 is not symmetric"),
+             ([HALF_ID, HALF_ID, nan, asym], NotPSD, "on piece 2 is not finite"),
+             ([HALF_ID, HALF_ID, HALF_ID, neg], NotPSD,
+              "on piece 3 has eigenvalue -1.000e+00 < -1e-12 (largest entry 1.000e+00)")]
+    for pieces, kind, where in cases:
+        with pytest.raises(ValueError) as info:
+            PiecewiseConstantHamiltonian(edges, pieces)
+        assert type(info.value) is kind and str(info.value) == "Hamiltonian value " + where
+    with pytest.raises(NotPSD) as info:
+        constant_solution_batch(np.array([[1.0, 0.0], [0.0, -1e-6]]), [1.0], [1.0])
+    assert str(info.value) == ("Hamiltonian value has eigenvalue -1.000e-06 < -1e-10"
+                               " (largest entry 1.000e+00)")
+    for pieces in ([np.eye(3)], [HALF_ID, np.eye(3)]):  # values of one shape or two
+        with pytest.raises(ValueError, match="^Hamiltonian values must be 2x2$"):
+            PiecewiseConstantHamiltonian(np.linspace(0.0, 1.0, len(pieces) + 1), pieces)
+    ramp = CallableHamiltonian(lambda t: np.eye(2) * (0.5 - t), "ramp")
+    with pytest.raises(NotPSD, match=r"^Hamiltonian value at t = 0\.75 has eigenvalue"):
+        ramp.H(np.array([[0.0, 0.5], [0.75, 1.0]]))
+
+
+@pytest.mark.parametrize("system", [ConstantHamiltonian(HALF_ID), CoshSinhHamiltonian(1.0)])
+def test_solver_refuses_nan_in_the_t_grid(system):
+    with pytest.raises(ValueError, match=r"^t grid must lie in \[0, 1\]$"):
+        solve_ode_batch(system, [1.0], [0.5, math.nan])
+
+
 def test_psd_validation_and_serialization():
     with pytest.raises(NotPSD):
         ConstantHamiltonian(np.array([[1.0, 2.0], [2.0, 1.0]]))

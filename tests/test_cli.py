@@ -115,6 +115,13 @@ def test_diagnostics_command(tmp_path):
     assert data["piecewise_estimate"]["kind"] == "piecewise"
 
 
+def test_diagnostics_with_a_bin_per_term(tmp_path):
+    # every bin is one rank-one H_j, whose smallest eigenvalue must round to no less than -1e-12
+    assert main(["diagnostics", "--model", "free", "--x0", "0.3", "--n", "64000",
+                 "--bins", "64000", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "diagnostics.json").exists()
+
+
 def test_diagnostics_alternating_coshsinh_candidate(tmp_path):
     code = main(["diagnostics", "--model", "alternating-v", "--v", "1",
                  "--n", "10000", "--x0", "0", "--candidate", "coshsinh",

@@ -67,8 +67,27 @@ def test_recurrence_invalid_coefficient():
     with pytest.raises(InvalidCoefficient):
         ConstantModel(1.0, math.inf)
     bad = CustomModel(lambda j: (1.0 if j < 3 else -1.0, 0.0), "bad tail")
-    with pytest.raises(InvalidCoefficient):
+    with pytest.raises(InvalidCoefficient, match=r"^a_3 = -1\.0 must be positive and finite$"):
         poly_table(bad, [0.0], 5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConstantModel(1.0, math.nan), "b_1 = nan must be finite"),
+    (lambda: PeriodicModel([1.0, -1.0, math.nan], [0.0, math.inf, 0.0]),
+     "a_2 = -1.0 must be positive and finite"),
+    (lambda: TableModel([1.0, 1.0, 0.0, math.inf], [0.0, -math.inf, math.nan, 0.0]),
+     "b_2 = -inf must be finite"),
+    (lambda: TableModel([2.0, math.nan], [0.5, math.nan]), "a_2 = nan must be positive and finite"),
+    # computed coefficients: b_4 is NaN past the first bad a_3
+    (lambda: poly_table(CustomModel(lambda j: (1.0 if j != 3 else 0.0, 0.0 if j < 4 else math.nan),
+                                    "bad tail"), [0.0], 6),
+     "a_3 = 0.0 must be positive and finite"),
+])
+def test_coefficient_check_names_the_first_bad_entry(make, message):
+    # several bad entries: the first index is named, a_j before b_j
+    with pytest.raises(InvalidCoefficient) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_alternating_model_signs_and_context():

@@ -136,6 +136,39 @@ def test_piecewise_estimate_alternating_matches_coshsinh():
         assert np.max(np.abs(est.H(t) - target.H(t))) <= 0.02
 
 
+def test_piecewise_estimate_sums_each_bin():
+    # bins of unequal lengths, empty bins (bins > n) and one term per bin; a sum of
+    # m terms and its scaling round by at most (m + 1) eps times the sum of their sizes
+    seq = h_sequence(bounded_model(56), 0.0, 40)
+    h = seq.entry_arrays()
+    eps = np.finfo(float).eps
+    for n, bins in ((37, 5), (10, 23), (40, 40)):
+        est = piecewise_estimate(seq, n, bins)
+        cuts = [math.floor(n * k / bins) for k in range(bins + 1)]
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            want = h[lo:hi].sum(axis=0) * (bins / n)
+            bound = (hi - lo + 1) * eps * np.abs(h[lo:hi]).sum(axis=0) * (bins / n)
+            assert np.all(np.abs(est.matrices[k] - want) <= bound)
+
+
+@pytest.mark.parametrize("model, x0", [(FREE, 0.3), (AlternatingSignModel(1.0), 0.0)])
+def test_piecewise_estimate_with_a_bin_per_term_is_the_h_sequence(model, x0):
+    # each bin is one rank-one H_j as entry_arrays forms it, which passes the PSD check
+    n = 64000
+    seq = h_sequence(model, x0, n, n)
+    est = piecewise_estimate(seq, n, n)
+    assert est.matrices.tobytes() == seq.entry_arrays()[:n].tobytes()
+
+
+def test_piecewise_estimate_refuses_short_sequences():
+    seq = h_sequence(FREE, 0.0, 100)  # H_0..H_100
+    with pytest.raises(ValueError, match="^h sequence too short$"):
+        piecewise_estimate(seq, 150, 50)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        piecewise_estimate(seq, 0, 50)
+    assert len(piecewise_estimate(seq, 101, 50).matrices) == 50
+
+
 def test_matrix_conv_self_consistency():
     model = bounded_model(55)
     n = 800

@@ -337,3 +337,11 @@ def test_t_grid_validation():
         q_trajectory_direct(FREE, 10, 0.0, [1.0], [0.5, 0.2])
     with pytest.raises(ValueError):
         q_trajectory_direct(FREE, 10, 0.0, [1.0], [1.5])
+
+
+def test_t_grid_refuses_nan():
+    seq = h_sequence(FREE, 0.0, 10)
+    for solve in (lambda t: q_snapshots(seq, 10, [1.0], t),
+                  lambda t: q_trajectory_direct(FREE, 10, 0.0, [1.0], t)):
+        with pytest.raises(ValueError, match=r"^t grid must lie in \[0, 1\]$"):
+            solve([0.5, math.nan])
