@@ -15,9 +15,10 @@ references, in tests/references.py.
 Solvers: a piecewise-constant H, constant H included, is solved exactly, one
 scan.blocked_scan step per piece: on a piece of width d the flow is
 exp(d z J^{-1} H) = cos(w d z) Id + sin(w d z)/w J^{-1} H, w = sqrt(det H),
-as the trace-free J^{-1} H squares to -det(H) Id. A smooth H is solved by a
-classical fixed-step fourth-order Runge-Kutta integrator; fixed steps keep
-runs bit-reproducible.
+as the trace-free J^{-1} H squares to -det(H) Id. So is the cosh/sinh system,
+a gauge transform of a constant one. Any other H, which only library code can
+pass in, is solved by a classical fixed-step fourth-order Runge-Kutta
+integrator; fixed steps keep runs bit-reproducible.
 
 The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
 D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
@@ -238,9 +239,35 @@ def _exact_flow(system: PiecewiseConstantHamiltonian, zs, t_grid) -> np.ndarray:
         starts = blocked_scan(len(system.widths), start, step, (system.matrices, system.widths), k)
         rest = (ts - system.edges[k])[:, None] * zs  # (t, z)
         out = _flow_factor(system.matrices[k, None], rest) @ starts
+        return _check_finite(out, zs)
+
+
+def _check_finite(out, zs, solver="exact") -> np.ndarray:
     if not np.all(np.isfinite(out)):
-        raise ArithmeticError(f"exact solution overflows for |z| up to {np.max(np.abs(zs)):g}")
+        raise ArithmeticError(f"{solver} solution overflows for |z| up to {np.max(np.abs(zs)):g}")
     return out
+
+
+def _coshsinh_flow(system: CoshSinhHamiltonian, zs, t_grid) -> np.ndarray:
+    """Q(t) = R diag(e^{-Vt/2}, e^{Vt/2}) exp(tA) R^t, R the rotation by pi/4, A = ((V/2, z/2),
+    (-z/2, -V/2)). A^2 = kappa^2 Id, kappa = sqrt((V^2 - z^2)/4), Re kappa >= 0, so exp(tA) =
+    cosh(kappa t) Id + S A, S = sinh(kappa t)/kappa (t at kappa = 0). Its entry cosh(kappa t) -
+    (V/2) S cancels for |z| << V and is formed as exp(-kappa t) - (z^2/4)/(V/2 + kappa) S.
+    """
+    ts = np.array(_check_t_grid([float(t) for t in t_grid]), dtype=float)[:, None]
+    zs = np.asarray(zs, dtype=complex)
+    half, zh = 0.5 * system.v, 0.5 * zs
+    rot = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) R
+    with np.errstate(all="ignore"):  # an overflow is named by _check_finite
+        kappa = np.sqrt((half - zh) * (half + zh))
+        kt = kappa * ts
+        s = np.where(kappa == 0, ts, np.sinh(kt) / np.where(kappa == 0, 1.0, kappa))
+        # V/2 + kappa = 0 only at V = z = 0, where the term is 0
+        ratio = np.divide(zh * zh, half + kappa, out=np.zeros_like(kappa), where=kappa != -half)
+        lo, hi = np.exp(-half * ts), np.exp(half * ts)  # m = diag(lo, hi) exp(tA)
+        m = np.stack([np.stack([lo * (np.cosh(kt) + half * s), lo * zh * s], -1),
+                      np.stack([-hi * zh * s, hi * (np.exp(-kt) - ratio * s)], -1)], -2)
+        return _check_finite(0.5 * (rot @ m @ rot.T), zs)
 
 
 def _step_grid(t_grid, max_step: float):
@@ -278,22 +305,26 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
     """Solutions of J Q' = z H(t) Q, Q(0) = I, for many z at once.
 
     Returns shape (len(t_grid), len(zs), 2, 2). A piecewise-constant system is
-    solved exactly (_exact_flow), others by RK4 steps of at most ``max_step``
-    (checked for all). Step k multiplies Q by I + D_k(z), D_k(z) =
-    z C1 + z^2 C2 + z^3 C3 + z^4 C4. Each window of STEP_BLOCK_VALUES steps
-    and balanced chunk of at most SCAN_PAIRS // isqrt(window) zs is one
-    blocked_scan in increment form, whose snapshots are the t grid's steps and
-    the window's last, which starts the next window. A scan step forms the D_k
-    of its rows by one real matrix product of their C_k, a view of the
-    window's (steps, 4, 4) array, with the powers of z. So a z's result does
-    not depend on the batch of two or more it is solved in, and real zs are
-    solved in real arithmetic, to the bit as in a complex run of the values.
+    solved exactly (_exact_flow), the cosh/sinh one in closed form
+    (_coshsinh_flow). RK4 serves only the other systems, which only library
+    code passes in: steps of at most ``max_step`` (checked for all systems).
+    Step k multiplies Q by I + D_k(z), D_k(z) = z C1 + z^2 C2 + z^3 C3 +
+    z^4 C4. Each window of STEP_BLOCK_VALUES steps and balanced chunk of at
+    most SCAN_PAIRS // isqrt(window) zs is one blocked_scan in increment form,
+    whose snapshots are the t grid's steps and the window's last, which starts
+    the next window. A scan step forms the D_k of its rows by one real matrix
+    product of their C_k, a view of the window's (steps, 4, 4) array, with the
+    powers of z. So a z's result does not depend on the batch of two or more it
+    is solved in, and real zs are solved in real arithmetic, to the bit as in a
+    complex run of the values.
     """
     if not MIN_MAX_STEP <= max_step <= DEFAULT_MAX_STEP + 1e-15:
         raise ValueError(f"max_step {max_step!r} is outside [MIN_MAX_STEP, DEFAULT_MAX_STEP]"
                          f" = [{MIN_MAX_STEP:g}, {DEFAULT_MAX_STEP:g}]")
     if isinstance(system, PiecewiseConstantHamiltonian):
         return _exact_flow(system, zs, t_grid)
+    if isinstance(system, CoshSinhHamiltonian):
+        return _coshsinh_flow(system, zs, t_grid)
     zs = np.asarray(zs, dtype=complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
     nz = zs.shape[0]
@@ -326,9 +357,7 @@ def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
                 for k, q in zip(stops, got):
                     out[snaps[k], zc] = q
                 Q[..., zc] = got[-1].transpose(1, 2, 0)
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError(f"RK4 solution overflows for |z| up to {np.max(np.abs(zs)):g}")
-    return out
+    return _check_finite(out, zs, "RK4")
 
 
 def _u_final_batch(system, zs, max_step) -> np.ndarray:

@@ -43,7 +43,8 @@ OPTIONS = {
     "rho": (float, None, "zero density at x0"),
     "w": (float, None, "density of the orthogonality measure at x0"),
     "re_f": (float, 0.0, "real part of the boundary Stieltjes transform at x0"),
-    "max_step": (float, canonical.DEFAULT_MAX_STEP, "RK4 step bound, smooth systems, 1e-6..1e-3"),
+    "max_step": (float, canonical.DEFAULT_MAX_STEP,
+                 "RK4 step bound, 1e-6..1e-3; checked, but no built-in system takes RK4 steps"),
     "bins": (int, 50, "bins of the piecewise Hamiltonian estimate"),
     "candidate": (str, None, "constant | coshsinh | JSON file"),
     "system": (str, None, "constant | coshsinh | JSON file"),

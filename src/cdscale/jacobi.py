@@ -116,7 +116,7 @@ class PeriodicModel(CoefficientModel):
     """Coefficients repeat with the period of the supplied lists."""
 
     def __init__(self, a_list, b_list):
-        if len(a_list) != len(b_list) or not a_list:
+        if len(a_list) != len(b_list) or len(a_list) == 0:
             raise InvalidCoefficient("period lists must be nonempty and equal length")
         self.a_list, self.b_list = check_coefficients(a_list, b_list)
 
@@ -183,8 +183,11 @@ class TableModel(CoefficientModel):
                     raise InvalidCoefficient(
                         f"{path}: line {lineno}: index {j}, expected {expect} "
                         "(0-based, strictly increasing)")
-                if not a > 0.0:
-                    raise InvalidCoefficient(f"{path}: line {lineno}: a = {a} must be positive")
+                if not 0.0 < a < math.inf:  # NaN too
+                    raise InvalidCoefficient(
+                        f"{path}: line {lineno}: a = {a} must be positive and finite")
+                if not math.isfinite(b):
+                    raise InvalidCoefficient(f"{path}: line {lineno}: b = {b} must be finite")
                 a_list.append(a)
                 b_list.append(b)
                 expect += 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cdscale import canonical
 from cdscale.canonical import (DEFAULT_MAX_STEP, SCAN_PAIRS, STEP_BLOCK_VALUES,
-                               ConstantHamiltonian,
+                               CanonicalSystem, ConstantHamiltonian,
                                CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
                                constant_solution_batch, kernel_grid, solve_ode_batch,
                                system_from_dict, _generator,
@@ -20,6 +20,7 @@ from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import operator_norm
+from cdscale.models import modified_sine_kernel
 from cdscale.transfer import DiscreteHSequence, discrete_to_jacobi, h_sequence, polys_from_h
 
 from references import (CallableHamiltonian, coshsinh_math, hb_kernel, hermite_biehler,
@@ -62,8 +63,22 @@ def system_id(system):
     return type(system).__name__
 
 
+class ArrayView(CanonicalSystem):
+    """A system's own array H, under a class that solve_ode_batch solves by RK4."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def H(self, t):
+        return self.system.H(t)
+
+
 def rk4_view(system):
-    """The system itself, or a piecewise one's H as a CallableHamiltonian, which RK4 solves."""
+    """A system that RK4 solves with the H of ``system``: itself if it is solved by RK4
+    already, the array view of a cosh/sinh one, and a piecewise one's H as a
+    CallableHamiltonian."""
+    if isinstance(system, CoshSinhHamiltonian):
+        return ArrayView(system)
     if not isinstance(system, PiecewiseConstantHamiltonian):
         return system
     edges, pieces = system.edges.tolist(), system.matrices  # system.H, by a scalar lookup
@@ -541,11 +556,49 @@ def test_real_z_solve_is_bit_identical_to_complex(system):
     assert np.array_equal(got, solve_ode_batch(system, zs.astype(complex), [0.3, 1.0]))
 
 
+@pytest.mark.parametrize("v", [0.0, 0.35, 1.0, 3.0])
+def test_coshsinh_flow_matches_rk4(v):
+    # RK4 on the same H, which test_solver_matches_staged_rk4 ties to the staged
+    # loop, at steps of 1e-4: its error is some 1e-15 of max|Q|; kappa = 0 at z = +-V
+    system = CoshSinhHamiltonian(v)
+    zs, t_grid = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j, -6.0 - 2.0j, v, -v], [0.2, 0.5, 1.0]
+    ref = solve_ode_batch(rk4_view(system), zs, t_grid, max_step=1e-4)
+    got = solve_ode_batch(system, zs, t_grid)
+    assert np.max(np.abs(got - ref)) <= 3e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("v", [10.0, 40.0, 100.0])
+def test_coshsinh_flow_keeps_its_digits_at_large_coupling(v):
+    # exp(tA)'s entry C - (V/2) S cancels for |z| << V: formed so, Q(t, 0) drifts from I
+    # by 7e-13 at V = 10 and by 0.5 at V = 40
+    t_grid = np.linspace(0.0, 1.0, 11)
+    got = solve_ode_batch(CoshSinhHamiltonian(v), [0.0, 0.1, 1.0], t_grid)
+    assert np.max(np.abs(got[:, 0] - np.eye(2))) <= 1e-14
+    size = np.max(np.abs(got), axis=(-2, -1))
+    assert np.all(np.abs(np.linalg.det(got) - 1.0) <= 1e-12 * size ** 2)
+
+
+def test_coshsinh_flow_at_zero_coupling_is_the_constant_flow():
+    zs = np.concatenate([np.linspace(-20.0, 20.0, 41), np.linspace(-20.0, 20.0, 41) + 2.0j])
+    t_grid = [0.0, 0.2, 0.5, 1.0]
+    ref = constant_solution_batch(HALF_ID, zs, t_grid)
+    got = solve_ode_batch(CoshSinhHamiltonian(0.0), zs, t_grid)
+    assert np.max(np.abs(got - ref)) <= 4 * EPS * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("v, bound", [(1.0, 1e-13), (3.0, 1e-12)])
+def test_coshsinh_kernel_grid_matches_modified_sine_kernel(v, bound):
+    grid = np.linspace(-20.0, 20.0, 401)
+    got = kernel_grid(CoshSinhHamiltonian(v), grid, grid)
+    err = np.abs(got - modified_sine_kernel(v, grid[:, None], grid[None, :]))
+    assert np.max(err[~np.eye(grid.size, dtype=bool)]) <= bound
+
+
 def test_solver_overflow_raises(recwarn):
-    with pytest.raises(ArithmeticError, match="overflow encountered in cosh"):  # past t = 0.89
+    with pytest.raises(ArithmeticError, match="exact solution overflows"):  # Q(1) ~ e^800
         solve_ode_batch(CoshSinhHamiltonian(800.0), [1.0], [1.0])
     for zs in ([1e200], [1e200 + 1j]):
-        with pytest.raises(ArithmeticError, match="RK4 solution overflows"):
+        with pytest.raises(ArithmeticError, match="exact solution overflows"):
             solve_ode_batch(CoshSinhHamiltonian(1.0), zs, [0.5, 1.0])
     for system in built_in_systems()[::4]:  # cos(w c) overflows at |Im c| > 710 / w
         with pytest.raises(ArithmeticError, match="exact solution overflows"):
@@ -608,7 +661,7 @@ def snapshot_steps(t_grid, max_step=DEFAULT_MAX_STEP):
 ], ids=["one-window", "two-windows"])
 def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step, steps):
     assert SCAN_PAIRS == 6144 and STEP_BLOCK_VALUES == 4096  # the comments above
-    system = CoshSinhHamiltonian(1.0)
+    system = rk4_view(CoshSinhHamiltonian(1.0))
     assert snapshot_steps(t_grid, max_step) == steps
     zs = np.linspace(-6.0, 6.0, nz) + 0.25j
     assert_matches_staged(system, zs, t_grid, max_step)
@@ -620,7 +673,7 @@ def test_solver_snapshot_at_every_step(points, nz):
     # a t grid of steps under max_step takes a snapshot at every step, so the
     # scan reruns every block to its end; 4200 steps cross into a second window
     t_grid = np.linspace(0.0, 1.0, points).tolist()
-    system = CoshSinhHamiltonian(1.0)
+    system = rk4_view(CoshSinhHamiltonian(1.0))
     assert snapshot_steps(t_grid) == list(range(1, points))
     assert_matches_staged(system, np.linspace(-3.0, 7.0, nz) + 0.5j, t_grid)
 
@@ -650,7 +703,7 @@ def test_solver_one_step_blocks():
     # 65 steps make scan blocks of isqrt(65) = 8 steps: runs of 20, 1, 1 and
     # 43 steps cut the third block three times, and t = 0.065 is alone in a
     # last block of one step; 2 * (SCAN_PAIRS // 8) + 1 zs make three chunks
-    system = CoshSinhHamiltonian(0.7)
+    system = rk4_view(CoshSinhHamiltonian(0.7))
     t_grid = [0.02, 0.021, 0.022, 0.065]
     assert snapshot_steps(t_grid) == [20, 21, 22, 65]
     zs = np.linspace(-20.0, 20.0, 2 * (SCAN_PAIRS // 8) + 1)

@@ -135,6 +135,31 @@ def test_table_csv_malformed(tmp_path, body, fragment):
         TableModel.from_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,inf,0", "a = inf must be positive and finite"),
+    ("1,-inf,0", "a = -inf must be positive and finite"),
+    ("1,nan,0", "a = nan must be positive and finite"),
+    ("1,1,nan", "b = nan must be finite"),
+    ("1,1,inf", "b = inf must be finite"),
+    ("1,1,-inf", "b = -inf must be finite"),
+])
+def test_table_csv_names_the_line_of_a_non_finite_coefficient(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"j,a,b\n0,1,0\n{row}\n")
+    with pytest.raises(InvalidCoefficient) as info:
+        TableModel.from_csv(path)
+    assert str(info.value) == f"{path}: line 3: {message}"
+
+
+def test_periodic_model_takes_arrays():
+    model = PeriodicModel(np.array([1.0, 1.1]), np.array([0.0, 0.1]))
+    assert model.coeff(3) == (1.0, 0.0) and model.coeff(4) == (1.1, 0.1)
+    assert model.describe() == PeriodicModel([1.0, 1.1], [0.0, 0.1]).describe()
+    for a, b in ((np.array([]), np.array([])), ([], [])):
+        with pytest.raises(InvalidCoefficient, match="period lists must be nonempty"):
+            PeriodicModel(a, b)
+
+
 def test_scaled_zeros_three_by_three():
     # characteristic polynomial of the 3x3 free truncation is l^3 - 2l
     sl = scaled_zeros(FREE, 3, 0.0, 10.0)
