@@ -12,29 +12,18 @@ interchangeable ways:
 kernel_grid computes the determinant form; the other two are independent
 references, in tests/references.py.
 
-Solvers: a piecewise-constant H, constant H included, is solved exactly, one
-scan.blocked_scan step per piece: on a piece of width d the flow is
-exp(d z J^{-1} H) = cos(w d z) Id + sin(w d z)/w J^{-1} H, w = sqrt(det H),
-as the trace-free J^{-1} H squares to -det(H) Id. So is the cosh/sinh system,
-a gauge transform of a constant one. Any other H, which only library code can
-pass in, is solved by a classical fixed-step fourth-order Runge-Kutta
-integrator; fixed steps keep runs bit-reproducible.
-
-The system is linear in Q, so one RK4 step multiplies Q by I + D(z), with
-D(z) = z C1 + z^2 C2 + z^3 C3 + z^4 C4. The C_k are real 2x2 matrices built
-from the step's three stage generators; H takes arrays of t, so they come for
-all steps from three calls, independently of z. The solution is the ordered
-product of these factors, which scan.blocked_scan forms in increment form, as
-it forms the finite-n transfer products: one scan per window of steps and
-chunk of z, whose snapshots are the t grid, in real arithmetic for real z.
-kernel_grid solves once when its a and b grids are equal.
+Solvers: every system cdscale builds is solved exactly. A piecewise-constant
+H, constant H included, takes one scan.blocked_scan step per piece: on a piece
+of width d the flow is exp(d z J^{-1} H) = cos(w d z) Id + sin(w d z)/w J^{-1} H,
+w = sqrt(det H), as the trace-free J^{-1} H squares to -det(H) Id. The
+cosh/sinh system, a gauge transform of a constant one, has a closed form too.
+Any other system is refused. kernel_grid solves once when its a and b grids
+are equal.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from functools import partial
 
 import numpy as np
 
@@ -48,12 +37,7 @@ from .transfer import _check_t_grid
 
 PSD_SAMPLE_TOL = 1e-12
 SOLVE_CONSTANT_PSD_TOL = 1e-10
-DEFAULT_MAX_STEP = 1e-3
-# smallest max_step: 10^6 steps per unit t, since the step grid is allocated whole
-MIN_MAX_STEP = 1e-6
 CONFLUENT_FD_STEP = 1e-5
-STEP_BLOCK_VALUES = 4096  # steps per set of coefficients, which bounds their memory
-SCAN_PAIRS = 6144  # (block, z) pairs per RK4 scan, which bound the scan's state
 # grid rows per near-coincidence check in kernel_grid: bounds its temporaries
 COINCIDENCE_ROWS = 16
 
@@ -193,12 +177,6 @@ def system_from_dict(d: dict) -> CanonicalSystem:
     raise ValueError(f"unknown canonical system kind {kind!r}")
 
 
-def _generator(harr: np.ndarray) -> np.ndarray:
-    """J^{-1} H for symmetric 2x2 H, over leading axes."""
-    return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
-                     np.stack([-harr[..., 0, 0], -harr[..., 0, 1]], axis=-1)], axis=-2)
-
-
 def _flow_factor(h, c) -> np.ndarray:
     """exp(c J^{-1} H) over the broadcast axes of H (..., 2, 2) and complex c, shape (..., 2, 2).
 
@@ -224,10 +202,8 @@ def constant_solution_batch(h, zs, ts) -> np.ndarray:
     return _flow_factor(arr, np.asarray(ts, dtype=float)[:, None] * np.asarray(zs, dtype=complex))
 
 
-def _exact_flow(system: PiecewiseConstantHamiltonian, zs, t_grid) -> np.ndarray:
+def _exact_flow(system: PiecewiseConstantHamiltonian, zs, ts) -> np.ndarray:
     """Q(t) = exp((t - t_k) z J^{-1} H_k) Q(t_k) on piece k; the Q(t_k) by one blocked_scan."""
-    ts = np.array(_check_t_grid([float(t) for t in t_grid]), dtype=float)
-    zs = np.asarray(zs, dtype=complex)
     k = system._piece(ts)  # the piece of each t
 
     def step(x, h, width):  # F x, for h (rows, 1, 2, 2) and width (rows, 1)
@@ -242,20 +218,19 @@ def _exact_flow(system: PiecewiseConstantHamiltonian, zs, t_grid) -> np.ndarray:
         return _check_finite(out, zs)
 
 
-def _check_finite(out, zs, solver="exact") -> np.ndarray:
+def _check_finite(out, zs, what="exact solution") -> np.ndarray:
     if not np.all(np.isfinite(out)):
-        raise ArithmeticError(f"{solver} solution overflows for |z| up to {np.max(np.abs(zs)):g}")
+        raise ArithmeticError(f"{what} overflows for |z| up to {np.max(np.abs(zs)):g}")
     return out
 
 
-def _coshsinh_flow(system: CoshSinhHamiltonian, zs, t_grid) -> np.ndarray:
+def _coshsinh_flow(system: CoshSinhHamiltonian, zs, ts) -> np.ndarray:
     """Q(t) = R diag(e^{-Vt/2}, e^{Vt/2}) exp(tA) R^t, R the rotation by pi/4, A = ((V/2, z/2),
     (-z/2, -V/2)). A^2 = kappa^2 Id, kappa = sqrt((V^2 - z^2)/4), Re kappa >= 0, so exp(tA) =
     cosh(kappa t) Id + S A, S = sinh(kappa t)/kappa (t at kappa = 0). Its entry cosh(kappa t) -
     (V/2) S cancels for |z| << V and is formed as exp(-kappa t) - (z^2/4)/(V/2 + kappa) S.
     """
-    ts = np.array(_check_t_grid([float(t) for t in t_grid]), dtype=float)[:, None]
-    zs = np.asarray(zs, dtype=complex)
+    ts = ts[:, None]
     half, zh = 0.5 * system.v, 0.5 * zs
     rot = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) R
     with np.errstate(all="ignore"):  # an overflow is named by _check_finite
@@ -270,117 +245,44 @@ def _coshsinh_flow(system: CoshSinhHamiltonian, zs, t_grid) -> np.ndarray:
         return _check_finite(0.5 * (rot @ m @ rot.T), zs)
 
 
-def _step_grid(t_grid, max_step: float):
-    """Start and length of every RK4 step, uniform between t grid points, and {steps: t}."""
-    path = sorted({0.0, *_check_t_grid([float(t) for t in t_grid])})
-    lo, hi = np.array(path[:-1]), np.array(path[1:])
-    m = np.maximum(1, np.ceil((hi - lo) / max_step - 1e-12)).astype(int)
-    step = (hi - lo) / m
-    reached = np.cumsum(m)
-    seg = np.repeat(np.arange(m.size), m)
-    first = np.arange(reached[-1] if m.size else 0) - (reached - m)[seg]
-    return lo[seg] + first * step[seg], step[seg], dict(zip(reached.tolist(), path[1:]))
-
-
-def _step_coefficients(system: CanonicalSystem, t_lo: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Real coefficients C1..C4 of the steps [t_lo, t_lo + h], shape (4, len(h), 2, 2).
-
-    One RK4 step with stage generators m0, m1, m2 = J^{-1} H at t, t + h/2,
-    t + h is exactly Q -> Q + (z C1 + z^2 C2 + z^3 C3 + z^4 C4) Q.
-    """
-    m0, m1, m2 = (_generator(system.H(t_lo + f * h)) for f in (0.0, 0.5, 1.0))
-    h = h[:, None, None]
-    m1m0 = m1 @ m0
-    m1m1 = m1 @ m1
-    return np.stack([
-        h / 6.0 * (m0 + 4.0 * m1 + m2),
-        h ** 2 / 6.0 * (m1m0 + m1m1 + m2 @ m1),
-        h ** 3 / 12.0 * (m1 @ m1m0 + m2 @ m1m1),
-        h ** 4 / 24.0 * (m2 @ (m1 @ m1m0)),
-    ])
-
-
-def solve_ode_batch(system: CanonicalSystem, zs, t_grid,
-                    max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
+def solve_ode_batch(system: CanonicalSystem, zs, t_grid, max_step: float = 1e-3) -> np.ndarray:
     """Solutions of J Q' = z H(t) Q, Q(0) = I, for many z at once.
 
     Returns shape (len(t_grid), len(zs), 2, 2). A piecewise-constant system is
     solved exactly (_exact_flow), the cosh/sinh one in closed form
-    (_coshsinh_flow). RK4 serves only the other systems, which only library
-    code passes in: steps of at most ``max_step`` (checked for all systems).
-    Step k multiplies Q by I + D_k(z), D_k(z) = z C1 + z^2 C2 + z^3 C3 +
-    z^4 C4. Each window of STEP_BLOCK_VALUES steps and balanced chunk of at
-    most SCAN_PAIRS // isqrt(window) zs is one blocked_scan in increment form,
-    whose snapshots are the t grid's steps and the window's last, which starts
-    the next window. A scan step forms the D_k of its rows by one real matrix
-    product of their C_k, a view of the window's (steps, 4, 4) array, with the
-    powers of z. So a z's result does not depend on the batch of two or more it
-    is solved in, and real zs are solved in real arithmetic, to the bit as in a
-    complex run of the values.
+    (_coshsinh_flow); any other system raises TypeError. ``max_step`` is unused
+    and unchecked: bench/tracer.py still reads it by name.
     """
-    if not MIN_MAX_STEP <= max_step <= DEFAULT_MAX_STEP + 1e-15:
-        raise ValueError(f"max_step {max_step!r} is outside [MIN_MAX_STEP, DEFAULT_MAX_STEP]"
-                         f" = [{MIN_MAX_STEP:g}, {DEFAULT_MAX_STEP:g}]")
     if isinstance(system, PiecewiseConstantHamiltonian):
-        return _exact_flow(system, zs, t_grid)
-    if isinstance(system, CoshSinhHamiltonian):
-        return _coshsinh_flow(system, zs, t_grid)
-    zs = np.asarray(zs, dtype=complex if np.iscomplexobj(zs) else float)
-    ts = [float(t) for t in t_grid]
-    nz = zs.shape[0]
-    t_lo, h, ends = _step_grid(ts, max_step)
-    snaps = {k: slice(bisect_left(ts, t), bisect_right(ts, t)) for k, t in ends.items()}
-    out = np.full((len(ts), nz, 2, 2), np.eye(2), complex)
-    Q = np.eye(2, dtype=zs.dtype)[..., None].repeat(nz, axis=2)  # Q[i, j] over z
-    with np.errstate(over="ignore", invalid="ignore"):
-        z2 = zs * zs
-        powers = np.stack([zs, z2, z2 * zs, z2 * z2])
-        re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
-
-        def increment(x, c, zc):  # D_k x from the rows' C_k, c[row, 0, entry, power]
-            # separate real products for real and imaginary parts, as in a real run
-            C = c.reshape(-1, 4)
-            d = C @ re[:, zc] if zs.dtype == float else C @ re[:, zc] + 1j * (C @ im[:, zc])
-            d = d.reshape(-1, 2, 2, d.shape[-1]).transpose(1, 2, 0, 3)  # (i, j, rows, z)
-            return d[:, :1] * x[0] + d[:, 1:] * x[1]
-
-        for c0 in range(0, len(h), STEP_BLOCK_VALUES):
-            c1 = min(c0 + STEP_BLOCK_VALUES, len(h))
-            coeffs = _step_coefficients(system, t_lo[c0:c1], h[c0:c1])  # (4, steps, 2, 2)
-            coeffs = coeffs.reshape(4, -1, 4).transpose(1, 2, 0)  # (step, entry, power)
-            stops = [k for k in ends if c0 < k <= c1]
-            width = SCAN_PAIRS // math.isqrt(c1 - c0)  # at least 96
-            bounds = np.linspace(0, nz, -(-nz // width) + 1).astype(int)
-            for zc in map(slice, bounds[:-1], bounds[1:]):
-                got = blocked_scan(c1 - c0, Q[..., zc], partial(increment, zc=zc), (coeffs,),
-                                   [k - c0 for k in stops] + [c1 - c0], increment=True)
-                for k, q in zip(stops, got):
-                    out[snaps[k], zc] = q
-                Q[..., zc] = got[-1].transpose(1, 2, 0)
-    return _check_finite(out, zs, "RK4")
+        flow = _exact_flow
+    elif isinstance(system, CoshSinhHamiltonian):
+        flow = _coshsinh_flow
+    else:
+        raise TypeError(f"no solver for canonical system {type(system).__name__}")
+    ts = np.array(_check_t_grid([float(t) for t in t_grid]), dtype=float)
+    return flow(system, np.asarray(zs, dtype=complex), ts)
 
 
-def _u_final_batch(system, zs, max_step) -> np.ndarray:
-    return solve_ode_batch(system, zs, [1.0], max_step)[0, :, :, 0]  # u(1, zs), (nz, 2)
+def _u_final_batch(system, zs) -> np.ndarray:
+    return solve_ode_batch(system, zs, [1.0])[0, :, :, 0]  # u(1, zs), (nz, 2)
 
 
-def _diagonal_kernel_batch(system, zs, max_step, u0=None) -> np.ndarray:
+def _diagonal_kernel_batch(system, zs, u0=None) -> np.ndarray:
     """K(z, z) = det(u'(z), u(z)) via Richardson-extrapolated central differences.
 
     ``u0``, if given, is the solution u(1, zs) already solved for this batch.
     """
     if u0 is None:
-        u0 = _u_final_batch(system, zs, max_step)
+        u0 = _u_final_batch(system, zs)
     # central differences of steps CONFLUENT_FD_STEP and half of it
-    d_full, d_half = ((_u_final_batch(system, zs + f * CONFLUENT_FD_STEP, max_step)
-                       - _u_final_batch(system, zs - f * CONFLUENT_FD_STEP, max_step))
+    d_full, d_half = ((_u_final_batch(system, zs + f * CONFLUENT_FD_STEP)
+                       - _u_final_batch(system, zs - f * CONFLUENT_FD_STEP))
                       / (2.0 * f * CONFLUENT_FD_STEP) for f in (1.0, 0.5))
     du = (4.0 * d_half - d_full) / 3.0
     return du[:, 0] * u0[:, 1] - u0[:, 0] * du[:, 1]
 
 
-def kernel_grid(system: CanonicalSystem, a_values, b_values,
-                max_step: float = DEFAULT_MAX_STEP) -> np.ndarray:
+def kernel_grid(system: CanonicalSystem, a_values, b_values, max_step: float = 1e-3) -> np.ndarray:
     """Kernel values on a product grid, diagonal cells by the confluent limit.
 
     Off the diagonal this is det(u(1, a), u(1, b)) / (a - b). Exactly equal
@@ -388,7 +290,7 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     z-derivative of the solution (finite differences with Richardson
     extrapolation); nearly-equal-but-distinct arguments raise
     CoincidentArguments, since the quotient would be catastrophically
-    cancelled.
+    cancelled. ``max_step`` is unused, as in solve_ode_batch.
     """
     a_arr = np.atleast_1d(np.asarray(a_values))
     b_arr = np.atleast_1d(np.asarray(b_values))
@@ -396,16 +298,16 @@ def kernel_grid(system: CanonicalSystem, a_values, b_values,
     for lo in range(0, a_arr.size, COINCIDENCE_ROWS):
         rows = a_arr[lo:lo + COINCIDENCE_ROWS, None]
         _check_distinct(rows, np.where(rows == b_arr, np.inf, b_arr))
-    ua = _u_final_batch(system, a_arr, max_step)
-    ub = ua if np.array_equal(a_arr, b_arr) else _u_final_batch(system, b_arr, max_step)
-    det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]
-    diff = a_arr[:, None] - b_arr[None, :]
-    coincident = diff == 0
-    values = np.divide(det, diff, out=np.zeros_like(det), where=~coincident)
-    per_row = coincident.sum(axis=1)
-    if per_row.any():
-        # on equal grids every point is a diagonal one, and ua is their solve
-        diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], max_step,
-                                      ua if ub is ua else None)
-        values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
-    return values
+    ua = _u_final_batch(system, a_arr)
+    ub = ua if np.array_equal(a_arr, b_arr) else _u_final_batch(system, b_arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        det = ua[:, None, 0] * ub[None, :, 1] - ub[None, :, 0] * ua[:, None, 1]
+        diff = a_arr[:, None] - b_arr[None, :]
+        coincident = diff == 0
+        values = np.divide(det, diff, out=np.zeros_like(det), where=~coincident)
+        per_row = coincident.sum(axis=1)
+        if per_row.any():
+            # on equal grids every point is a diagonal one, and ua is their solve
+            diag = _diagonal_kernel_batch(system, a_arr[per_row > 0], ua if ub is ua else None)
+            values[coincident] = np.repeat(diag, per_row[per_row > 0])  # row-major, as the mask
+    return _check_finite(values, np.concatenate([a_arr, b_arr]), "kernel")

@@ -43,8 +43,6 @@ OPTIONS = {
     "rho": (float, None, "zero density at x0"),
     "w": (float, None, "density of the orthogonality measure at x0"),
     "re_f": (float, 0.0, "real part of the boundary Stieltjes transform at x0"),
-    "max_step": (float, canonical.DEFAULT_MAX_STEP,
-                 "RK4 step bound, 1e-6..1e-3; checked, but no built-in system takes RK4 steps"),
     "bins": (int, 50, "bins of the piecewise Hamiltonian estimate"),
     "candidate": (str, None, "constant | coshsinh | JSON file"),
     "system": (str, None, "constant | coshsinh | JSON file"),
@@ -59,7 +57,7 @@ OPTIONS = {
 
 _MODEL = ("model", "v", "period_a", "period_b", "table", "n", "x0")
 _COMMON = ("out", "tol", "config")
-_REFERENCE = ("rho", "w", "re_f", "max_step")
+_REFERENCE = ("rho", "w", "re_f")
 
 # command: (help, the options it accepts)
 COMMANDS = {
@@ -71,8 +69,7 @@ COMMANDS = {
     "verify": ("run a named verification suite",
                _MODEL + _COMMON + ("seed", "bins", "grid", "t_grid", "n_list") + _REFERENCE),
     "canonical-solve": ("integrate a canonical system",
-                        _COMMON + ("system", "h11", "h12", "h22", "v", "z", "t_grid",
-                                   "max_step")),
+                        _COMMON + ("system", "h11", "h12", "h22", "v", "z", "t_grid")),
 }
 
 # Options whose value must be positive, and those that must not be negative.
@@ -136,10 +133,6 @@ class Options:
             if name in NON_NEGATIVE and v is not None and v < 0:
                 raise UsageError(f"{flag} must not be negative, got {v!r}")
             self.values[name] = v
-        max_step = self.get("max_step")
-        if not canonical.MIN_MAX_STEP <= max_step <= canonical.DEFAULT_MAX_STEP:
-            raise UsageError(f"--max-step {max_step!r} is outside "
-                             f"[{canonical.MIN_MAX_STEP:g}, {canonical.DEFAULT_MAX_STEP:g}]")
 
     def get(self, name, default=None):
         """The resolved value; ``default``, if given, replaces the one in OPTIONS."""
@@ -260,15 +253,13 @@ def _reference(opt: Options, model):
             raise UsageError("--reference modified-sine requires --model alternating-v")
         return ref, lambda a, b: models.modified_sine_kernel(model.v, a[:, None], b[None, :])
     # OPTIONS admits two more values: "sine" and "canonical"
-    max_step = opt.get("max_step")
     if ref == "canonical" and isinstance(model, jacobi.AlternatingSignModel):
-        return ref, lambda a, b: canonical.kernel_grid(canonical.CoshSinhHamiltonian(model.v),
-                                                       a, b, max_step=max_step)
+        return ref, lambda a, b: canonical.kernel_grid(canonical.CoshSinhHamiltonian(model.v), a, b)
     bpd = _bulk_data(opt, opt.require("rho"), opt.require("w"))
     if ref == "sine":
         return ref, lambda a, b: cdkernel.sine_kernel(a[:, None], b[None, :], bpd.rho, bpd.w)
     return ref, lambda a, b: canonical.kernel_grid(canonical.ConstantHamiltonian(bpd.hamiltonian()),
-                                                   a, b, max_step=max_step)
+                                                   a, b)
 
 
 def cmd_kernel(opt: Options) -> int:
@@ -426,8 +417,8 @@ def _suite_kernel(opt: Options, checks: CheckList):
     with np.errstate(over="ignore", invalid="ignore"):  # off the bulk; named below
         ks = cdkernel.kernel_sum(model, n, x0 + a / n, x0 + b / n)
         kc = cdkernel.kernel_cd(model, n, x0 + a / n, x0 + b / n)
-    q = transfer.q_trajectory_direct(model, n, x0, np.concatenate([a, b]), [1.0])[0]
-    kd = cdkernel.kernel_det_q(q[:len(a)], q[len(a):], a, b)
+        q = transfer.q_trajectory_direct(model, n, x0, np.concatenate([a, b]), [1.0])[0]
+        kd = cdkernel.kernel_det_q(q[:len(a)], q[len(a):], a, b)
     checks.add("sum_vs_cd", float(np.max(np.abs(ks - kc) / np.maximum(1.0, np.abs(ks)))), 1e-8)
     checks.add("sum_vs_det",
                float(np.max(np.abs(ks / n - kd) / np.maximum(1.0, np.abs(ks / n)))), 1e-8)
@@ -477,8 +468,7 @@ def _suite_section5(opt: Options, checks: CheckList):
     checks.add("piecewise_vs_coshsinh", hw, tol)
 
     grid = cdkernel.scaled_grid(alt, n, 0.0, grid_vals, grid_vals)
-    canon = canonical.kernel_grid(sysv, grid_vals, grid_vals,
-                                  max_step=opt.get("max_step"))
+    canon = canonical.kernel_grid(sysv, grid_vals, grid_vals)
     checks.add("cross_pipeline_kernel", float(np.max(np.abs(grid.values - canon))), tol)
 
     msk = models.modified_sine_kernel(v, grid_vals[:, None], grid_vals[None, :])
@@ -575,7 +565,7 @@ def cmd_canonical_solve(opt: Options) -> int:
     system = _system_from(opt, opt.require("system"))
     z = _parse_complex(opt.require("z"))
     t_grid = _parse_t_grid(opt.get("t_grid"))
-    qs = canonical.solve_ode_batch(system, [z], t_grid, max_step=opt.get("max_step"))[:, 0]
+    qs = canonical.solve_ode_batch(system, [z], t_grid)[:, 0]
     out = _out_dir(opt)
     with open(os.path.join(out, "solution.csv"), "wb") as fh:
         fh.write(b"t,q11_re,q11_im,q12_re,q12_im,q21_re,q21_im,q22_re,q22_im\n")
@@ -586,7 +576,6 @@ def cmd_canonical_solve(opt: Options) -> int:
         decimals.write_lines(fh, *cells[:-1], newline)
     _write_manifest(out, {"command": "canonical-solve", "system": system.to_dict(),
                           "z": [z.real, z.imag], "t_grid": opt.get("t_grid"),
-                          "max_step": opt.get("max_step"),
                           "outputs": ["solution.csv"]})
     return 0
 

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .canonical import _generator
 from .jacobi import (AlternatingSignModel, CoefficientModel, ConstantModel,
                      PeriodicModel, TableModel)
 from .limits import BulkPointData
@@ -91,6 +90,12 @@ def qhat_closed(v: float, n: int, ell) -> np.ndarray:
     core = (u * np.stack([lam_minus ** k, lam_plus ** k], axis=-1)[..., None, :]) @ np.linalg.inv(u)
     odd = (ell % 2 == 1)[..., None, None]
     return np.where(odd, np.array([[1.0, 0.0], [vn, 1.0]]) @ core, core)
+
+
+def _generator(harr: np.ndarray) -> np.ndarray:
+    """J^{-1} H for symmetric 2x2 H, over leading axes."""
+    return np.stack([np.stack([harr[..., 0, 1], harr[..., 1, 1]], axis=-1),
+                     np.stack([-harr[..., 0, 0], -harr[..., 0, 1]], axis=-1)], axis=-2)
 
 
 def alternating_coefficient_matrices(v: float, n: int) -> np.ndarray:

@@ -4,10 +4,12 @@
 ``poly_table`` and ``q_snapshots`` ran before both became a blocked scan;
 ``transfer_from_polys`` is the column form of the transfer matrix. The scalar
 ``transfer.transfer_product`` is the third reference, for transfer_matrices.
-``step_coefficients_loop`` forms the RK4 propagator coefficients from one
-scalar ``H`` call per stage and step, as before H took arrays of t,
-and ``rk4_step_loop`` is ``solve_ode_batch`` as it was before it multiplied
-runs of steps pairwise: Q += D(z) Q once per step, D(z) by Horner;
+``step_grid`` and ``step_coefficients`` are the fixed-step RK4 steps and
+propagator coefficients that ``solve_ode_batch`` took before every system it
+solves had an exact flow, ``step_coefficients_loop`` forms the same
+coefficients from one scalar ``H`` call per stage and step, and
+``rk4_step_loop`` is the RK4 reference for the exact flows: Q += D(z) Q once
+per step, D(z) by Horner, on any system whose H takes arrays of t;
 ``coshsinh_math`` is the cosh/sinh Hamiltonian evaluated by ``math``, and
 ``kernel_csv_per_cell`` is the ``KernelGrid.to_csv`` writer that formatted
 every cell, imaginary parts included, by its own f-string.
@@ -37,14 +39,13 @@ import math
 
 import numpy as np
 
-from cdscale.canonical import (DEFAULT_MAX_STEP, PSD_SAMPLE_TOL, CanonicalSystem,
-                               _check_psd, _generator,
-                               _step_coefficients, _step_grid, solve_ode_batch)
+from cdscale.canonical import PSD_SAMPLE_TOL, CanonicalSystem, _check_psd, solve_ode_batch
 from cdscale.cdkernel import _check_distinct, _num
 from cdscale.errors import InvalidCoefficient
 from cdscale.jacobi import CoefficientModel, poly_table, scaled_zeros, truncated_tridiagonal
 from cdscale.mat2 import operator_norm
-from cdscale.models import alternating_coefficient_matrices
+from cdscale.models import _generator, alternating_coefficient_matrices
+from cdscale.transfer import _check_t_grid
 
 
 def poly_table_loop(model, xs, up_to, n=None):
@@ -112,6 +113,36 @@ def transfer_from_polys(model, ell, x, n=None) -> np.ndarray:
     return np.array([[P[ell, 0], -Q[ell, 0]], [a_ell * P[ell - 1, 0], -a_ell * Q[ell - 1, 0]]])
 
 
+def step_grid(t_grid, max_step: float):
+    """Start and length of every RK4 step, uniform between t grid points, and {steps: t}."""
+    path = sorted({0.0, *_check_t_grid([float(t) for t in t_grid])})
+    lo, hi = np.array(path[:-1]), np.array(path[1:])
+    m = np.maximum(1, np.ceil((hi - lo) / max_step - 1e-12)).astype(int)
+    step = (hi - lo) / m
+    reached = np.cumsum(m)
+    seg = np.repeat(np.arange(m.size), m)
+    first = np.arange(reached[-1] if m.size else 0) - (reached - m)[seg]
+    return lo[seg] + first * step[seg], step[seg], dict(zip(reached.tolist(), path[1:]))
+
+
+def step_coefficients(system, t_lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Real coefficients C1..C4 of the steps [t_lo, t_lo + h], shape (4, len(h), 2, 2).
+
+    One RK4 step with stage generators m0, m1, m2 = J^{-1} H at t, t + h/2,
+    t + h is exactly Q -> Q + (z C1 + z^2 C2 + z^3 C3 + z^4 C4) Q.
+    """
+    m0, m1, m2 = (_generator(system.H(t_lo + f * h)) for f in (0.0, 0.5, 1.0))
+    h = h[:, None, None]
+    m1m0 = m1 @ m0
+    m1m1 = m1 @ m1
+    return np.stack([
+        h / 6.0 * (m0 + 4.0 * m1 + m2),
+        h ** 2 / 6.0 * (m1m0 + m1m1 + m2 @ m1),
+        h ** 3 / 12.0 * (m1 @ m1m0 + m2 @ m1m1),
+        h ** 4 / 24.0 * (m2 @ (m1 @ m1m0)),
+    ])
+
+
 def step_coefficients_loop(system, t_lo, h):
     """C1..C4 of the steps [t_lo, t_lo + h], stage values stacked from scalar calls."""
     m0, m1, m2 = (_generator(np.stack([system.H(t + f * s)
@@ -128,23 +159,17 @@ def step_coefficients_loop(system, t_lo, h):
     ])
 
 
-def rk4_step_loop(system, zs, t_grid, max_step=DEFAULT_MAX_STEP,
-                  coefficients=_step_coefficients):
-    """RK4 over (2, 2, nz) arrays, one Q += D(z) Q update per step.
-
-    ``coefficients(system, t_lo, h)`` gives C1..C4 of the steps; with the
-    absolute values of the C_k and of the zs the loop multiplies out
-    (I + |D_N|)···(I + |D_1|), the scale of the rounding errors of a solve.
-    """
+def rk4_step_loop(system, zs, t_grid, max_step=1e-3):
+    """RK4 over (2, 2, nz) arrays, one Q += D(z) Q update per step of at most ``max_step``."""
     zs = np.asarray(zs)
     zs = zs.astype(complex if np.iscomplexobj(zs) else float)
     ts = [float(t) for t in t_grid]
-    t_lo, h, ends = _step_grid(ts, max_step)
+    t_lo, h, ends = step_grid(ts, max_step)
     Q = np.zeros((2, 2, zs.shape[0]), dtype=zs.dtype)  # Q[i, j] over z
     Q[0, 0] = Q[1, 1] = 1.0
     q0, q1 = Q  # row views, updated in place
     results = {0.0: Q.transpose(2, 0, 1).astype(complex)}
-    c1, c2, c3, c4 = coefficients(system, t_lo, h)[..., None]
+    c1, c2, c3, c4 = step_coefficients(system, t_lo, h)[..., None]
     for k in range(len(h)):
         d = c4[k] * zs
         for c in (c3[k], c2[k], c1[k]):
@@ -256,12 +281,12 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def kernel_integral_form(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
+def kernel_integral_form(system, a, b, panel=1e-3) -> complex:
     """Kernel as the H-weighted pairing int_0^1 (u(t, conj(a)))^* H(t) u(t, b) dt.
 
-    Composite Simpson, applied piece by piece between Hamiltonian
-    breakpoints so discontinuities never sit inside a panel; valid on the
-    diagonal directly. For the real built-in Hamiltonians this equals the
+    Composite Simpson on panels of at most ``panel``, applied piece by piece
+    between Hamiltonian breakpoints so discontinuities never sit inside a
+    panel; valid on the diagonal directly. For the real built-in Hamiltonians this equals the
     determinant form.
     """
     path = [0.0] + [t for t in sorted(system.breakpoints()) if 0.0 < t < 1.0] + [1.0]
@@ -269,7 +294,7 @@ def kernel_integral_form(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
     weights = []
     hs = []
     for lo, hi in zip(path[:-1], path[1:]):
-        m = math.ceil((hi - lo) / max_step)
+        m = math.ceil((hi - lo) / panel)
         m += m % 2
         seg = np.linspace(lo, hi, m + 1)
         ts.append(seg)
@@ -279,20 +304,20 @@ def kernel_integral_form(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
     ts = np.concatenate(ts)
     weights = np.concatenate(weights)
     hs = np.concatenate(hs)
-    qs = solve_ode_batch(system, [np.conj(complex(a)), complex(b)], ts, max_step)
+    qs = solve_ode_batch(system, [np.conj(complex(a)), complex(b)], ts)
     ua = np.conj(qs[:, 0, :, 0])
     ub = qs[:, 1, :, 0]
     integrand = np.einsum("ti,tij,tj->t", ua, hs, ub)
     return complex(np.dot(weights, integrand))
 
 
-def hermite_biehler(system, z, max_step=DEFAULT_MAX_STEP) -> complex:
+def hermite_biehler(system, z) -> complex:
     """E(z) = u1(1, z) + i u2(1, z); entire and zero free in the upper half plane."""
-    u = solve_ode_batch(system, [complex(z)], [1.0], max_step)[0, 0, :, 0]
+    u = solve_ode_batch(system, [complex(z)], [1.0])[0, 0, :, 0]
     return complex(u[0] + 1j * u[1])
 
 
-def hb_kernel(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
+def hb_kernel(system, a, b) -> complex:
     """Kernel through the Hermite-Biehler function of the system.
 
     Evaluates (conj(E(conj(a))) E(b) - E(a) conj(E(conj(b)))) / (2i (a - b)),
@@ -302,10 +327,10 @@ def hb_kernel(system, a, b, max_step=DEFAULT_MAX_STEP) -> complex:
     a = complex(a)
     b = complex(b)
     _check_distinct(a, b)
-    e_abar = hermite_biehler(system, np.conj(a), max_step)
-    e_a = hermite_biehler(system, a, max_step)
-    e_b = hermite_biehler(system, b, max_step)
-    e_bbar = hermite_biehler(system, np.conj(b), max_step)
+    e_abar = hermite_biehler(system, np.conj(a))
+    e_a = hermite_biehler(system, a)
+    e_b = hermite_biehler(system, b)
+    e_bbar = hermite_biehler(system, np.conj(b))
     return (np.conj(e_abar) * e_b - e_a * np.conj(e_bbar)) / (2j * (a - b))
 
 

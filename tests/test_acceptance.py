@@ -21,7 +21,8 @@ from cdscale.models import (alternating_model, free_bulk_data, free_model,
                             raw_limit_formula)
 from cdscale.transfer import (discrete_to_jacobi, h_sequence, one_step, q_snapshots,
                               q_trajectory_direct, transfer_product)
-from references import CallableHamiltonian, hb_kernel, kernel_integral_form, transfer_from_polys
+from references import (CallableHamiltonian, hb_kernel, kernel_integral_form, rk4_step_loop,
+                        transfer_from_polys)
 
 FREE = ConstantModel(1.0, 0.0)
 RHO0 = 1.0 / (2.0 * math.pi)
@@ -157,7 +158,7 @@ def test_criterion_3_flow_convergence_free():
 def test_criterion_4_cross_pipeline_alternating():
     v, n = 1.0, 4000
     grid = scaled_grid(alternating_model(v), n, 0.0, GRID51, GRID51)
-    canon = kernel_grid(CoshSinhHamiltonian(v), GRID51, GRID51, max_step=1e-3)
+    canon = kernel_grid(CoshSinhHamiltonian(v), GRID51, GRID51)
     report(4, "alternating_vs_canonical", float(np.max(np.abs(grid.values - canon))), 0.02)
 
     divided = modified_sine_kernel(v, GRID51[:, None], GRID51[None, :])
@@ -245,10 +246,10 @@ def test_criterion_6_canonical_kernel_identities():
     report(6, "bulk_hamiltonian_sine_kernel_off_diagonal", worst_off, 1e-13)
     report(6, "det_h_pi_rho_squared", det_worst, 1e-10)
 
-    # RK4 solves smooth systems: the constant H as a callable
+    # the RK4 reference of the exact flows is fourth order: the constant H as a callable
     ref = constant_solution_batch(np.eye(2) / 2, [10.0], [1.0])[0, 0]
     sysc = CallableHamiltonian(lambda t: np.eye(2) / 2, "constant 1/2")
-    qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
+    qs = [rk4_step_loop(sysc, [10.0], [1.0], h)[0, 0] for h in (1e-3, 5e-4)]
     e1, e2 = (operator_norm(q - ref) for q in qs)
     factor = e1 / e2
     report(6, "rk4_halving_factor", factor, 20.0, ok=12.0 <= factor <= 20.0)

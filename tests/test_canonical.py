@@ -1,7 +1,6 @@
 import cmath
 import math
 import tracemalloc
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,21 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdscale import canonical
-from cdscale.canonical import (DEFAULT_MAX_STEP, SCAN_PAIRS, STEP_BLOCK_VALUES,
-                               CanonicalSystem, ConstantHamiltonian,
+from cdscale.canonical import (CanonicalSystem, ConstantHamiltonian,
                                CoshSinhHamiltonian, PiecewiseConstantHamiltonian,
                                constant_solution_batch, kernel_grid, solve_ode_batch,
-                               system_from_dict, _generator,
-                               _step_coefficients, _step_grid)
+                               system_from_dict)
 from cdscale.errors import (CoincidentArguments, NotPSD, WronskianViolation)
 from cdscale.cdkernel import _check_distinct, kernel_sum
 from cdscale.jacobi import ConstantModel, TableModel, gauss_quadrature, poly_table
 from cdscale.mat2 import operator_norm
-from cdscale.models import modified_sine_kernel
+from cdscale.models import _generator, modified_sine_kernel
 from cdscale.transfer import DiscreteHSequence, discrete_to_jacobi, h_sequence, polys_from_h
 
 from references import (CallableHamiltonian, coshsinh_math, hb_kernel, hermite_biehler,
-                        kernel_integral_form, rk4_step_loop, step_coefficients_loop)
+                        kernel_integral_form, rk4_step_loop, step_coefficients,
+                        step_coefficients_loop, step_grid)
 
 FREE = ConstantModel(1.0, 0.0)
 HALF_ID = np.eye(2) / 2
@@ -63,29 +61,6 @@ def system_id(system):
     return type(system).__name__
 
 
-class ArrayView(CanonicalSystem):
-    """A system's own array H, under a class that solve_ode_batch solves by RK4."""
-
-    def __init__(self, system):
-        self.system = system
-
-    def H(self, t):
-        return self.system.H(t)
-
-
-def rk4_view(system):
-    """A system that RK4 solves with the H of ``system``: itself if it is solved by RK4
-    already, the array view of a cosh/sinh one, and a piecewise one's H as a
-    CallableHamiltonian."""
-    if isinstance(system, CoshSinhHamiltonian):
-        return ArrayView(system)
-    if not isinstance(system, PiecewiseConstantHamiltonian):
-        return system
-    edges, pieces = system.edges.tolist(), system.matrices  # system.H, by a scalar lookup
-    return CallableHamiltonian(lambda t: pieces[min(bisect_right(edges, t), len(pieces)) - 1],
-                               type(system).__name__)
-
-
 def test_solve_constant_rotation():
     zs, ts = (0.5, 1.0, -2.3), (0.25, 1.0)
     qs = constant_solution_batch(HALF_ID, zs, ts)
@@ -112,10 +87,10 @@ def test_solve_constant_rejects_indefinite():
 
 
 def test_solve_ode_matches_closed_form():
-    sysc = rk4_view(ConstantHamiltonian(HALF_ID))
+    sysc = ConstantHamiltonian(HALF_ID)
     ts = [0.0, 0.5, 1.0]
-    qs = solve_ode_batch(sysc, [1.0], ts)[:, 0]
-    ref = constant_solution_batch(HALF_ID, [1.0], ts)
+    qs = rk4_step_loop(sysc, [1.0], ts)[:, 0]
+    ref = solve_ode_batch(sysc, [1.0], ts)
     for i, q in enumerate(qs):
         assert operator_norm(q - ref[i, 0]) <= 1e-10
 
@@ -173,8 +148,8 @@ def test_solve_ode_unimodular():
 
 def test_rk4_fourth_order_convergence():
     ref = constant_solution_batch(HALF_ID, [10.0], [1.0])[0, 0]
-    sysc = rk4_view(ConstantHamiltonian(HALF_ID))
-    qs = [solve_ode_batch(sysc, [10.0], [1.0], max_step=h)[0, 0] for h in (1e-3, 5e-4)]
+    sysc = ConstantHamiltonian(HALF_ID)
+    qs = [rk4_step_loop(sysc, [10.0], [1.0], h)[0, 0] for h in (1e-3, 5e-4)]
     e1, e2 = (operator_norm(q - ref) for q in qs)
     assert 12.0 <= e1 / e2 <= 20.0
 
@@ -250,7 +225,7 @@ def test_kernel_grid_names_the_first_near_pair_in_a_major_order():
         assert f"arguments {a_grid[2]} and {b_grid[3]} coincide" in str(exc.value)
     b = np.array([1.0, 3.0, 1.0, 0.5])
     values = kernel_grid(system, a, b)
-    diag = canonical._diagonal_kernel_batch(system, np.array([1.0, 3.0]), DEFAULT_MAX_STEP)
+    diag = canonical._diagonal_kernel_batch(system, np.array([1.0, 3.0]))
     assert values[1, 0] == values[1, 2] == diag[0] and values[3, 1] == diag[1]
     assert np.array_equal(values[[0, 2, 3]][:, [0, 2, 3]], kernel_grid(system, a[[0, 2, 3]], b[[0, 2, 3]]))
 
@@ -391,11 +366,25 @@ def test_solver_rejects_bad_grids():
         solve_ode_batch(sysc, [1.0], [0.5, 0.2])
     with pytest.raises(ValueError):
         solve_ode_batch(sysc, [1.0], [1.2])
-    with pytest.raises(ValueError):
-        solve_ode_batch(sysc, [1.0], [1.0], max_step=5e-3)
-    for max_step in (0.0, 1e-300, 0.5 * canonical.MIN_MAX_STEP, math.nan):
-        with pytest.raises(ValueError, match="MIN_MAX_STEP"):
-            solve_ode_batch(sysc, [1.0], [1.0], max_step=max_step)
+
+
+def test_solvers_refuse_other_systems():
+    class Bare(CanonicalSystem):
+        def H(self, t):
+            return np.broadcast_to(HALF_ID, np.shape(t) + (2, 2))
+
+    with pytest.raises(TypeError, match="^no solver for canonical system Bare$"):
+        solve_ode_batch(Bare(), [1.0], [1.0])
+    with pytest.raises(TypeError, match="^no solver for canonical system Bare$"):
+        kernel_grid(Bare(), [1.0], [2.0])
+
+
+@pytest.mark.parametrize("system", built_in_systems(), ids=system_id)
+def test_max_step_leaves_the_solve_unchanged(system):
+    zs, t_grid = [0.0, 0.5, -2.0 + 1.0j, 7.5], [0.2, 0.5, 1.0]
+    got = solve_ode_batch(system, zs, t_grid)
+    for max_step in (1e-3, 1e-4):
+        assert np.array_equal(solve_ode_batch(system, zs, t_grid, max_step), got)
 
 
 def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):
@@ -404,9 +393,9 @@ def test_kernel_grid_equal_grids_share_one_solve(monkeypatch):
     solved = []
     u_final_batch = canonical._u_final_batch
 
-    def counted(system, zs, max_step):
+    def counted(system, zs):
         solved.append(len(zs))
-        return u_final_batch(system, zs, max_step)
+        return u_final_batch(system, zs)
 
     monkeypatch.setattr(canonical, "_u_final_batch", counted)
     shared = kernel_grid(system, g, g)
@@ -534,8 +523,8 @@ def test_batch_solver_matches_scalar():
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
 def test_step_coefficients_match_step_loop(system):
-    t_lo, h, _ = _step_grid([0.2, 0.5, 1.0], 1e-3)
-    got = _step_coefficients(system, t_lo, h)
+    t_lo, h, _ = step_grid([0.2, 0.5, 1.0], 1e-3)
+    got = step_coefficients(system, t_lo, h)
     assert np.array_equal(got, step_coefficients_loop(system, t_lo, h))
     if isinstance(system, CoshSinhHamiltonian):
         # np.cosh and np.sinh may differ from math.cosh and math.sinh in the
@@ -548,7 +537,7 @@ def test_step_coefficients_match_step_loop(system):
         assert np.all(err <= 1e-15 * size ** np.arange(1, 5)[:, None])
 
 
-@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=system_id)
+@pytest.mark.parametrize("system", built_in_systems() + [CoshSinhHamiltonian(0.0)], ids=system_id)
 def test_real_z_solve_is_bit_identical_to_complex(system):
     zs = np.linspace(-20.0, 20.0, 41)
     got = solve_ode_batch(system, zs, [0.3, 1.0])
@@ -562,7 +551,7 @@ def test_coshsinh_flow_matches_rk4(v):
     # loop, at steps of 1e-4: its error is some 1e-15 of max|Q|; kappa = 0 at z = +-V
     system = CoshSinhHamiltonian(v)
     zs, t_grid = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j, -6.0 - 2.0j, v, -v], [0.2, 0.5, 1.0]
-    ref = solve_ode_batch(rk4_view(system), zs, t_grid, max_step=1e-4)
+    ref = rk4_step_loop(system, zs, t_grid, 1e-4)
     got = solve_ode_batch(system, zs, t_grid)
     assert np.max(np.abs(got - ref)) <= 3e-14 * np.max(np.abs(ref))
 
@@ -603,6 +592,10 @@ def test_solver_overflow_raises(recwarn):
     for system in built_in_systems()[::4]:  # cos(w c) overflows at |Im c| > 710 / w
         with pytest.raises(ArithmeticError, match="exact solution overflows"):
             solve_ode_batch(system, [1.0, 3000j], [0.5, 1.0])
+    # u(1, z) ~ e^(V/2) is finite at V = 709, but the kernel's products of two are not
+    for a, b in (([1.0], [2.0]), ([1.0], [1.0])):
+        with pytest.raises(ArithmeticError, match="^kernel overflows"):
+            kernel_grid(CoshSinhHamiltonian(709.0), a, b)
     # numpy's own overflow warnings stay silent; the check above names the cause
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
@@ -629,153 +622,60 @@ def staged_rk4(system, zs, t_grid, max_step=1e-3):
     return np.array([snaps[t] for t in t_grid]).reshape(len(t_grid), len(zs), 2, 2)
 
 
-def assert_matches_staged(system, zs, t_grid, max_step=1e-3):
-    got = solve_ode_batch(system, zs, t_grid, max_step)
-    ref = staged_rk4(system, zs, t_grid, max_step)
-    assert got.shape == ref.shape
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-
 @pytest.mark.parametrize("system", built_in_systems() + [quadratic_ramp()], ids=system_id)
 def test_solver_matches_staged_rk4(system):
-    zs = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j]
-    assert_matches_staged(rk4_view(system), zs, [0.2, 0.5, 1.0])
-
-
-def snapshot_steps(t_grid, max_step=DEFAULT_MAX_STEP):
-    return sorted(_step_grid(t_grid, max_step)[2])
-
-
-@pytest.mark.parametrize("nz, t_grid, max_step, steps", [
-    # 1025 steps of 2^-10 make scan blocks of isqrt(1025) = 32 steps: t = 0.25
-    # ends the eighth block, t = 0.6 is inside the twentieth, and t = 1 is alone
-    # in a last block of one step; 600 zs make four chunks of at most
-    # SCAN_PAIRS // 32 = 192
-    (600, [0.25, 0.6, 1.0], 2.0 ** -10, [256, 615, 1025]),
-    # coefficients and scans go by windows of STEP_BLOCK_VALUES steps: t = 0.4
-    # is inside the 52nd block of 64 in the first window, whose last step
-    # starts the second, of 2049 steps in blocks of 45; t = 0.6 is inside its
-    # nineteenth block, and t = 0.75 ends its last block, of 24 steps. The
-    # 130 zs make two chunks in the first window and one in the second
-    (130, [0.4, 0.6, 0.75], 0.5 / STEP_BLOCK_VALUES, [3277, 4916, 6145]),
-], ids=["one-window", "two-windows"])
-def test_solver_snapshots_inside_and_on_block_edges(nz, t_grid, max_step, steps):
-    assert SCAN_PAIRS == 6144 and STEP_BLOCK_VALUES == 4096  # the comments above
-    system = rk4_view(CoshSinhHamiltonian(1.0))
-    assert snapshot_steps(t_grid, max_step) == steps
-    zs = np.linspace(-6.0, 6.0, nz) + 0.25j
-    assert_matches_staged(system, zs, t_grid, max_step)
+    # the RK4 reference of the exact flows, Q += D(z) Q, is the classical RK4
+    zs, t_grid = [0.0, 0.5, -2.0 + 1.0j, 3.0 - 0.5j, 7.5, 4.0j], [0.2, 0.5, 1.0]
+    np.testing.assert_allclose(rk4_step_loop(system, zs, t_grid), staged_rk4(system, zs, t_grid),
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("points", [1001, 4201])
 @pytest.mark.parametrize("nz", [1, 3])
 def test_solver_snapshot_at_every_step(points, nz):
-    # a t grid of steps under max_step takes a snapshot at every step, so the
-    # scan reruns every block to its end; 4200 steps cross into a second window
-    t_grid = np.linspace(0.0, 1.0, points).tolist()
-    system = rk4_view(CoshSinhHamiltonian(1.0))
-    assert snapshot_steps(t_grid) == list(range(1, points))
-    assert_matches_staged(system, np.linspace(-3.0, 7.0, nz) + 0.5j, t_grid)
+    # a piece per step of the t grid: the exact flow's scan takes a snapshot at
+    # every step and reruns every block to its end
+    t_grid = np.linspace(0.0, 1.0, points)
+    rng = np.random.default_rng(points)
+    system = PiecewiseConstantHamiltonian(t_grid, [random_psd(rng) for _ in range(points - 1)])
+    zs = np.linspace(-3.0, 7.0, nz) + 0.5j
+    got = solve_ode_batch(system, zs, t_grid)
+    # the product of the pieces' factors, one at a time. The factors are close
+    # to the identity, so rounding grows with their number times the size of Q
+    # (at most half of that here), not with the product of their norms
+    factors = canonical._flow_factor(system.matrices[:, None], system.widths[:, None] * zs)
+    q = np.broadcast_to(np.eye(2, dtype=complex), (nz, 2, 2))
+    for k, f in enumerate(factors):
+        q = f @ q
+        assert np.max(np.abs(got[k + 1] - q)) <= 4 * (k + 1) * EPS * np.max(np.abs(q))
 
 
 @pytest.mark.parametrize("complex_z", [False, True])
 def test_solver_result_does_not_depend_on_the_batch(complex_z):
-    # 600 zs fill four chunks of z, at most SCAN_PAIRS // isqrt(1001) = 198
-    # each; the batches of 2, 13 and 51 zs are one chunk. The snapshots at
-    # t = 0.248, 0.6 and 0.6005 end the eighth scan block of 31 steps and cut
-    # the twentieth. Batches of one z are left out: numpy sends them to BLAS
-    # gemv, which rounds otherwise
+    # a z's solution is the same in a batch of 600 and in batches of 2, 13
+    # and 51. Batches of one z are left out: numpy may send their matrix
+    # products to BLAS gemv, which rounds otherwise
     rng = np.random.default_rng(11)
     zs = rng.uniform(-20.0, 20.0, 600)
     if complex_z:
         zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
-    assert zs.size > 2 * (SCAN_PAIRS // math.isqrt(1001))
     system = CoshSinhHamiltonian(1.0)
     t_grid = [0.248, 0.6, 0.6005, 1.0]
-    assert snapshot_steps(t_grid) == [248, 600, 601, 1001]
     wide = solve_ode_batch(system, zs, t_grid)
     for picks in ([0, 599], [127, 128], rng.choice(600, 13, replace=False),
                   np.arange(200, 251)):
         assert np.array_equal(solve_ode_batch(system, zs[picks], t_grid), wide[:, picks])
 
 
-def test_solver_one_step_blocks():
-    # 65 steps make scan blocks of isqrt(65) = 8 steps: runs of 20, 1, 1 and
-    # 43 steps cut the third block three times, and t = 0.065 is alone in a
-    # last block of one step; 2 * (SCAN_PAIRS // 8) + 1 zs make three chunks
-    system = rk4_view(CoshSinhHamiltonian(0.7))
-    t_grid = [0.02, 0.021, 0.022, 0.065]
-    assert snapshot_steps(t_grid) == [20, 21, 22, 65]
-    zs = np.linspace(-20.0, 20.0, 2 * (SCAN_PAIRS // 8) + 1)
-    assert_matches_staged(system, zs, t_grid)
-
-
-def rk4_rounding_bound(system, zs, t_grid, max_step):
-    """Bound on |solve_ode_batch - rk4_step_loop| for the same steps.
-
-    Both multiply out (I + D_N)···(I + D_1) and differ only in rounding. Each
-    step's increment (4 powers or Horner's 7 operations) and its share of the
-    products round with at most 16 relative errors of size u, complex
-    arithmetic included. In the loop that share is one update Q += D Q. In the
-    blocked scan it is the update of its block's propagator P - I from the
-    identity, the rerun of its step from the block's true start, and the
-    blocks' share of the ordered product of the propagators that forms those
-    starts. Measured against the products of absolute values
-    M = (I + |D_N|)···(I + |D_1|) with |D_k| = sum_j |C_j| |z|^j, the two
-    sides then differ by at most 2 · 16 · N · u · M after N steps.
-    """
-    scale = rk4_step_loop(system, np.abs(zs), t_grid, max_step,
-                          coefficients=lambda *a: np.abs(_step_coefficients(*a)))
-    n_steps = len(_step_grid(t_grid, max_step)[1])
-    return 32 * max(n_steps, 1) * 2.0 ** -53 * scale.real
-
-
-@st.composite
-def solver_cases(draw):
-    """A system, zs, and a sorted t grid whose snapshot steps cut uneven runs.
-
-    The runs between snapshots include lengths 1, 2, 3, another odd length
-    and one longer than any scan block (isqrt of a window of at most
-    STEP_BLOCK_VALUES steps); piecewise systems come as CallableHamiltonian
-    views of their H, which RK4 steps across the breakpoints. Over
-    SCAN_PAIRS // isqrt(steps) zs fill more than one chunk of z: 96 in a
-    window of 4096 steps, 198 in one of 1000.
-    """
-    edges = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True))
-    system = rk4_view(draw(st.sampled_from(built_in_systems() + [PiecewiseConstantHamiltonian(
-        [0.0, *sorted(edges), 1.0], [random_psd(np.random.default_rng(k))
-                                      for k in range(len(edges) + 1)])])))
-    max_step = draw(st.sampled_from([1e-3, 2.0 ** -12, 1.0 / 4500]))
-    block = math.isqrt(STEP_BLOCK_VALUES)
-    runs = draw(st.permutations([1, 2, 3, draw(st.sampled_from([5, 7, 9, 63, 65])),
-                                 draw(st.integers(block + 1, 3 * block)),
-                                 *draw(st.lists(st.integers(1, 200), max_size=4))]))
-    steps = np.cumsum([draw(st.integers(0, 2 * block)), *runs])
-    # t = 1 ends a last run that crosses many blocks, and past 4096 steps a
-    # window too
-    t_grid = [t for t in (steps * max_step).tolist() if t < 1.0] + [1.0]
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    zs = rng.uniform(-4.0, 4.0, draw(st.integers(1, 300)))
-    if draw(st.booleans()):
-        zs = zs + 1j * rng.uniform(-1.0, 1.0, zs.size)
-    return system, zs, t_grid, max_step
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(solver_cases())
-def test_solver_matches_step_loop(case):
-    system, zs, t_grid, max_step = case
-    got = solve_ode_batch(system, zs, t_grid, max_step)
-    err = np.abs(got - rk4_step_loop(system, zs, t_grid, max_step))
-    assert np.all(err <= rk4_rounding_bound(system, zs, t_grid, max_step))
-
-
 @pytest.mark.parametrize("t_grid", [[0.0], []])
 def test_solver_trivial_t_grids(t_grid):
-    assert_matches_staged(CoshSinhHamiltonian(1.0), [1.0, 2.0 - 1.0j], t_grid)
+    system, zs = CoshSinhHamiltonian(1.0), [1.0, 2.0 - 1.0j]
+    got, ref = solve_ode_batch(system, zs, t_grid), rk4_step_loop(system, zs, t_grid)
+    assert got.shape == ref.shape == (len(t_grid), 2, 2, 2)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
-# 401 and 20000 zs make several chunks of z; 1 z takes a snapshot at every step
+# the closed form's temporaries are a few arrays of one value per time and z
 @pytest.mark.parametrize("nz", [401, 20000, 51, 1])
 def test_solver_memory_bounded(nz):
     zs = np.linspace(-20.0, 20.0, nz)

@@ -238,15 +238,15 @@ def test_table_model_via_cli(tmp_path):
     ["kernel", "--model", "free", "--n", "10", "--grid", "nan:1:3"],
     ["kernel", "--model", "free", "--n", "10", "--threads", "2"],
     ["verify", "thm25", "--x0", "3", "--n-list", "100"],
+    # no option sets a solver step: every system is solved exactly
     ["kernel", "--model", "alternating-v", "--v", "1", "--n", "10", "--grid", "0:1:2",
-     "--reference", "canonical", "--max-step", "0.01"],
-    ["verify", "section5", "--v", "1", "--n", "50", "--max-step", "0"],
-    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "2e-3"],
-    # below MIN_MAX_STEP: the step count would wrap negative or exhaust memory
-    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "1e-300"],
-    ["kernel", "--model", "alternating-v", "--v", "1", "--n", "7", "--reference", "canonical",
-     "--max-step", "1e-300"],
-    ["verify", "section5", "--n", "7", "--max-step", "1e-300"],
+     "--reference", "canonical", "--max-step", "1e-3"],
+    ["verify", "section5", "--v", "1", "--n", "50", "--max-step", "1e-3"],
+    ["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1", "--max-step", "1e-3"],
+    # a required option missing, lists a model needs, a suite that does not exist
+    ["canonical-solve", "--system", "coshsinh", "--v", "1"],
+    ["kernel", "--model", "periodic", "--n", "10", "--grid", "0:1:3"],
+    ["verify", "bogus", "--n", "10"],
     # non-finite numbers and values the library refuses are usage errors too
     ["zeros", "--model", "free", "--n", "100", "--x0", "nan"],
     ["kernel", "--model", "free", "--n", "10", "--grid", "0:1:3", "--x0", "inf"],
@@ -326,7 +326,7 @@ def test_thm25_off_center_passes(tmp_path):
 @pytest.mark.parametrize("argv, output", [
     (["kernel", "--model", "free", "--x0", "3", "--n", "4000", "--grid", "-5:5:5"], "kernel.csv"),
     (["diagnostics", "--model", "free", "--x0", "3", "--n", "4000"], "diagnostics.json"),
-    # the RK4 solution overflows, or H(t) = cosh/sinh(800 t)/2 does past t = 0.89
+    # the closed-form solution overflows: at z = 1e200, or at V = 800 past t = 0.89
     (["canonical-solve", "--system", "coshsinh", "--v", "1", "--z", "1e200",
       "--t-grid", "0:1:3"], "solution.csv"),
     (["canonical-solve", "--system", "coshsinh", "--v", "800", "--z", "1",
@@ -473,12 +473,7 @@ _ENTRY = ["0", "0.5", "1", "-1", "1e300"]
            _flag("--h22", _ENTRY, ["nan"]),
            # one point, reversed, and grids that leave [0, 1]
            _flag("--t-grid", ["0:1:3", "0:1:101", "0.5:0.5:1", "1:1:1", "0:0.25:2", "0.9:1:4"],
-                 ["1:0:5", "-0.5:1:3", "0:2:3", "0:1:0", "nan:1:3", "0:1"]),
-           # valid steps from the two coarsest, so that no solve takes seconds
-           _flag("--max-step", 2 * ["1e-3", "2.5e-4"],
-                 ["0", "-1e-3", "1e-300", "nan", "5e-07", "2e-3"])))
-# a step count that would wrap negative
-@example(system="coshsinh", flags=(["--z", "1"], ["--v", "1"], [], [], [], [], ["--max-step", "1e-300"]))
+                 ["1:0:5", "-0.5:1:3", "0:2:3", "0:1:0", "nan:1:3", "0:1"])))
 def test_canonical_solve_exit_code_contract(tmp_path_factory, system, flags):
     out = tmp_path_factory.getbasetemp() / f"canonical-solve-contract-{next(_RUN)}"
     argv = ["canonical-solve", "--system", system, *itertools.chain(*flags)]
@@ -516,13 +511,12 @@ _BULK = ["0", "-1", "1e300", "1e-300", "1e160", "nan"]
            _flag("--reference", ["sine", "modified-sine", "canonical"], []),
            _flag("--rho", ["0.15915494309189535", "0.3", "1", "2"], _BULK),
            _flag("--w", ["0.3183098861837907", "0.3", "1", "2"], _BULK),
-           _flag("--re-f", ["0", "0.5", "-1"], ["1e300", "1e-300", "1e160", "nan"]),
-           # the one valid step, drawn twice as often as the invalid ones: a finer one
-           # makes each canonical reference slower
-           _flag("--max-step", 4 * ["1e-3"], ["0", "-1e-3", "1e-300", "nan", "2e-3", "5e-07"])))
+           _flag("--re-f", ["0", "0.5", "-1"], ["1e300", "1e-300", "1e160", "nan"])))
 # rho / w overflows: the sine reference was infinite and its sup_error Infinity
 @example(model="free", flags=([], [], [], ["--grid", "0:1:3"], [], ["--reference", "sine"],
-                              ["--rho", "1e300"], ["--w", "1e-300"], [], []))
+                              ["--rho", "1e300"], ["--w", "1e-300"], []))
+# off the bulk the self-check's determinant form overflows: numpy's warnings came first
+@example(model="free", flags=([], ["--x0", "2.05"], [], [], [], [], [], [], []))
 def test_kernel_exit_code_contract(tmp_path_factory, model, flags):
     out = tmp_path_factory.getbasetemp() / f"kernel-contract-{next(_RUN)}"
     argv = ["kernel", "--model", model, *itertools.chain(*flags)]
@@ -543,8 +537,7 @@ def test_kernel_exit_code_contract(tmp_path_factory, model, flags):
            _flag("--t-grid", ["0:1:3", "0:1:11"], ["0:2:3"]),
            _flag("--n-list", ["50,100", "7,50,500"], ["0,100", "50,x"]),
            _flag("--rho", ["0.15915494309189535", "0.3"], ["0", "1e300", "nan"]),
-           _flag("--w", ["0.3183098861837907", "0.3"], ["0", "1e-300", "nan"]),
-           _flag("--max-step", 4 * ["1e-3"], ["0", "2e-3"])))
+           _flag("--w", ["0.3183098861837907", "0.3"], ["0", "1e-300", "nan"])))
 # the recursive trajectory overflows off the bulk: the manifest read "measured": NaN
 @example(suite="transfer-identities", model=["--model", "free"],
          flags=(["--x0", "2.05"], ["--n", "200"]))
@@ -554,6 +547,9 @@ def test_kernel_exit_code_contract(tmp_path_factory, model, flags):
 # exp(V t) overflows: [FAIL] lines came before "math range error"
 @example(suite="section5", model=[], flags=(["--n", "7"], ["--v", "800"]))
 @example(suite="section5", model=[], flags=(["--v", "1e300"], ["--n", "50"]))
+# the determinant form and the canonical kernel overflow: numpy's warnings came first
+@example(suite="kernel-identities", model=["--model", "free"], flags=(["--x0", "2.05"],))
+@example(suite="section5", model=[], flags=(["--n", "1"], ["--v", "709"]))
 def test_verify_exit_code_contract(tmp_path_factory, suite, model, flags):
     out = tmp_path_factory.getbasetemp() / f"verify-contract-{next(_RUN)}"
     argv = ["verify", suite, *model, *itertools.chain(*flags)]
@@ -657,8 +653,8 @@ def test_readme_cli_examples_parse():
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "--model", "periodic", "--period-a", "1,2", "--grid", "-1:1:3", "--bgrid", "-2:2:5",
-     "--reference", "sine", "--rho", "0.1", "--w", "0.3", "--re-f", "0.2", "--max-step", "1e-4",
-     "--tol", "0.1", "--config", "c.txt"],
+     "--reference", "sine", "--rho", "0.1", "--w", "0.3", "--re-f", "0.2", "--tol", "0.1",
+     "--config", "c.txt"],
     ["diagnostics", "--model", "table", "--table", "t.csv", "--n", "9", "--x0", "0.5",
      "--bins", "7", "--candidate", "constant", "--h11", "1", "--h12", "0.1", "--h22", "2"],
     ["zeros", "--model", "free", "--n", "7", "--x0", "0.1", "--window", "3"],

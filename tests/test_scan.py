@@ -114,7 +114,7 @@ def test_snapshots_match_step_loop(length, increment):
 @pytest.mark.parametrize("increment", [False, True])
 def test_coefficients_with_trailing_axes(length, increment):
     # a step reads (rows, 1, ...) views of arrays indexed by step along their
-    # first axis, as the RK4 steps read their (steps, 4, 4) coefficients
+    # first axis, as the exact flow's pieces read their (pieces, 2, 2) values
     a, b = coefficients(length)
     table = np.stack([np.stack([a, b], -1), np.stack([b, a], -1)], -2)  # (length, 2, 2)
 
